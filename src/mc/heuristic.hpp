@@ -2,11 +2,24 @@
 // (paper Section IV-C, Algorithms 5 and 6).
 //
 // Degree-based search runs on the *original* graph before any
-// preprocessing: it seeds from the top-K highest-degree vertices and
-// greedily adds the candidate with the highest degree inside the shrinking
-// candidate set, found with intersect-size-gt-val keyed to the running
-// maximum.  A good incumbent here shrinks the k-core computation and the
-// must subgraph.
+// preprocessing: it seeds from the top-K highest-degree vertices, keeps the
+// seed's neighbours whose degree is at least |C*|, and greedily adds the
+// candidate with the most neighbours inside the shrinking candidate set C
+// (ties to the smallest id).  A good incumbent here shrinks the k-core
+// computation and the must subgraph.
+//
+//  * Bitset greedy.  Once |C| <= 4096, C is indexed by position and each
+//    candidate gets a bitset row of its neighbours in C, built through a
+//    per-thread global-id -> position map.  A step is then one popcount of
+//    (row & live) per live candidate, and C shrinks by live &= row[best].
+//  * Cap.  While |C| > 4096 (hub seeds), steps run on sorted lists with
+//    intersect-size-gt-val keyed to the running maximum; that prefix is
+//    the only part the intersection policy (early exits) affects.  The
+//    cap bounds the rows at 2 MiB per thread.
+//  * Schedule-independent result.  Each seed's degree filter is the
+//    incumbent size a 1-thread run in seed order would see, and cliques
+//    are offered in seed order, so omega_d and the incumbent clique are
+//    the same at every thread count.
 //
 // Coreness-based search runs on the lazy relabelled graph: one seed per
 // degeneracy level, greedily taking the highest-numbered (= highest

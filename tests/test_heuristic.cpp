@@ -1,9 +1,12 @@
 // Tests for the degree-based and coreness-based heuristic searches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "baselines/reference.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "graph/suite.hpp"
 #include "kcore/kcore.hpp"
 #include "kcore/order.hpp"
 #include "lazygraph/lazy_graph.hpp"
@@ -75,6 +78,125 @@ TEST(DegreeHeuristic, FindsPlantedCliqueOnHubSeed) {
   opt.top_k = 32;
   mc::degree_based_heuristic(g, incumbent, opt);
   EXPECT_GE(incumbent.size(), 12u);  // near-exact greedy recovery
+}
+
+// Reference for the degree heuristic: seeds in top-degree order, run one
+// after another, each filtered by the incumbent size so far; each step
+// takes the first candidate with the most neighbours among the candidates,
+// counted by binary search.  Returns the clique the incumbent ends with.
+std::vector<VertexId> sorted_degree_greedy(const Graph& g, VertexId top_k) {
+  const VertexId k = std::min(top_k, g.num_vertices());
+  std::vector<VertexId> seeds(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) seeds[v] = v;
+  std::partial_sort(seeds.begin(), seeds.begin() + k, seeds.end(),
+                    [&](VertexId a, VertexId b) {
+                      return g.degree(a) > g.degree(b);
+                    });
+  seeds.resize(k);
+  auto adjacent = [&](VertexId a, VertexId b) {
+    auto nbrs = g.neighbors(a);
+    return std::binary_search(nbrs.begin(), nbrs.end(), b);
+  };
+  std::vector<VertexId> best;
+  for (VertexId v : seeds) {
+    std::vector<VertexId> cand, clique{v};
+    for (VertexId u : g.neighbors(v)) {
+      if (g.degree(u) >= best.size()) cand.push_back(u);
+    }
+    while (!cand.empty()) {
+      VertexId pick = cand.front();
+      std::size_t pick_deg = 0;
+      for (VertexId w : cand) {
+        std::size_t d = 0;
+        for (VertexId x : cand) d += adjacent(w, x) ? 1 : 0;
+        if (d > pick_deg) {
+          pick_deg = d;
+          pick = w;
+        }
+      }
+      clique.push_back(pick);
+      std::erase_if(cand, [&](VertexId x) { return !adjacent(pick, x); });
+    }
+    if (clique.size() > best.size()) best = clique;
+  }
+  return best;
+}
+
+// Runs the heuristic at 1 and 4 threads, `repeats` times each, and checks
+// that every run ends with exactly the reference's incumbent.
+void expect_matches_reference(const Graph& g, const std::string& label,
+                              int repeats = 10) {
+  const mc::HeuristicOptions opt;
+  const std::vector<VertexId> expected = sorted_degree_greedy(g, opt.top_k);
+  for (std::size_t threads : {1, 4}) {
+    set_num_threads(threads);
+    for (int rep = 0; rep < repeats; ++rep) {
+      Incumbent incumbent;
+      mc::degree_based_heuristic(g, incumbent, opt);
+      ASSERT_EQ(incumbent.size(), expected.size())
+          << label << " at " << threads << " thread(s), repeat " << rep;
+      ASSERT_EQ(incumbent.snapshot(), expected)
+          << label << " at " << threads << " thread(s), repeat " << rep;
+    }
+  }
+  set_num_threads(0);
+}
+
+TEST(DegreeHeuristic, MatchesSortedGreedyAtEveryThreadCount) {
+  for (const std::string& name : suite::instance_names()) {
+    expect_matches_reference(
+        suite::make_instance(name, suite::Scale::kTiny).graph, name);
+  }
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    expect_matches_reference(gen::gnp(300, 0.1, seed),
+                             "gnp seed " + std::to_string(seed));
+    expect_matches_reference(
+        gen::plant_clique(gen::gnp(400, 0.03, seed), 15, seed + 100),
+        "planted seed " + std::to_string(seed));
+  }
+}
+
+// A star whose centre has more candidates than the bitset cap (4096), with
+// a 12-clique and a path among the leaves: the centre's seed takes sorted
+// steps before it switches to the bitset greedy.
+Graph hub_graph() {
+  constexpr VertexId kLeaves = 5000;
+  GraphBuilder b(kLeaves + 1);
+  for (VertexId leaf = 1; leaf <= kLeaves; ++leaf) {
+    b.add_edge(0, leaf);
+    if (leaf < kLeaves) b.add_edge(leaf, leaf + 1);
+  }
+  for (VertexId i = 0; i < 12; ++i) {
+    for (VertexId j = i + 1; j < 12; ++j) {
+      b.add_edge(37 + 401 * i, 37 + 401 * j);
+    }
+  }
+  return b.build();
+}
+
+TEST(DegreeHeuristic, HubSeedAboveBitsetCapMatchesReference) {
+  Graph g = hub_graph();
+  expect_matches_reference(g, "hub", 2);
+  Incumbent incumbent;
+  mc::degree_based_heuristic(g, incumbent);
+  EXPECT_EQ(incumbent.size(), 13u);
+  EXPECT_TRUE(is_clique(g, incumbent.snapshot()));
+}
+
+TEST(DegreeHeuristic, HubSeedRespectsCancelledControl) {
+  Graph g = hub_graph();
+  SolveControl control;
+  control.cancel();
+  mc::HeuristicOptions opt;
+  opt.control = &control;
+  for (std::size_t threads : {1, 4}) {
+    set_num_threads(threads);
+    Incumbent incumbent;
+    mc::degree_based_heuristic(g, incumbent, opt);
+    EXPECT_EQ(incumbent.size(), 0u) << threads << " thread(s)";
+    EXPECT_TRUE(incumbent.snapshot().empty());
+  }
+  set_num_threads(0);
 }
 
 struct LazyFixture {
