@@ -1,9 +1,12 @@
 #include "vc/kvc.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace lazymc::vc {
 namespace {
+
+constexpr VertexId kUnmatched = std::numeric_limits<VertexId>::max();
 
 class Searcher {
  public:
@@ -53,28 +56,89 @@ class Searcher {
     deg[v] = 0;
   }
 
-  /// Size of a greedily built maximal matching among alive vertices.
-  /// Any vertex cover contains at least one endpoint per matching edge,
-  /// so matching size > k proves infeasibility.  O(n * words).
-  std::size_t maximal_matching_size(const DynamicBitset& alive) const {
-    DynamicBitset& free = scratch_.matching_free;
+  /// Lower bound on the vertex cover of the alive subgraph, doubled: the
+  /// size of a matching M of its bipartite double cover, in which edge uv
+  /// joins left u to right v and left v to right u.  A maximum M is twice
+  /// the half-integral LP optimum, so |M| > limit = 2k refutes k.
+  ///
+  /// M starts from a greedy maximal matching with each edge used in both
+  /// directions, so a maximal matching of more than k edges exits before
+  /// any augmenting; M then grows by phases of augmenting paths.  A phase
+  /// resets the unvisited right copies once and tries every free left
+  /// copy; a right copy visited by a failed path stays visited for the
+  /// phase.  A phase that augments nothing leaves M maximum.  The result
+  /// exceeds `limit` exactly when the maximum |M| does; it stops as soon
+  /// as that is known.
+  std::size_t lp_matching(const DynamicBitset& alive, std::size_t limit) {
+    // Each left copy matches at most once: too few vertices cannot refute.
+    if (alive.count() <= limit) return 0;
+    const std::size_t words = alive.num_words();
+    std::vector<VertexId>& right = scratch_.match_right;  // left partner
+    right.assign(g_.size(), kUnmatched);
+    DynamicBitset& free = scratch_.matching_free;  // unmatched left copies
     free = alive;
     std::size_t matched = 0;
     for (std::size_t v = free.find_first(); v < free.size();
          v = free.find_next(v)) {
       // v is still free here (find_next skips vertices we reset).
-      std::size_t partner = free.size();
-      for (std::size_t u = g_.adj[v].find_first(); u < g_.adj[v].size();
-           u = g_.adj[v].find_next(u)) {
-        if (u > v && free.test(u)) {
-          partner = u;
+      const DynamicBitset& row = g_.adj[v];
+      std::uint64_t cand = 0;
+      std::uint64_t above_v = ~0ULL << ((v + 1) & 63);
+      std::size_t w = (v + 1) >> 6;
+      for (; w < words; ++w, above_v = ~0ULL) {
+        cand = row.word(w) & free.word(w) & above_v;
+        if (cand != 0) break;
+      }
+      if (cand == 0) continue;
+      const std::size_t u =
+          w * 64 + static_cast<unsigned>(__builtin_ctzll(cand));
+      free.reset(v);
+      free.reset(u);
+      right[v] = static_cast<VertexId>(u);
+      right[u] = static_cast<VertexId>(v);
+      matched += 2;
+    }
+    if (matched > limit) return matched;
+
+    DynamicBitset& unvisited = scratch_.unvisited;
+    std::vector<KvcScratch::PathStep>& path = scratch_.path;
+    for (bool grew = true; grew;) {
+      grew = false;
+      unvisited = alive;
+      for (std::size_t s = free.find_first(); s < free.size();
+           s = free.find_next(s)) {
+        // Iterative DFS along alternating paths from left copy s.  Each
+        // step resumes its row scan at `word`; candidates are the row's
+        // unvisited right copies, a word at a time.
+        path.clear();
+        path.push_back({static_cast<VertexId>(s), 0, 0});
+        while (!path.empty()) {
+          KvcScratch::PathStep& step = path.back();
+          const DynamicBitset& row = g_.adj[step.left];
+          std::uint64_t cand = 0;
+          for (; step.word < words; ++step.word) {
+            cand = row.word(step.word) & unvisited.word(step.word);
+            if (cand != 0) break;
+          }
+          if (cand == 0) {
+            path.pop_back();  // dead end: its right copies stay visited
+            continue;
+          }
+          const std::size_t r =
+              step.word * 64 + static_cast<unsigned>(__builtin_ctzll(cand));
+          unvisited.reset(r);
+          step.right = static_cast<VertexId>(r);
+          if (right[r] != kUnmatched) {
+            path.push_back({right[r], 0, 0});
+            continue;
+          }
+          // Free right copy: flip every edge along the path.
+          for (const KvcScratch::PathStep& e : path) right[e.right] = e.left;
+          free.reset(s);
+          grew = true;
+          if (++matched > limit) return matched;
           break;
         }
-      }
-      if (partner != free.size()) {
-        free.reset(v);
-        free.reset(partner);
-        ++matched;
       }
     }
     return matched;
@@ -250,11 +314,12 @@ class Searcher {
         cover.resize(checkpoint);
         return false;
       }
-      // Matching bound: a maximal matching needs one cover vertex per
-      // edge.  Decisive for the "prove no better clique exists" probes of
+      // LP bound: the cover needs at least half a double-cover matching.
+      // Decisive for the "prove no better clique exists" probes of
       // MC-via-VC, where k is large but the complement still has a big
-      // matching.
-      if (maximal_matching_size(alive) > static_cast<std::size_t>(k)) {
+      // (fractional) matching.
+      const std::size_t twice_k = 2 * static_cast<std::size_t>(k);
+      if (lp_matching(alive, twice_k) > twice_k) {
         cover.resize(checkpoint);
         return false;
       }

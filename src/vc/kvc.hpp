@@ -8,6 +8,12 @@
 //    degree-1 vertex's neighbor joins the cover;
 //  * the merge-free degree-2 rule: when a degree-2 vertex's neighbors are
 //    adjacent (a triangle), both neighbors join the cover;
+//  * the counting bound: each cover vertex covers at most max-degree
+//    edges;
+//  * the half-integral LP lower bound (Akiba & Iwata, TCS 2016): half the
+//    size of a maximum matching of the bipartite double cover, warm-
+//    started from a greedy maximal matching and grown by word-parallel
+//    augmenting phases; a node is pruned once that matching exceeds 2k;
 //  * a polynomial path/cycle solver once the maximum degree reaches 2;
 //  * branching on the highest-degree vertex: v in the cover, or N(v) is.
 //
@@ -42,10 +48,10 @@ struct KvcOptions {
 };
 
 /// Reusable state for solve_kvc: one branch bitset + degree array per
-/// recursion depth plus the root/matching/path-solver bitsets and the
-/// working cover.  Keep one per thread; once capacities reach the
-/// high-water mark, infeasible probes (the steady state of MC-via-VC)
-/// allocate nothing.
+/// recursion depth plus the root/path-solver bitsets, the LP bound's
+/// matching state and the working cover.  Keep one per thread; once
+/// capacities reach the high-water mark, infeasible probes (the steady
+/// state of MC-via-VC) allocate nothing.
 ///
 /// Degrees are maintained *incrementally*: computed once at the root
 /// (one count_and per vertex), copied O(n) into each branch's frame, and
@@ -56,10 +62,22 @@ struct KvcScratch {
     DynamicBitset branch;
     std::vector<VertexId> deg;  // alive-degree snapshot for this branch
   };
+  /// One step of an augmenting-path search: a left copy, the word its
+  /// row scan resumes at, and the right copy it last stepped to.
+  struct PathStep {
+    VertexId left = 0;
+    std::size_t word = 0;
+    VertexId right = 0;
+  };
   std::vector<Frame> frames;
   DynamicBitset root;
   std::vector<VertexId> root_deg;
+  // LP bound: each right copy's matched left copy, the unmatched left
+  // copies, the phase's unvisited right copies, the augmenting path.
+  std::vector<VertexId> match_right;
   DynamicBitset matching_free;
+  DynamicBitset unvisited;
+  std::vector<PathStep> path;
   DynamicBitset deg2;
   DynamicBitset alive_row;  // remove_vertex's row & alive intermediate
   std::vector<VertexId> cover;
@@ -73,8 +91,8 @@ KvcResult solve_kvc(const DenseSubgraph& g, std::int64_t k,
 KvcResult solve_kvc(const DenseSubgraph& g, std::int64_t k,
                     const KvcOptions& options, KvcScratch& scratch);
 
-/// Exact minimum vertex cover size via descending feasibility probes
-/// (test convenience; the production path uses mc_via_vc's binary search).
+/// Exact minimum vertex cover size by binary search over k (test
+/// convenience; the production path is mc_via_vc's probe-first search).
 std::size_t minimum_vertex_cover(const DenseSubgraph& g,
                                  const KvcOptions& options = {});
 

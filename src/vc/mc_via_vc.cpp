@@ -22,8 +22,11 @@ McViaVcResult max_clique_via_vc(const DenseSubgraph& s, VertexId lower_bound,
   opt.control = control;
 
   // Clique size c in s  <=>  VC size n - c in comp.
-  // Feasibility of "clique >= c" is monotone decreasing in c; binary
-  // search the largest feasible c in [lower_bound + 1, n].
+  // Feasibility of "clique >= c" is monotone decreasing in c.  The usual
+  // answer is "nothing above the bound", so the first probe is the
+  // smallest interesting size lo: if even that fails, one probe settles
+  // the call.  Only after a success does the search bisect the rest of
+  // [lo, hi] for the largest feasible c.
   std::size_t lo = lower_bound + 1;  // smallest interesting clique size
   std::size_t hi = n;                // largest possible
   std::vector<VertexId> best_cover;
@@ -40,7 +43,7 @@ McViaVcResult max_clique_via_vc(const DenseSubgraph& s, VertexId lower_bound,
         if (lo > hi) break;
       }
     }
-    std::size_t c = lo + (hi - lo) / 2;
+    std::size_t c = found ? lo + (hi - lo) / 2 : lo;
     if (node_budget != 0) {
       if (out.nodes >= node_budget) {
         out.budget_exhausted = true;
@@ -62,10 +65,10 @@ McViaVcResult max_clique_via_vc(const DenseSubgraph& s, VertexId lower_bound,
     if (r.feasible) {
       found = true;
       best_cover = std::move(r.cover);
-      lo = c + 1;
+      // The cover may beat its k: its clique already has n - |cover|.
+      lo = n - best_cover.size() + 1;
     } else {
-      if (c == 0) break;
-      hi = c - 1;
+      hi = c - 1;  // c >= 1, and before any success this ends the loop
     }
   }
   if (!found) return out;

@@ -3,9 +3,12 @@
 // A clique of size c in S corresponds to a vertex cover of size |S| - c in
 // the complement of S.  LazyMC routes *dense* subgraphs here: their
 // complements are sparse, where the VC kernelisation rules shine.  Like
-// dOmega we use repeated k-VC feasibility probes, but — differently — the
-// binary search is applied within a single neighborhood's plausible range
-// [lower_bound+1, |S|].
+// dOmega we use repeated k-VC feasibility probes, but within a single
+// neighborhood's plausible range [lower_bound+1, |S|], and probe-first:
+// most calls only ask "is there a clique above the bound?" and the answer
+// is usually no, so the first probe is c = lower_bound+1 (or higher if the
+// live incumbent has grown).  When it fails, that one probe is the whole
+// call; only a success leads to a binary search of the sizes above it.
 #pragma once
 
 #include <atomic>
@@ -51,10 +54,11 @@ struct VcScratch {
 /// re-read before every feasibility probe after subtracting
 /// `live_bound_offset` (saturating): probes for clique sizes the live
 /// incumbent already covers are skipped, so a bound raised by another
-/// thread mid-solve retires the remaining binary-search range.  With a
-/// live bound the result is maximum *relative to the live bound* — a
-/// clique no larger than it may be elided, which is harmless for callers
-/// publishing into that same incumbent.
+/// thread mid-solve raises the first probe or retires the remaining
+/// binary-search range.  With a live bound the result is maximum
+/// *relative to the live bound* — a clique no larger than it may be
+/// elided, which is harmless for callers publishing into that same
+/// incumbent.
 McViaVcResult max_clique_via_vc(const DenseSubgraph& s, VertexId lower_bound,
                                 const SolveControl* control = nullptr,
                                 std::uint64_t node_budget = 0,

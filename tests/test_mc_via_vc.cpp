@@ -5,6 +5,7 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/subgraph.hpp"
+#include "vc/kvc.hpp"
 #include "vc/mc_via_vc.hpp"
 
 namespace lazymc {
@@ -83,6 +84,50 @@ TEST(McViaVc, CancelledControlStops) {
   auto r = vc::max_clique_via_vc(s, 0, &control);
   EXPECT_TRUE(r.timed_out);
   EXPECT_TRUE(r.clique.empty());
+}
+
+TEST(McViaVc, BoundAtOrAboveOmegaTakesOneProbe) {
+  // Probe-first: with nothing above the bound, the call is exactly one
+  // k-VC probe for clique size lower_bound + 1.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Graph g = gen::gnp(30, 0.75, seed);
+    const std::size_t omega = baselines::max_clique_reference(g).size();
+    DenseSubgraph s = induce_all(g);
+    DenseSubgraph comp = s.complement();
+    const std::size_t n = s.size();
+    for (std::size_t lb = omega; lb < n; ++lb) {
+      auto r = vc::max_clique_via_vc(s, static_cast<VertexId>(lb));
+      auto single =
+          vc::solve_kvc(comp, static_cast<std::int64_t>(n - lb - 1));
+      EXPECT_FALSE(single.feasible) << "seed " << seed << " lb " << lb;
+      EXPECT_TRUE(r.clique.empty()) << "seed " << seed << " lb " << lb;
+      EXPECT_EQ(r.nodes, single.nodes) << "seed " << seed << " lb " << lb;
+    }
+  }
+}
+
+TEST(McViaVc, EveryLowerBoundAgreesWithReference) {
+  // Every bound in [0, omega] on dense gnp and planted-clique graphs: a
+  // maximum clique below omega, nothing at omega.
+  std::vector<Graph> graphs;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    graphs.push_back(gen::gnp(36, 0.8, seed));
+    graphs.push_back(gen::plant_clique(gen::gnp(40, 0.5, seed), 15, seed));
+  }
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    const Graph& g = graphs[i];
+    const std::size_t omega = baselines::max_clique_reference(g).size();
+    DenseSubgraph s = induce_all(g);
+    for (std::size_t lb = 0; lb <= omega; ++lb) {
+      auto r = vc::max_clique_via_vc(s, static_cast<VertexId>(lb));
+      EXPECT_EQ(r.clique.empty(), lb >= omega)
+          << "graph " << i << " lb " << lb;
+      if (lb < omega) {
+        EXPECT_EQ(r.clique.size(), omega) << "graph " << i << " lb " << lb;
+        EXPECT_TRUE(is_clique(g, r.clique)) << "graph " << i << " lb " << lb;
+      }
+    }
+  }
 }
 
 TEST(McViaVc, NodesAccumulateAcrossProbes) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -129,22 +130,81 @@ TEST(Kvc, TriangleRuleGraph) {
   EXPECT_TRUE(is_cover(s, r.cover));
 }
 
+/// Checks k = truth - 1 (infeasible) and k = truth (feasible, with a
+/// valid cover of size <= k) against the naive minimum `truth`.
+void expect_boundary(const DenseSubgraph& s, const std::string& what) {
+  std::size_t truth = min_vc_naive(s);
+  if (truth > 0) {
+    EXPECT_FALSE(
+        vc::solve_kvc(s, static_cast<std::int64_t>(truth) - 1).feasible)
+        << what;
+  }
+  auto r = vc::solve_kvc(s, static_cast<std::int64_t>(truth));
+  EXPECT_TRUE(r.feasible) << what;
+  EXPECT_TRUE(is_cover(s, r.cover)) << what;
+  EXPECT_LE(r.cover.size(), truth) << what;
+}
+
 TEST(Kvc, MatchesNaiveOnRandomGraphs) {
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
-    Graph g = gen::gnp(12, 0.3, seed);
-    DenseSubgraph s = induce_all(g);
-    std::size_t truth = min_vc_naive(s);
-    // Feasibility boundary is exactly at `truth`.
-    if (truth > 0) {
-      EXPECT_FALSE(
-          vc::solve_kvc(s, static_cast<std::int64_t>(truth) - 1).feasible)
-          << "seed " << seed;
-    }
-    auto r = vc::solve_kvc(s, static_cast<std::int64_t>(truth));
-    EXPECT_TRUE(r.feasible) << "seed " << seed;
-    EXPECT_TRUE(is_cover(s, r.cover)) << "seed " << seed;
-    EXPECT_LE(r.cover.size(), truth) << "seed " << seed;
+    expect_boundary(induce_all(gen::gnp(12, 0.3, seed)),
+                    "gnp seed " + std::to_string(seed));
   }
+  // Sparse complements of dense graphs, with and without a planted
+  // clique: the shape MC-via-VC hands to the solver.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    expect_boundary(induce_all(gen::gnp(16, 0.8, seed)).complement(),
+                    "complement seed " + std::to_string(seed));
+    expect_boundary(
+        induce_all(gen::plant_clique(gen::gnp(16, 0.6, seed), 8, seed))
+            .complement(),
+        "planted complement seed " + std::to_string(seed));
+  }
+}
+
+/// Size of the greedy maximal matching taken in vertex order, each vertex
+/// pairing with its first free higher neighbor.
+std::size_t greedy_matching_size(const DenseSubgraph& s) {
+  std::vector<char> used(s.size(), 0);
+  std::size_t matched = 0;
+  for (std::size_t v = 0; v < s.size(); ++v) {
+    for (std::size_t u = v + 1; u < s.size() && !used[v]; ++u) {
+      if (s.adj[v].test(u) && !used[u]) {
+        used[v] = used[u] = 1;
+        ++matched;
+      }
+    }
+  }
+  return matched;
+}
+
+TEST(Kvc, LpBoundRefutesWhereMatchingAndCountingCannot) {
+  // C7 plus the chords 0-3 and 1-5: irregular (degrees 3,3,2,3,2,3,2),
+  // no degree-1 vertex, no degree-2 vertex on a triangle, and no degree
+  // above k = 3, so no kernel rule applies.  The counting bound allows
+  // 3 * 3 = 9 edges (there are 9) and the greedy maximal matching has
+  // 3 edges, so neither refutes k = 3.  The odd cycle is a fractional
+  // perfect matching, so the LP bound is 7/2 > 3.
+  Graph g = graph_from_edges(7, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5},
+                                 {5, 6}, {6, 0}, {0, 3}, {1, 5}});
+  DenseSubgraph s = induce_all(g);
+  const std::int64_t k = 3;
+  ASSERT_EQ(s.num_edges, 9u);
+  std::size_t max_deg = 0;
+  for (const DynamicBitset& row : s.adj) {
+    max_deg = std::max(max_deg, row.count());
+  }
+  ASSERT_EQ(max_deg, 3u);
+  ASSERT_LE(s.num_edges, static_cast<std::size_t>(k) * max_deg);
+  ASSERT_EQ(greedy_matching_size(s), 3u);
+
+  auto r = vc::solve_kvc(s, k);
+  EXPECT_FALSE(r.feasible);
+  EXPECT_EQ(r.nodes, 1u);  // refuted at the root, without branching
+  EXPECT_EQ(min_vc_naive(s), 4u);
+  auto r4 = vc::solve_kvc(s, 4);
+  EXPECT_TRUE(r4.feasible);
+  EXPECT_TRUE(is_cover(s, r4.cover));
 }
 
 TEST(Kvc, MinimumVertexCoverBinarySearch) {
