@@ -48,9 +48,7 @@ std::vector<VertexId> LazyGraph::filtered_neighbors(VertexId v) const {
   // Lazy filtering by coreness against the incumbent size *now*
   // (Algorithm 2 line 20).  A relaxed read is safe: the incumbent only
   // grows, so a stale (smaller) value merely filters less.
-  const VertexId bound = incumbent_size_
-                             ? incumbent_size_->load(std::memory_order_relaxed)
-                             : 0;
+  const VertexId bound = filter_bound();
   const VertexId orig = order_->new_to_orig[v];
   std::vector<VertexId> result;
   auto nbrs = base_->neighbors(orig);
@@ -354,9 +352,7 @@ void LazyGraph::build_hybrid(VertexId v) {
 }
 
 bool LazyGraph::init_zone(std::size_t budget_bytes) {
-  const VertexId bound = incumbent_size_
-                             ? incumbent_size_->load(std::memory_order_relaxed)
-                             : 0;
+  const VertexId bound = filter_bound();
   // Relabelled ids are sorted by ascending coreness (both supported
   // orders), so the zone of interest is the suffix starting at the first
   // vertex with coreness >= the incumbent.
@@ -451,9 +447,7 @@ bool LazyGraph::adopt_prebuilt_rows(const PrebuiltRows& rows, bool hybrid) {
   // vertices (they are supersets, safe by the heterogeneous-incumbent
   // filtering invariant) but never fewer — a vertex outside the stored
   // zone has no bit position, so its adjacency would silently vanish.
-  const VertexId bound = incumbent_size_
-                             ? incumbent_size_->load(std::memory_order_relaxed)
-                             : 0;
+  const VertexId bound = filter_bound();
   if (rows.zone_begin > 0 && coreness_new_[rows.zone_begin - 1] >= bound) {
     return false;  // stored zone is narrower than the live zone
   }

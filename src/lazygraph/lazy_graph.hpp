@@ -117,6 +117,14 @@ class LazyGraph {
   /// Coreness of relabelled vertex v.
   VertexId coreness(VertexId v) const { return coreness_new_[v]; }
 
+  /// The incumbent size a neighborhood built now is filtered against (0
+  /// without an incumbent).  Only ever grows, so it bounds the filter of
+  /// every neighborhood built before the call.
+  VertexId filter_bound() const {
+    return incumbent_size_ ? incumbent_size_->load(std::memory_order_relaxed)
+                           : 0;
+  }
+
   /// Degree of relabelled vertex v in the *original* (unfiltered) graph.
   VertexId original_degree(VertexId v) const {
     return base_->degree(order_->new_to_orig[v]);

@@ -26,26 +26,71 @@ void atomic_max(std::atomic<std::uint64_t>& target, std::uint64_t value) {
   }
 }
 
-/// Extracts the dense subgraph induced by `members` (relabelled ids,
-/// sorted ascending) into the pooled `out`, using the lazy graph's
-/// membership structures rather than the base CSR: this honours
-/// construction-time filtering and builds neighborhoods only for the few
-/// vertices that reach a detailed search.
-///
-/// Rows backed by a bitset are filled word-wise: the members' own word
-/// form (scratch.a_words) is ANDed against the row by the dispatched
-/// gather_and primitive (SIMD tier permitting) into scratch.and_words,
-/// and each surviving bit is mapped back to its local index with a
-/// monotone cursor (hits and members share the ascending relabelled
-/// order).  Rows without a bitset fall back to per-pair membership
-/// probes.
+/// The pairwise extraction: each pair i < j is probed once, in member i's
+/// neighborhood, and mirrored.
+void probe_pairs(LazyGraph& h, const std::vector<VertexId>& members,
+                 DenseSubgraph& out) {
+  const std::size_t n = members.size();
+  EdgeId m = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    NeighborhoodView view = h.membership(members[i]);
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (view.contains(members[j])) {
+        out.adj[i].set(j);
+        out.adj[j].set(i);
+        ++m;
+      }
+    }
+  }
+  out.num_edges = m;
+}
+
+/// Rebuilds every row's lower triangle from the upper triangles (pair
+/// i < j decided by row i, as in probe_pairs); returns the edge count.
+EdgeId mirror_upper_triangle(DenseSubgraph& out) {
+  const std::size_t n = out.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t* row = out.adj[i].data();
+    std::fill(row, row + (i >> 6), 0);
+    row[i >> 6] &= ~((1ULL << (i & 63)) - 1);
+  }
+  EdgeId m = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = out.adj[i].find_next(i); j < n;
+         j = out.adj[i].find_next(j)) {
+      out.adj[j].set(i);
+      ++m;
+    }
+  }
+  return m;
+}
+
+/// Checked builds: rows symmetric, no self-loops, and the popcounts sum
+/// to twice the edge count.
+[[maybe_unused]] bool rows_consistent(const DenseSubgraph& g) {
+  const std::size_t n = g.size();
+  std::size_t degree_sum = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (g.adj[i].test(i)) return false;
+    degree_sum += g.adj[i].count();
+    for (std::size_t j = g.adj[i].find_first(); j < n;
+         j = g.adj[i].find_next(j)) {
+      if (!g.adj[j].test(i)) return false;
+    }
+  }
+  return degree_sum == 2 * static_cast<std::size_t>(g.num_edges);
+}
+
+}  // namespace
+
+namespace detail {
+
 void induce_from_lazy(LazyGraph& h, const std::vector<VertexId>& members,
                       DenseSubgraph& out, SearchScratch& scratch,
                       SearchStats& stats) {
   const std::size_t n = members.size();
   out.reset_pooled(n);
   out.vertices.assign(members.begin(), members.end());
-  EdgeId m = 0;
   bool words_ready = (h.bitset_enabled() || h.hybrid_enabled()) && n >= 2;
   if (words_ready) {
     try {
@@ -58,67 +103,70 @@ void induce_from_lazy(LazyGraph& h, const std::vector<VertexId>& members,
       stats.degraded_wordsets.fetch_add(1, std::memory_order_relaxed);
     }
   }
+  if (!words_ready) {
+    probe_pairs(h, members, out);
+    LAZYMC_ASSERT_EXPENSIVE(rows_consistent(out),
+                            "extracted subgraph rows are inconsistent");
+    return;
+  }
+
   const VertexId zone_begin = h.zone_begin();
   const wordops::Table& ops = wordops::active();
+  const std::span<const std::uint32_t> idx = scratch.a_words.indices();
+  const std::span<const std::uint64_t> bits = scratch.a_words.bits();
+  const std::span<const std::uint32_t> prefix = scratch.a_words.prefix();
+  const std::size_t cnt = idx.size();
+  std::uint64_t* hit = scratch.and_words.data();
+  std::size_t degree_sum = 0;
+  std::size_t self_entry = 0;  // the entry of A holding members[i]
+  VertexId min_coreness = h.coreness(members[0]);
   for (std::size_t i = 0; i < n; ++i) {
+    min_coreness = std::min(min_coreness, h.coreness(members[i]));
     NeighborhoodView view = h.membership(members[i]);
-    if (words_ready && (view.has_bitset() || view.has_hybrid())) {
-      // Only offsets strictly above members[i] (locals j > i).
-      const VertexId off_i = members[i] - zone_begin;
-      const std::uint32_t first_word = off_i >> 6;
-      const std::uint64_t first_mask = ~((2ULL << (off_i & 63)) - 1);
-      const std::span<const std::uint32_t> idx = scratch.a_words.indices();
-      const std::span<const std::uint64_t> bits = scratch.a_words.bits();
-      const std::size_t start = static_cast<std::size_t>(
-          std::lower_bound(idx.begin(), idx.end(), first_word) - idx.begin());
-      const std::size_t cnt = idx.size() - start;
-      std::uint64_t* hit_words = scratch.and_words.data();
-      // The dense containers (plain bitset row, hybrid bitset kind) feed
-      // the gather-AND primitive; array/run containers produce B's words
-      // through their ascending cursors instead.
-      const std::uint64_t* row_words =
-          view.has_bitset() ? view.bitset().words
-                            : (view.hybrid().kind == RowContainer::kBitset
-                                   ? view.hybrid().data
-                                   : nullptr);
-      if (row_words != nullptr) {
-        ops.gather_and(hit_words, bits.data() + start, idx.data() + start,
-                       row_words, cnt);
-      } else {
-        hybrid_detail::HybridWordCursor cur(view.hybrid());
-        for (std::size_t e = 0; e < cnt; ++e) {
-          hit_words[e] = bits[start + e] & cur.word(idx[start + e]);
-        }
+    DynamicBitset& row = out.adj[i];
+    if (!view.has_bitset() && !view.has_hybrid()) {
+      // Every row is filled from its own neighborhood, so a member
+      // without a zone row probes all the others, not only those above.
+      for (std::size_t j = 0; j < n; ++j) {
+        if (j != i && view.contains(members[j])) row.set(j);
       }
-      if (cnt > 0 && idx[start] == first_word) hit_words[0] &= first_mask;
-      std::size_t j = i + 1;
-      for (std::size_t e = 0; e < cnt; ++e) {
-        std::uint64_t hits = hit_words[e];
-        const VertexId word_base =
-            zone_begin + (static_cast<VertexId>(idx[start + e]) << 6);
-        while (hits) {
-          const unsigned bit =
-              static_cast<unsigned>(std::countr_zero(hits));
-          const VertexId u = word_base + bit;
-          while (members[j] < u) ++j;  // monotone: hits ⊆ members, ascending
-          out.adj[i].set(j);
-          out.adj[j].set(i);
-          ++m;
-          hits &= hits - 1;
-        }
-      }
-    } else {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        if (view.contains(members[j])) {
-          out.adj[i].set(j);
-          out.adj[j].set(i);
-          ++m;
-        }
-      }
+      degree_sum += row.count();
+      continue;
     }
+    // The dense containers (plain bitset row, hybrid bitset kind) feed the
+    // gather-AND primitive; array/run containers produce the row's words
+    // through their ascending cursors instead.
+    const std::uint64_t* row_words =
+        view.has_bitset() ? view.bitset().words
+                          : (view.hybrid().kind == RowContainer::kBitset
+                                 ? view.hybrid().data
+                                 : nullptr);
+    if (row_words != nullptr) {
+      ops.gather_and(hit, bits.data(), idx.data(), row_words, cnt);
+    } else {
+      hybrid_detail::HybridWordCursor cur(view.hybrid());
+      for (std::size_t e = 0; e < cnt; ++e) hit[e] = bits[e] & cur.word(idx[e]);
+    }
+    // No self-loop, even from a store row that carries its own bit.
+    while (prefix[self_entry + 1] <= i) ++self_entry;
+    hit[self_entry] &= ~(1ULL << ((members[i] - zone_begin) & 63));
+    degree_sum += wordops::compress_or(row.data(), hit, bits.data(),
+                                       prefix.data(), cnt);
   }
-  out.num_edges = m;
+  // Every row consulted was filtered against at most filter_bound(); the
+  // rows can disagree on a pair only once it passed a member's coreness.
+  if (h.filter_bound() > min_coreness) {
+    out.num_edges = mirror_upper_triangle(out);
+  } else {
+    out.num_edges = static_cast<EdgeId>(degree_sum / 2);
+  }
+  LAZYMC_ASSERT_EXPENSIVE(rows_consistent(out),
+                          "extracted subgraph rows are inconsistent");
 }
+
+}  // namespace detail
+
+namespace {
 
 /// One unit of systematic-search work: the vertices [begin, end) of a
 /// single coreness level (so the whole chunk dies together when the
@@ -368,7 +416,7 @@ void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
 
   // ---- algorithmic choice (lines 14-17) ---------------------------------
   DenseSubgraph& sub = scratch.sub;
-  induce_from_lazy(h, n_set, sub, scratch, stats);
+  detail::induce_from_lazy(h, n_set, sub, scratch, stats);
   // m̂/(n(n-1)) is the paper's pre-extraction estimate (m̂ sums directed
   // degrees, so it is ~2m̂_edges); the default uses the extracted
   // subgraph's exact density, which is available at no extra cost and
@@ -385,14 +433,13 @@ void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
 
   if (options.color_prune && sub.size() > 0) {
     // chi(G[N]) bounds any clique inside G[N]; chi <= sub_bound means no
-    // improving clique passes through v.
-    WallTimer color_timer;
+    // improving clique passes through v.  Lapping the probe's timer keeps
+    // the coloring out of the solver time charged below.
     DynamicBitset& all = scratch.all;
     all.reinit(sub.size());
     for (std::size_t i = 0; i < sub.size(); ++i) all.set(i);
     VertexId chi = greedy_color_count(sub, all, scratch.color);
-    stats.filter_ns.fetch_add(to_ns(color_timer.elapsed()),
-                              std::memory_order_relaxed);
+    stats.filter_ns.fetch_add(to_ns(timer.lap()), std::memory_order_relaxed);
     if (chi <= sub_bound) return;
   }
 

@@ -127,7 +127,8 @@ struct SearchScratch {
   std::vector<VertexId> kept;     // filter output, swapped with n_set
   std::vector<VertexId> clique;   // publish staging (original ids)
   SparseWordSet a_words;          // word form of n_set for bitset kernels
-  simd::AlignedWords and_words;   // induce_from_lazy's gathered AND rows
+  simd::AlignedWords and_words;   // induce_from_lazy's hit words, one
+                                  // per occupied word of a_words
   DenseSubgraph sub;              // pooled induced subgraph
   DynamicBitset all;              // full candidate set for color_prune
   ColorScratch color;             // greedy-coloring buffers
@@ -264,6 +265,34 @@ bool run_subproblem_task(const SubproblemTask& task, Incumbent& incumbent,
                          const NeighborSearchOptions& options,
                          SearchStats& stats, SearchScratch& scratch,
                          SubproblemSink* sink = nullptr);
+
+namespace detail {
+
+/// Extracts the dense subgraph induced by `members` (relabelled ids,
+/// sorted ascending; local id = position) into the pooled `out`, using
+/// the lazy graph's membership structures rather than the base CSR: this
+/// honours construction-time filtering and builds neighborhoods only for
+/// the few vertices that reach a detailed search.
+///
+/// With the members' word form A (scratch.a_words, rebuilt here), each
+/// member with a zone row builds its own full row from whole words: the
+/// row is ANDed against every occupied word of A (gather_and for dense
+/// rows, the hybrid word cursor for array/run containers), and each hit
+/// word is compressed to local ids by PEXT against A's word, landing at
+/// that word's prefix offset (wordops::compress_or).  The work per member
+/// scales with A's occupied words, not with its edges.  A member without
+/// a row probes every other member into its own row.  Without a word form
+/// (hash/sorted representations, or a failed build) each pair i < j is
+/// probed once, in member i's neighborhood, and mirrored.  The result is
+/// the same either way: rows built at incumbents up to the lowest
+/// member's coreness all hold every member neighbor.  When a concurrent
+/// probe raised the incumbent past that mid-extraction, rows may disagree
+/// on a pair, and row i decides pair i < j as in the pairwise path.
+void induce_from_lazy(LazyGraph& h, const std::vector<VertexId>& members,
+                      DenseSubgraph& out, SearchScratch& scratch,
+                      SearchStats& stats);
+
+}  // namespace detail
 
 /// Algorithm 7 over a zero-barrier sharded worklist: one probe vertex per
 /// degeneracy level (from |C*| upward) enqueued first, then all levels

@@ -1,7 +1,8 @@
 // Tests for DynamicBitset, the adjacency-row representation of dense
-// subproblems.
+// subproblems, and the parallel-bit-extract primitive that fills its rows.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <set>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "support/bitset.hpp"
 #include "support/random.hpp"
 #include "support/simd.hpp"
+#include "support/wordops.hpp"
 
 namespace lazymc {
 namespace {
@@ -199,6 +201,88 @@ TEST(DynamicBitset, BulkOpsAgreeAcrossSimdTiers) {
       }
     }
     simd::reset_tier();
+  }
+}
+
+
+// ---- parallel bit extract (wordops::pext_* / compress_or) -----------------
+
+std::uint64_t pext_reference(std::uint64_t src, std::uint64_t mask) {
+  std::uint64_t out = 0;
+  unsigned k = 0;
+  for (unsigned b = 0; b < 64; ++b) {
+    if ((mask >> b) & 1) {
+      out |= ((src >> b) & 1) << k;
+      ++k;
+    }
+  }
+  return out;
+}
+
+void expect_pext(std::uint64_t src, std::uint64_t mask) {
+  const std::uint64_t want = pext_reference(src, mask);
+  EXPECT_EQ(wordops::pext_portable(src, mask), want) << src << " " << mask;
+#if defined(__x86_64__)
+  if (wordops::cpu_has_bmi2()) {
+    EXPECT_EQ(wordops::pext_bmi2(src, mask), want) << src << " " << mask;
+  }
+#endif
+}
+
+TEST(Pext, BothImplementationsMatchReference) {
+  Rng rng(2024);
+  std::vector<std::uint64_t> masks = {0, ~0ULL, 1ULL << 63,
+                                      0x8000000000000001ULL,
+                                      0x5555555555555555ULL};
+  for (unsigned b = 0; b < 64; ++b) masks.push_back(1ULL << b);
+  for (int i = 0; i < 200; ++i) masks.push_back(rng());
+  for (std::uint64_t mask : masks) {
+    expect_pext(0, mask);  // the all-zero hit word
+    expect_pext(~0ULL, mask);
+    expect_pext(mask, mask);
+    for (int i = 0; i < 20; ++i) {
+      expect_pext(rng(), mask);
+      expect_pext(rng() & mask, mask);
+    }
+  }
+}
+
+TEST(Pext, CompressOrPlacesEachWordAtItsOffset) {
+  // Words of a sparse set A starting at a ragged bit offset, so
+  // compressed words straddle two destination words (and some start
+  // exactly on a word boundary); hits are random subsets, empty ones too.
+  Rng rng(99);
+  for (std::uint32_t start : {0u, 1u, 5u, 63u, 64u, 100u}) {
+    std::vector<std::uint64_t> mask, hit;
+    std::vector<std::uint32_t> offset;
+    std::uint32_t bits = start;
+    for (int k = 0; k < 40; ++k) {
+      std::uint64_t m = rng();
+      if (k % 7 == 0) m = ~0ULL;
+      if (k % 5 == 0) m = 1ULL << rng.next_below(64);
+      if (m == 0) m = 1;
+      mask.push_back(m);
+      hit.push_back(k % 3 == 0 ? 0 : rng() & m);
+      offset.push_back(bits);
+      bits += static_cast<std::uint32_t>(std::popcount(m));
+    }
+    std::vector<std::uint64_t> dst((bits + 63) / 64, 0);
+    const std::size_t total = wordops::compress_or(
+        dst.data(), hit.data(), mask.data(), offset.data(), mask.size());
+    std::vector<std::uint64_t> want(dst.size(), 0);
+    std::size_t want_total = 0;
+    for (std::size_t k = 0; k < mask.size(); ++k) {
+      const std::uint64_t c = pext_reference(hit[k], mask[k]);
+      for (unsigned b = 0; b < 64; ++b) {
+        if ((c >> b) & 1) {
+          const std::size_t pos = offset[k] + b;
+          want[pos >> 6] |= 1ULL << (pos & 63);
+          ++want_total;
+        }
+      }
+    }
+    EXPECT_EQ(dst, want) << "start " << start;
+    EXPECT_EQ(total, want_total) << "start " << start;
   }
 }
 

@@ -1,13 +1,20 @@
-// Tests for NeighborSearch filtering and the systematic search driver.
+// Tests for NeighborSearch filtering, the subgraph extraction, and the
+// systematic search driver.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <string>
 
 #include "baselines/reference.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "graph/subgraph.hpp"
 #include "kcore/kcore.hpp"
 #include "kcore/order.hpp"
 #include "lazygraph/lazy_graph.hpp"
 #include "mc/neighbor_search.hpp"
+#include "support/random.hpp"
 
 namespace lazymc {
 namespace {
@@ -154,6 +161,262 @@ TEST(SystematicSearch, WorkSecondsAccumulate) {
   f.run_systematic();
   EXPECT_GT(f.stats.work_seconds(), 0.0);
   EXPECT_GE(f.stats.filter_ns.load(), 0u);
+}
+
+// ---- induce_from_lazy against induce_dense ---------------------------------
+
+enum class Rep { kBitset, kHybrid, kHash, kSorted, kStarvedBitset };
+
+const char* rep_name(Rep rep) {
+  switch (rep) {
+    case Rep::kBitset: return "bitset";
+    case Rep::kHybrid: return "hybrid";
+    case Rep::kHash: return "hash";
+    case Rep::kSorted: return "sorted";
+    case Rep::kStarvedBitset: return "starved-bitset";
+  }
+  return "?";
+}
+
+/// A graph plus its order, and a fresh LazyGraph per representation.
+struct ExtractFixture {
+  Graph g;
+  kcore::CoreDecomposition core;
+  kcore::VertexOrder order;
+  std::atomic<VertexId> incumbent{0};
+
+  explicit ExtractFixture(Graph graph) : g(std::move(graph)) {
+    core = kcore::coreness(g);
+    order = kcore::order_by_coreness_degree(g, core.coreness);
+  }
+
+  std::unique_ptr<LazyGraph> make(Rep rep) {
+    auto lazy =
+        std::make_unique<LazyGraph>(g, order, core.coreness, &incumbent);
+    switch (rep) {
+      case Rep::kBitset:
+        lazy->enable_bitset_rows(std::size_t{64} << 20);
+        lazy->set_preferred_rep(NeighborhoodRep::kBitset);
+        break;
+      case Rep::kHybrid:
+        lazy->enable_hybrid_rows(std::size_t{64} << 20, 4096, 2.0);
+        lazy->set_preferred_rep(NeighborhoodRep::kHybrid);
+        break;
+      case Rep::kHash:
+        lazy->set_preferred_rep(NeighborhoodRep::kHash);
+        break;
+      case Rep::kSorted:
+        lazy->set_preferred_rep(NeighborhoodRep::kSorted);
+        break;
+      case Rep::kStarvedBitset: {
+        // The zone bookkeeping plus room for a handful of rows: members
+        // past the budget keep a hash set or sorted array instead.
+        const std::size_t n = g.num_vertices();
+        const std::size_t row_bytes = ((n + 63) / 64 + 7) / 8 * 64;
+        lazy->enable_bitset_rows(
+            n * (sizeof(std::uint64_t*) + sizeof(std::uint32_t)) +
+            12 * row_bytes);
+        lazy->set_preferred_rep(NeighborhoodRep::kBitset);
+        break;
+      }
+    }
+    return lazy;
+  }
+};
+
+/// Expects the lazy extraction of `members` (relabelled, ascending) to
+/// equal induce_dense over the same vertices: same order, rows and edge
+/// count.  The scratch is shared across calls so stale pooled rows would
+/// show.
+void expect_matches_reference(LazyGraph& lazy, const ExtractFixture& f,
+                              const std::vector<VertexId>& members,
+                              mc::SearchScratch& scratch,
+                              const std::string& what) {
+  mc::SearchStats stats;
+  mc::detail::induce_from_lazy(lazy, members, scratch.sub, scratch, stats);
+  std::vector<VertexId> orig;
+  for (VertexId v : members) orig.push_back(f.order.new_to_orig[v]);
+  const DenseSubgraph ref = induce_dense(f.g, orig);
+  const DenseSubgraph& sub = scratch.sub;
+  ASSERT_EQ(sub.size(), members.size()) << what;
+  EXPECT_EQ(sub.vertices, members) << what;
+  EXPECT_EQ(sub.num_edges, ref.num_edges) << what;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    EXPECT_EQ(sub.adj[i], ref.adj[i]) << what << " row " << i;
+  }
+}
+
+/// `count` distinct vertices drawn from [lo, hi), ascending.
+std::vector<VertexId> random_members(Rng& rng, VertexId lo, VertexId hi,
+                                     std::size_t count) {
+  std::vector<VertexId> pool;
+  for (VertexId v = lo; v < hi; ++v) pool.push_back(v);
+  for (std::size_t i = 0; i < count; ++i) {
+    std::swap(pool[i], pool[i + rng.next_below(pool.size() - i)]);
+  }
+  pool.resize(count);
+  std::sort(pool.begin(), pool.end());
+  return pool;
+}
+
+/// Member sets of every size the word layout cares about (1, 2, and
+/// around one and two words).  Random sets, drawn from the top of the
+/// order where the edges are and from the whole graph, have prefix
+/// offsets off multiples of 64 and, when sparse, gaps between their
+/// occupied zone words; contiguous ones fill whole words.
+std::vector<std::vector<VertexId>> member_sets(VertexId n,
+                                               std::uint64_t seed) {
+  Rng rng(seed);
+  const VertexId lo = n > 400 ? n - 400 : 0;
+  std::vector<std::vector<VertexId>> sets;
+  for (std::size_t size : {1, 2, 63, 64, 65, 130}) {
+    sets.push_back(random_members(rng, lo, n, size));
+    sets.push_back(random_members(rng, 0, n, size));
+    std::vector<VertexId> run;
+    for (VertexId v = static_cast<VertexId>(n - size); v < n; ++v) {
+      run.push_back(v);
+    }
+    sets.push_back(run);
+  }
+  std::vector<VertexId> every_third;
+  for (VertexId v = lo; v < n; v += 3) every_third.push_back(v);
+  sets.push_back(every_third);
+  return sets;
+}
+
+/// A dense block, a sparse remainder and a planted clique: rows of every
+/// density, so hybrid zones hold array, bitset and run containers.
+Graph mixed_density_graph(std::uint64_t seed) {
+  return gen::plant_clique(gen::graph_union(gen::gnp(200, 0.5, seed),
+                                            gen::gnp(1700, 0.003, seed + 1)),
+                           100, seed + 2);
+}
+
+TEST(InduceFromLazy, MatchesInduceDenseOnEveryRepresentation) {
+  std::vector<Graph> graphs;
+  graphs.push_back(gen::gnp(300, 0.3, 41));
+  graphs.push_back(gen::plant_clique(gen::gnp(500, 0.05, 42), 40, 43));
+  graphs.push_back(mixed_density_graph(44));
+  bool gapped_words = false;
+  bool unaligned_prefix = false;
+  for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+    ExtractFixture f(graphs[gi]);
+    const VertexId n = f.g.num_vertices();
+    for (Rep rep : {Rep::kBitset, Rep::kHybrid, Rep::kHash, Rep::kSorted,
+                    Rep::kStarvedBitset}) {
+      std::unique_ptr<LazyGraph> lazy = f.make(rep);
+      mc::SearchScratch scratch;
+      std::size_t k = 0;
+      for (const auto& members : member_sets(n, 100 + gi)) {
+        expect_matches_reference(
+            *lazy, f, members, scratch,
+            "graph " + std::to_string(gi) + " rep " + rep_name(rep) +
+                " set " + std::to_string(k++));
+        if (rep != Rep::kBitset || members.size() < 2) continue;
+        // The word form this extraction compressed against.
+        const SparseWordSet& a = scratch.a_words;
+        for (std::size_t e = 1; e < a.num_entries(); ++e) {
+          gapped_words |= a.indices()[e] != a.indices()[e - 1] + 1;
+          unaligned_prefix |= a.prefix()[e] % 64 != 0;
+        }
+      }
+      // The whole graph at once (a zone-wide member set).
+      std::vector<VertexId> all(n);
+      for (VertexId v = 0; v < n; ++v) all[v] = v;
+      expect_matches_reference(*lazy, f, all, scratch,
+                               "graph " + std::to_string(gi) + " rep " +
+                                   rep_name(rep) + " all");
+    }
+  }
+  EXPECT_TRUE(gapped_words);
+  EXPECT_TRUE(unaligned_prefix);
+}
+
+TEST(InduceFromLazy, CoversEveryHybridContainerAndTheMixedCase) {
+  ExtractFixture f(mixed_density_graph(45));
+  const VertexId n = f.g.num_vertices();
+  std::vector<VertexId> all(n);
+  for (VertexId v = 0; v < n; ++v) all[v] = v;
+  {
+    std::unique_ptr<LazyGraph> lazy = f.make(Rep::kHybrid);
+    mc::SearchScratch scratch;
+    expect_matches_reference(*lazy, f, all, scratch, "hybrid all");
+    const LazyGraph::Stats s = lazy->stats();
+    EXPECT_GT(s.hybrid_rows_array, 0u);
+    EXPECT_GT(s.hybrid_rows_bitset, 0u);
+    EXPECT_GT(s.hybrid_rows_run, 0u);
+  }
+  {
+    // A starved row budget: some members extract from a word row, the
+    // rest from probes, and the rows must still agree.
+    std::unique_ptr<LazyGraph> lazy = f.make(Rep::kStarvedBitset);
+    mc::SearchScratch scratch;
+    expect_matches_reference(*lazy, f, all, scratch, "starved all");
+    std::size_t with_row = 0;
+    for (VertexId v = 0; v < n; ++v) with_row += lazy->has_bitset(v);
+    EXPECT_GT(with_row, 0u);
+    EXPECT_LT(with_row, static_cast<std::size_t>(n));
+  }
+}
+
+TEST(InduceFromLazy, AdoptedRowsWithTheirOwnBitKeepNoSelfLoops) {
+  // Rows adopted from a store are taken as they are; a row carrying its
+  // own vertex must still extract without the diagonal.
+  ExtractFixture f(gen::gnp(150, 0.3, 48));
+  const VertexId n = f.g.num_vertices();
+  const std::size_t stride = ((n + 63) / 64 + 7) / 8 * 8;
+  simd::AlignedWords words(n * stride, 0);
+  std::vector<std::uint32_t> counts(n, 0);
+  for (VertexId v = 0; v < n; ++v) {
+    std::uint64_t* row = words.data() + v * stride;
+    row[v >> 6] |= 1ULL << (v & 63);
+    for (VertexId u : f.g.neighbors(f.order.new_to_orig[v])) {
+      const VertexId w = f.order.orig_to_new[u];
+      row[w >> 6] |= 1ULL << (w & 63);
+    }
+    counts[v] = static_cast<std::uint32_t>(f.g.degree(f.order.new_to_orig[v]));
+  }
+  LazyGraph lazy(f.g, f.order, f.core.coreness, &f.incumbent);
+  ASSERT_TRUE(lazy.adopt_prebuilt_rows(
+      PrebuiltRows{words.data(), counts.data(), 0, n, stride}, false));
+  std::vector<VertexId> all(n);
+  for (VertexId v = 0; v < n; ++v) all[v] = v;
+  mc::SearchScratch scratch;
+  expect_matches_reference(lazy, f, all, scratch, "adopted rows");
+}
+
+TEST(InduceFromLazy, RowsFilteredAtDifferentIncumbentsStaySymmetric) {
+  // A concurrent solve may raise the incumbent between two row builds,
+  // so rows can disagree about a low-coreness member; the extraction
+  // then keeps the pairwise rule (row i decides pair i < j).
+  ExtractFixture f(gen::plant_clique(gen::gnp(400, 0.08, 46), 30, 47));
+  const VertexId n = f.g.num_vertices();
+  std::unique_ptr<LazyGraph> lazy = f.make(Rep::kBitset);
+  std::vector<VertexId> members(n);
+  for (VertexId v = 0; v < n; ++v) members[v] = v;
+  // Half the rows see every neighbor; the rest are built after the
+  // incumbent passed the coreness of the lower members.
+  for (std::size_t i = 0; i < members.size(); i += 2) {
+    ASSERT_TRUE(lazy->bitset_row(members[i]).valid());
+  }
+  f.incumbent.store(lazy->coreness(members[members.size() / 2]));
+  ASSERT_GT(lazy->filter_bound(), lazy->coreness(members.front()));
+  mc::SearchScratch scratch;
+  mc::SearchStats stats;
+  mc::detail::induce_from_lazy(*lazy, members, scratch.sub, scratch, stats);
+  const DenseSubgraph& sub = scratch.sub;
+  EdgeId m = 0;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    NeighborhoodView view = lazy->membership(members[i]);
+    for (std::size_t j = i + 1; j < members.size(); ++j) {
+      const bool edge = view.contains(members[j]);
+      EXPECT_EQ(sub.adj[i].test(j), edge) << i << " " << j;
+      EXPECT_EQ(sub.adj[j].test(i), edge) << j << " " << i;
+      m += edge;
+    }
+    EXPECT_FALSE(sub.adj[i].test(i));
+  }
+  EXPECT_EQ(sub.num_edges, m);
 }
 
 }  // namespace
