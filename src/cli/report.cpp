@@ -167,14 +167,9 @@ void render_json(const RunReport& r, std::ostream& out) {
     w.field("mc_nodes", s.mc_nodes);
     w.field("vc_nodes", s.vc_nodes);
     w.open("kernels");
-    w.field("merge", s.kernel_merge);
-    w.field("gallop", s.kernel_gallop);
-    w.field("hash", s.kernel_hash);
-    w.field("hash_batched", s.kernel_hash_batched);
-    w.field("bitset_probe", s.kernel_bitset_probe);
-    w.field("bitset_word", s.kernel_bitset_word);
-    w.field("array_gallop", s.kernel_array_gallop);
-    w.field("run_and", s.kernel_run_and);
+#define LAZYMC_FIELD(name) w.field(#name, s.kernel_##name);
+    LAZYMC_KERNEL_COUNTERS(LAZYMC_FIELD)
+#undef LAZYMC_FIELD
     w.field("tier", s.simd_tier);
     w.field("word_scalar", s.kernel_word_scalar);
     w.field("word_avx2", s.kernel_word_avx2);

@@ -217,6 +217,47 @@ void degree_based_heuristic(const Graph& g, Incumbent& incumbent,
   }
 }
 
+namespace {
+
+/// Algorithm 6 from one seed: grow greedily through the highest-numbered
+/// candidate, abandoning once the clique cannot beat the incumbent.
+void grow_from_seed(LazyGraph& h, VertexId v, Incumbent& incumbent,
+                    const IntersectPolicy& policy) {
+  auto right = h.right_neighborhood(v);
+  std::vector<VertexId> candidates(right.begin(), right.end());
+  std::vector<VertexId> clique{v};
+  std::vector<VertexId> next(candidates.size());
+
+  while (!candidates.empty()) {
+    // Highest-numbered candidate has the highest coreness (Algorithm 6
+    // line 7); candidate lists are sorted ascending.
+    VertexId u = candidates.back();
+    clique.push_back(u);
+    candidates.pop_back();
+    if (candidates.empty()) break;
+    // N ← N ∩ N(u) via intersect-gt, θ = |C*| - |C| (Algorithm 6
+    // line 8): if the result cannot keep C competitive, abandon.
+    std::int64_t theta =
+        static_cast<std::int64_t>(incumbent.size()) -
+        static_cast<std::int64_t>(clique.size());
+    NeighborhoodView u_nbrs = h.membership(u);
+    int kept = policy.gt(std::span<const VertexId>(candidates), u_nbrs,
+                         next.data(), theta);
+    if (kept == kTooSmall) {
+      candidates.clear();
+      break;
+    }
+    candidates.assign(next.begin(), next.begin() + kept);
+  }
+  // Convert relabelled ids to original before publishing.
+  std::vector<VertexId> orig;
+  orig.reserve(clique.size());
+  for (VertexId u : clique) orig.push_back(h.order().new_to_orig[u]);
+  incumbent.offer(orig);
+}
+
+}  // namespace
+
 void coreness_based_heuristic(LazyGraph& h, Incumbent& incumbent,
                               const HeuristicOptions& options) {
   const VertexId n = h.num_vertices();
@@ -238,43 +279,29 @@ void coreness_based_heuristic(LazyGraph& h, Incumbent& incumbent,
   // Process high coreness levels first (they host the large cliques).
   std::reverse(level_first.begin(), level_first.end());
 
-  const auto& order = h.order();
-  parallel_for(0, level_first.size(), [&](std::size_t i) {
-    std::uint64_t stop_counter = 0;
-    if (options.control && options.control->should_stop(stop_counter)) return;
-    VertexId v = level_first[i];
-    auto right = h.right_neighborhood(v);
-    std::vector<VertexId> candidates(right.begin(), right.end());
-    std::vector<VertexId> clique{v};
-    std::vector<VertexId> next(candidates.size());
-
-    while (!candidates.empty()) {
-      // Highest-numbered candidate has the highest coreness (Algorithm 6
-      // line 7); candidate lists are sorted ascending.
-      VertexId u = candidates.back();
-      clique.push_back(u);
-      candidates.pop_back();
-      if (candidates.empty()) break;
-      // N ← N ∩ N(u) via intersect-gt, θ = |C*| - |C| (Algorithm 6
-      // line 8): if the result cannot keep C competitive, abandon.
-      std::int64_t theta =
-          static_cast<std::int64_t>(incumbent.size()) -
-          static_cast<std::int64_t>(clique.size());
-      NeighborhoodView u_nbrs = h.membership(u);
-      int kept = options.intersect.gt(std::span<const VertexId>(candidates),
-                                      u_nbrs, next.data(), theta);
-      if (kept == kTooSmall) {
-        candidates.clear();
-        break;
+  // Levels are claimed from a sharded range as parallel_for would, one at
+  // a time.  Each participant intersects through its own copy of the
+  // policy, counting into its own tally; the guard flushes the tallies
+  // into the policy's counters once the phase is over.
+  ThreadPool& pool = thread_pool();
+  const std::size_t participants = pool.num_threads();
+  std::vector<SearchTally> tallies(participants);
+  FlushOnExit flush_guard(tallies, nullptr, options.intersect.counters);
+  lazymc::detail::ShardedRange range(0, level_first.size(), participants, 1);
+  pool.parallel_invoke_all([&](std::size_t t) {
+    IntersectPolicy policy = options.intersect;
+    policy.tally = &tallies[t].kernels;
+    std::size_t lo = 0, hi = 0;
+    while (range.claim(t, lo, hi)) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        std::uint64_t stop_counter = 0;
+        if (options.control && options.control->should_stop(stop_counter)) {
+          continue;
+        }
+        grow_from_seed(h, level_first[i], incumbent, policy);
       }
-      candidates.assign(next.begin(), next.begin() + kept);
     }
-    // Convert relabelled ids to original before publishing.
-    std::vector<VertexId> orig;
-    orig.reserve(clique.size());
-    for (VertexId u : clique) orig.push_back(order.new_to_orig[u]);
-    incumbent.offer(orig);
-  }, 1);
+  });
 }
 
 }  // namespace lazymc::mc

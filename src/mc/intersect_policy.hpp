@@ -17,8 +17,11 @@
 //   gallop        — binary-search probes of A into a much larger sorted B;
 //   merge         — linear merge of two comparably sized sorted arrays.
 //
-// Each decision bumps a relaxed counter in `counters` (when wired) so
-// reports can show where intersections actually ran.
+// Each decision bumps one count (when wired) so reports can show where
+// intersections actually ran: a plain `++` in the calling worker's
+// `tally` inside the parallel phases, which flush the tallies into the
+// solve's atomic `counters` once as they return; a relaxed atomic
+// increment of `counters` for a policy used without a tally.
 //
 // Ablation semantics are unchanged: "no early exits" runs the chosen
 // representation's exact kernel and compares afterwards; "no second exit"
@@ -32,28 +35,10 @@
 
 #include "intersect/intersect.hpp"
 #include "lazygraph/lazy_graph.hpp"
+#include "mc/search_counters.hpp"
 #include "support/simd.hpp"
 
 namespace lazymc::mc {
-
-/// Where dispatched intersections ran (relaxed; one bump per call).
-/// `word_tier[t]` splits the bitset_word count by the SIMD tier
-/// (scalar/avx2/avx512) that executed the call, so forced-tier A/B runs
-/// and the reports can show which kernel generation did the work.
-struct KernelCounters {
-  std::atomic<std::uint64_t> merge{0};
-  std::atomic<std::uint64_t> gallop{0};
-  std::atomic<std::uint64_t> hash{0};
-  std::atomic<std::uint64_t> hash_batched{0};
-  std::atomic<std::uint64_t> bitset_probe{0};
-  std::atomic<std::uint64_t> bitset_word{0};
-  /// Hybrid-row container kernels: word-cursor runs against the array
-  /// container and span-AND runs against the run container (the bitset
-  /// container counts under bitset_word — it runs the same tiered kernel).
-  std::atomic<std::uint64_t> array_gallop{0};
-  std::atomic<std::uint64_t> run_and{0};
-  std::atomic<std::uint64_t> word_tier[simd::kNumTiers]{};
-};
 
 struct IntersectPolicy {
   bool early_exits = true;
@@ -65,8 +50,13 @@ struct IntersectPolicy {
   /// Sorted-B shape switch: probe A into B (binary search) when
   /// |B| >= probe_ratio * |A|, else merge linearly.
   std::size_t probe_ratio = 32;
-  /// Dispatch counters; may be null (not counted).
+  /// Dispatch counters; may be null (not counted).  Shared relaxed
+  /// atomics: fine for one-off calls, contended under a parallel phase.
   KernelCounters* counters = nullptr;
+  /// One worker's plain counters; when set, bumps go here instead of
+  /// `counters`.  The parallel phases give each participant a copy of the
+  /// policy with its own tally and flush the tallies into `counters`.
+  KernelTally* tally = nullptr;
 
   // ---- explicit-representation methods (original behavior) ---------------
 
@@ -120,10 +110,10 @@ struct IntersectPolicy {
       // so merge or gallop directly; bitset/run fall back to bit probes.
       if (row.kind == RowContainer::kArray) {
         if (probe_beats_merge(a.size(), row.units)) {
-          bump(&KernelCounters::array_gallop);
+          bump(Kernel::array_gallop);
           return size_gt_bool(a, HybridArrayLookup(row), theta);
         }
-        bump(&KernelCounters::merge);
+        bump(Kernel::merge);
         if (!early_exits) {
           std::int64_t n = 0;
           for (VertexId v : a) n += row.contains(v) ? 1 : 0;
@@ -131,7 +121,7 @@ struct IntersectPolicy {
         }
         return hybrid_array_size_gt_bool(a, row, theta, second_exit);
       }
-      bump(&KernelCounters::bitset_probe);
+      bump(Kernel::bitset_probe);
       return size_gt_bool(a, row, theta);
     }
     if (b.has_bitset()) {
@@ -144,28 +134,28 @@ struct IntersectPolicy {
         }
         return intersect_size_gt_bool(*a_words, row, theta, second_exit);
       }
-      bump(&KernelCounters::bitset_probe);
+      bump(Kernel::bitset_probe);
       return size_gt_bool(a, row, theta);
     }
     if (b.is_hashed()) {
       const HopscotchSet& set = *b.hash_set();
       if (use_batch(a.size())) {
-        bump(&KernelCounters::hash_batched);
+        bump(Kernel::hash_batched);
         if (!early_exits) {
           return static_cast<std::int64_t>(intersect_size_prefetch(a, set)) >
                  theta;
         }
         return intersect_size_gt_bool_prefetch(a, set, theta, second_exit);
       }
-      bump(&KernelCounters::hash);
+      bump(Kernel::hash);
       return size_gt_bool(a, set, theta);
     }
     const std::span<const VertexId> s = b.sorted();
     if (probe_beats_merge(a.size(), s.size())) {
-      bump(&KernelCounters::gallop);
+      bump(Kernel::gallop);
       return size_gt_bool(a, SortedLookup(s), theta);
     }
-    bump(&KernelCounters::merge);
+    bump(Kernel::merge);
     if (!early_exits) {
       return static_cast<std::int64_t>(intersect_sorted_size(a, s)) > theta;
     }
@@ -187,10 +177,10 @@ struct IntersectPolicy {
       }
       if (row.kind == RowContainer::kArray) {
         if (probe_beats_merge(a.size(), row.units)) {
-          bump(&KernelCounters::array_gallop);
+          bump(Kernel::array_gallop);
           return size_gt_val(a, HybridArrayLookup(row), theta);
         }
-        bump(&KernelCounters::merge);
+        bump(Kernel::merge);
         if (!early_exits) {
           std::int64_t n = 0;
           for (VertexId v : a) n += row.contains(v) ? 1 : 0;
@@ -198,7 +188,7 @@ struct IntersectPolicy {
         }
         return hybrid_array_size_gt_val(a, row, theta);
       }
-      bump(&KernelCounters::bitset_probe);
+      bump(Kernel::bitset_probe);
       return size_gt_val(a, row, theta);
     }
     if (b.has_bitset()) {
@@ -211,28 +201,28 @@ struct IntersectPolicy {
         }
         return intersect_size_gt_val(*a_words, row, theta);
       }
-      bump(&KernelCounters::bitset_probe);
+      bump(Kernel::bitset_probe);
       return size_gt_val(a, row, theta);
     }
     if (b.is_hashed()) {
       const HopscotchSet& set = *b.hash_set();
       if (use_batch(a.size())) {
-        bump(&KernelCounters::hash_batched);
+        bump(Kernel::hash_batched);
         if (!early_exits) {
           int n = static_cast<int>(intersect_size_prefetch(a, set));
           return n > theta ? n : kTooSmall;
         }
         return intersect_size_gt_val_prefetch(a, set, theta);
       }
-      bump(&KernelCounters::hash);
+      bump(Kernel::hash);
       return size_gt_val(a, set, theta);
     }
     const std::span<const VertexId> s = b.sorted();
     if (probe_beats_merge(a.size(), s.size())) {
-      bump(&KernelCounters::gallop);
+      bump(Kernel::gallop);
       return size_gt_val(a, SortedLookup(s), theta);
     }
-    bump(&KernelCounters::merge);
+    bump(Kernel::merge);
     if (!early_exits) {
       int n = static_cast<int>(intersect_sorted_size(a, s));
       return n > theta ? n : kTooSmall;
@@ -254,10 +244,10 @@ struct IntersectPolicy {
       }
       if (row.kind == RowContainer::kArray) {
         if (probe_beats_merge(a.size(), row.units)) {
-          bump(&KernelCounters::array_gallop);
+          bump(Kernel::array_gallop);
           return gt(a, HybridArrayLookup(row), out, theta);
         }
-        bump(&KernelCounters::merge);
+        bump(Kernel::merge);
         if (!early_exits) {
           int n = 0;
           for (VertexId v : a) {
@@ -267,7 +257,7 @@ struct IntersectPolicy {
         }
         return hybrid_array_gt(a, row, out, theta);
       }
-      bump(&KernelCounters::bitset_probe);
+      bump(Kernel::bitset_probe);
       return gt(a, row, out, theta);
     }
     if (b.has_bitset()) {
@@ -280,28 +270,28 @@ struct IntersectPolicy {
         }
         return intersect_gt(*a_words, row, out, theta);
       }
-      bump(&KernelCounters::bitset_probe);
+      bump(Kernel::bitset_probe);
       return gt(a, row, out, theta);
     }
     if (b.is_hashed()) {
       const HopscotchSet& set = *b.hash_set();
       if (use_batch(a.size())) {
-        bump(&KernelCounters::hash_batched);
+        bump(Kernel::hash_batched);
         if (!early_exits) {
           int n = static_cast<int>(intersect_hash_prefetch(a, set, out));
           return n > theta ? n : kTooSmall;
         }
         return intersect_gt_prefetch(a, set, out, theta);
       }
-      bump(&KernelCounters::hash);
+      bump(Kernel::hash);
       return gt(a, set, out, theta);
     }
     const std::span<const VertexId> s = b.sorted();
     if (probe_beats_merge(a.size(), s.size())) {
-      bump(&KernelCounters::gallop);
+      bump(Kernel::gallop);
       return gt(a, SortedLookup(s), out, theta);
     }
-    bump(&KernelCounters::merge);
+    bump(Kernel::merge);
     if (!early_exits) {
       int n = static_cast<int>(intersect_sorted(a, s, out));
       return n > theta ? n : kTooSmall;
@@ -316,15 +306,23 @@ struct IntersectPolicy {
   bool probe_beats_merge(std::size_t a_size, std::size_t b_size) const {
     return b_size >= probe_ratio * std::max<std::size_t>(1, a_size);
   }
-  void bump(std::atomic<std::uint64_t> KernelCounters::* member) const {
-    if (counters) (counters->*member).fetch_add(1, std::memory_order_relaxed);
+  void bump(Kernel k) const {
+    if (tally) {
+      ++(*tally)[k];
+    } else if (counters) {
+      (*counters)[k].fetch_add(1, std::memory_order_relaxed);
+    }
   }
   /// bitset-word calls also record the SIMD tier that will run them.
   void bump_word() const {
-    if (!counters) return;
-    counters->bitset_word.fetch_add(1, std::memory_order_relaxed);
-    counters->word_tier[static_cast<std::size_t>(simd::current_tier())]
-        .fetch_add(1, std::memory_order_relaxed);
+    const auto t = static_cast<std::size_t>(simd::current_tier());
+    if (tally) {
+      ++tally->bitset_word;
+      ++tally->word_tier[t];
+    } else if (counters) {
+      counters->bitset_word.fetch_add(1, std::memory_order_relaxed);
+      counters->word_tier[t].fetch_add(1, std::memory_order_relaxed);
+    }
   }
   /// Word-form dispatch against a hybrid row, counted per container.
   void bump_container(RowContainer kind) const {
@@ -333,10 +331,10 @@ struct IntersectPolicy {
         bump_word();  // same tiered kernel as a plain bitset row
         return;
       case RowContainer::kArray:
-        bump(&KernelCounters::array_gallop);
+        bump(Kernel::array_gallop);
         return;
       case RowContainer::kRun:
-        bump(&KernelCounters::run_and);
+        bump(Kernel::run_and);
         return;
     }
   }

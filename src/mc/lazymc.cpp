@@ -183,47 +183,25 @@ LazyMCResult lazy_mc(const Graph& g, const LazyMCConfig& config) {
   result.omega = static_cast<VertexId>(result.clique.size());
   result.timed_out = control.cancelled();
 
-  result.search.evaluated = stats.evaluated.load();
-  result.search.pass_filter1 = stats.pass_filter1.load();
-  result.search.pass_filter2 = stats.pass_filter2.load();
-  result.search.pass_filter3 = stats.pass_filter3.load();
-  result.search.solved_mc = stats.solved_mc.load();
-  result.search.solved_vc = stats.solved_vc.load();
-  result.search.vc_fallbacks = stats.vc_fallbacks.load();
-  result.search.retired_chunks = stats.retired_chunks.load();
-  result.search.split_tasks = stats.split_tasks.load();
-  result.search.retired_subtasks = stats.retired_subtasks.load();
-  result.search.max_split_depth = stats.max_split_depth.load();
-  result.search.split_work_rejected = stats.split_work_rejected.load();
-  result.search.degraded_wordsets = stats.degraded_wordsets.load();
-  result.search.degraded_splits = stats.degraded_splits.load();
-  result.search.kernel_merge = stats.kernels.merge.load();
-  result.search.kernel_gallop = stats.kernels.gallop.load();
-  result.search.kernel_hash = stats.kernels.hash.load();
-  result.search.kernel_hash_batched = stats.kernels.hash_batched.load();
-  result.search.kernel_bitset_probe = stats.kernels.bitset_probe.load();
-  result.search.kernel_bitset_word = stats.kernels.bitset_word.load();
-  result.search.kernel_array_gallop = stats.kernels.array_gallop.load();
-  result.search.kernel_run_and = stats.kernels.run_and.load();
-  result.search.kernel_word_scalar =
-      stats.kernels.word_tier[static_cast<std::size_t>(simd::Tier::kScalar)]
-          .load();
-  result.search.kernel_word_avx2 =
-      stats.kernels.word_tier[static_cast<std::size_t>(simd::Tier::kAvx2)]
-          .load();
-  result.search.kernel_word_avx512 =
-      stats.kernels.word_tier[static_cast<std::size_t>(simd::Tier::kAvx512)]
-          .load();
-  result.search.filter_seconds = stats.filter_seconds();
-  result.search.mc_seconds = stats.mc_seconds();
-  result.search.vc_seconds = stats.vc_seconds();
-  result.search.mc_nodes = stats.mc_nodes.load();
-  result.search.vc_nodes = stats.vc_nodes.load();
-  result.search.improvements = incumbent.history();
-  result.search.time_to_first_solution =
-      result.search.improvements.empty()
-          ? 0.0
-          : result.search.improvements.front().seconds;
+  SearchStatsSnapshot& out = result.search;
+#define LAZYMC_COPY(name, merge) out.name = stats.name.load();
+  LAZYMC_SEARCH_COUNTERS(LAZYMC_COPY)
+#undef LAZYMC_COPY
+#define LAZYMC_COPY(name) out.kernel_##name = stats.kernels.name.load();
+  LAZYMC_KERNEL_COUNTERS(LAZYMC_COPY)
+#undef LAZYMC_COPY
+#define LAZYMC_COPY(phase) out.phase##_seconds = stats.phase##_seconds();
+  LAZYMC_SEARCH_TIMERS(LAZYMC_COPY)
+#undef LAZYMC_COPY
+  const auto word_calls = [&](simd::Tier t) {
+    return stats.kernels.word_tier[static_cast<std::size_t>(t)].load();
+  };
+  out.kernel_word_scalar = word_calls(simd::Tier::kScalar);
+  out.kernel_word_avx2 = word_calls(simd::Tier::kAvx2);
+  out.kernel_word_avx512 = word_calls(simd::Tier::kAvx512);
+  out.improvements = incumbent.history();
+  out.time_to_first_solution =
+      out.improvements.empty() ? 0.0 : out.improvements.front().seconds;
   result.lazy_graph = lazy.stats();
   return result;
 }

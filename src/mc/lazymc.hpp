@@ -21,6 +21,7 @@
 #include "graph/graph.hpp"
 #include "lazygraph/lazy_graph.hpp"
 #include "mc/neighbor_search.hpp"
+#include "mc/search_counters.hpp"
 #include "support/control.hpp"
 #include "support/simd.hpp"
 
@@ -154,46 +155,26 @@ struct PhaseTimes {
   }
 };
 
-/// Plain-value copy of SearchStats (which is atomic and non-copyable).
+/// Plain-value copy of SearchStats (which is atomic and non-copyable),
+/// generated from the counter lists in mc/search_counters.hpp: each search
+/// counter under its own name, each kernel count as kernel_<name>, each
+/// timer as <phase>_seconds.
 struct SearchStatsSnapshot {
-  std::uint64_t evaluated = 0;
-  std::uint64_t pass_filter1 = 0;
-  std::uint64_t pass_filter2 = 0;
-  std::uint64_t pass_filter3 = 0;
-  std::uint64_t solved_mc = 0;
-  std::uint64_t solved_vc = 0;
-  std::uint64_t vc_fallbacks = 0;
-  std::uint64_t retired_chunks = 0;
-  // Subproblem decomposition (two-level drain).
-  std::uint64_t split_tasks = 0;
-  std::uint64_t retired_subtasks = 0;
-  std::uint64_t max_split_depth = 0;
-  std::uint64_t split_work_rejected = 0;
-  // Graceful degradation: recovered allocation failures (failure model).
-  std::uint64_t degraded_wordsets = 0;
-  std::uint64_t degraded_splits = 0;
-  // Adaptive-dispatch kernel counts (KernelCounters snapshot).
-  std::uint64_t kernel_merge = 0;
-  std::uint64_t kernel_gallop = 0;
-  std::uint64_t kernel_hash = 0;
-  std::uint64_t kernel_hash_batched = 0;
-  std::uint64_t kernel_bitset_probe = 0;
-  std::uint64_t kernel_bitset_word = 0;
-  // Hybrid-row container kernels (array word-cursor / run span-AND; the
-  // hybrid bitset container counts under kernel_bitset_word).
-  std::uint64_t kernel_array_gallop = 0;
-  std::uint64_t kernel_run_and = 0;
+#define LAZYMC_FIELD(name, merge) std::uint64_t name = 0;
+  LAZYMC_SEARCH_COUNTERS(LAZYMC_FIELD)
+#undef LAZYMC_FIELD
+#define LAZYMC_FIELD(name) std::uint64_t kernel_##name = 0;
+  LAZYMC_KERNEL_COUNTERS(LAZYMC_FIELD)
+#undef LAZYMC_FIELD
   // bitset-word calls split by executing SIMD tier, plus the tier the
   // dispatcher had selected when the solve ran ("scalar"/"avx2"/"avx512").
   std::uint64_t kernel_word_scalar = 0;
   std::uint64_t kernel_word_avx2 = 0;
   std::uint64_t kernel_word_avx512 = 0;
   std::string simd_tier;
-  double filter_seconds = 0;
-  double mc_seconds = 0;
-  double vc_seconds = 0;
-  std::uint64_t mc_nodes = 0;
-  std::uint64_t vc_nodes = 0;
+#define LAZYMC_FIELD(phase) double phase##_seconds = 0;
+  LAZYMC_SEARCH_TIMERS(LAZYMC_FIELD)
+#undef LAZYMC_FIELD
   // Anytime behaviour: when each improving incumbent was installed,
   // measured from solver start.  time_to_first_solution is the first
   // entry's timestamp (0 when no solution was found).

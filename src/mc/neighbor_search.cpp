@@ -18,14 +18,6 @@ std::uint64_t to_ns(double seconds) {
   return static_cast<std::uint64_t>(seconds * 1e9);
 }
 
-void atomic_max(std::atomic<std::uint64_t>& target, std::uint64_t value) {
-  std::uint64_t cur = target.load(std::memory_order_relaxed);
-  while (cur < value &&
-         !target.compare_exchange_weak(cur, value,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
 /// The pairwise extraction: each pair i < j is probed once, in member i's
 /// neighborhood, and mirrored.
 void probe_pairs(LazyGraph& h, const std::vector<VertexId>& members,
@@ -87,7 +79,7 @@ namespace detail {
 
 void induce_from_lazy(LazyGraph& h, const std::vector<VertexId>& members,
                       DenseSubgraph& out, SearchScratch& scratch,
-                      SearchStats& stats) {
+                      SearchTally& tally) {
   const std::size_t n = members.size();
   out.reset_pooled(n);
   out.vertices.assign(members.begin(), members.end());
@@ -100,7 +92,7 @@ void induce_from_lazy(LazyGraph& h, const std::vector<VertexId>& members,
       // Degrade this extraction to per-pair membership probes; the word
       // form is a pure accelerator, never the only copy of the data.
       words_ready = false;
-      stats.degraded_wordsets.fetch_add(1, std::memory_order_relaxed);
+      ++tally.degraded_wordsets;
     }
   }
   if (!words_ready) {
@@ -187,17 +179,17 @@ class SplitHook final : public BBSplitHook {
   /// Probe-root mode: `sub` is the pooled extraction for relabelled
   /// vertex `head` (must outlive the solve).
   SplitHook(SubproblemSink* sink, const NeighborSearchOptions& options,
-            SearchStats& stats, const LazyGraph& h, VertexId head,
+            SearchTally& tally, const LazyGraph& h, VertexId head,
             const DenseSubgraph& sub)
-      : sink_(sink), options_(options), stats_(stats), h_(&h), head_(head),
+      : sink_(sink), options_(options), tally_(tally), h_(&h), head_(head),
         sub_(&sub), density_(sub.density()) {}
 
   /// Task mode: re-splitting a claimed task of generation `parent_depth`.
   SplitHook(SubproblemSink* sink, const NeighborSearchOptions& options,
-            SearchStats& stats,
+            SearchTally& tally,
             std::shared_ptr<const SharedSubproblem> shared,
             std::uint32_t parent_depth)
-      : sink_(sink), options_(options), stats_(stats),
+      : sink_(sink), options_(options), tally_(tally),
         density_(shared->graph.density()), shared_(std::move(shared)),
         parent_depth_(parent_depth) {}
 
@@ -228,13 +220,14 @@ class SplitHook final : public BBSplitHook {
       // into the frame inline; we just lose the steal.  Stop offering for
       // this solve so a solver that already split keeps its frames local.
       degraded_ = true;
-      stats_.degraded_splits.fetch_add(1, std::memory_order_relaxed);
+      ++tally_.degraded_splits;
       return false;
     }
     sticky_ = true;
     --accepts_left_;
-    stats_.split_tasks.fetch_add(1, std::memory_order_relaxed);
-    atomic_max(stats_.max_split_depth, parent_depth_ + 1);
+    ++tally_.split_tasks;
+    tally_.max_split_depth =
+        std::max<std::uint64_t>(tally_.max_split_depth, parent_depth_ + 1);
     return true;
   }
 
@@ -262,7 +255,7 @@ class SplitHook final : public BBSplitHook {
         static_cast<double>(cands) * density_ >=
         static_cast<double>(options_.split_min_work);
     if (!accept && cands >= options_.split_min_cands) {
-      stats_.split_work_rejected.fetch_add(1, std::memory_order_relaxed);
+      ++tally_.split_work_rejected;
     }
     return accept;
   }
@@ -286,7 +279,7 @@ class SplitHook final : public BBSplitHook {
 
   SubproblemSink* sink_;
   const NeighborSearchOptions& options_;
-  SearchStats& stats_;
+  SearchTally& tally_;
   const LazyGraph* h_ = nullptr;
   VertexId head_ = 0;
   const DenseSubgraph* sub_ = nullptr;
@@ -302,10 +295,10 @@ class SplitHook final : public BBSplitHook {
 }  // namespace
 
 void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
-                     const NeighborSearchOptions& options, SearchStats& stats,
+                     const NeighborSearchOptions& options, SearchTally& tally,
                      SearchScratch& scratch, SubproblemSink* sink) {
   WallTimer timer;
-  stats.evaluated.fetch_add(1, std::memory_order_relaxed);
+  ++tally.evaluated;
 
   const auto& order = h.order();
   auto publish = [&](VertexId head, const std::vector<VertexId>& local,
@@ -334,11 +327,10 @@ void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
     }
   }
   if (n_set.size() < bound) {
-    stats.filter_ns.fetch_add(to_ns(timer.elapsed()),
-                              std::memory_order_relaxed);
+    tally.filter_ns += to_ns(timer.elapsed());
     return;
   }
-  stats.pass_filter1.fetch_add(1, std::memory_order_relaxed);
+  ++tally.pass_filter1;
 
   // ---- filter 2: induced degree, boolean test (lines 4-7) --------------
   // The word form of n_set feeds the bitset kernels whenever a candidate's
@@ -355,7 +347,7 @@ void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
       return &scratch.a_words;
     } catch (const std::bad_alloc&) {
       zone_kernels = false;
-      stats.degraded_wordsets.fetch_add(1, std::memory_order_relaxed);
+      ++tally.degraded_wordsets;
       return nullptr;
     }
   };
@@ -375,11 +367,10 @@ void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
     std::swap(n_set, kept);
   }
   if (n_set.size() < bound) {
-    stats.filter_ns.fetch_add(to_ns(timer.elapsed()),
-                              std::memory_order_relaxed);
+    tally.filter_ns += to_ns(timer.elapsed());
     return;
   }
-  stats.pass_filter2.fetch_add(1, std::memory_order_relaxed);
+  ++tally.pass_filter2;
 
   // ---- filter 3: induced degree, exact sizes + edge estimate (8-13) ----
   // Repeated up to degree_filter_rounds-1 times (the boolean pass above
@@ -406,17 +397,16 @@ void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
     bool fixpoint = kept.size() == n_set.size();
     std::swap(n_set, kept);
     if (n_set.size() < bound) {
-      stats.filter_ns.fetch_add(to_ns(timer.elapsed()),
-                                std::memory_order_relaxed);
+      tally.filter_ns += to_ns(timer.elapsed());
       return;
     }
     if (fixpoint) break;
   }
-  stats.pass_filter3.fetch_add(1, std::memory_order_relaxed);
+  ++tally.pass_filter3;
 
   // ---- algorithmic choice (lines 14-17) ---------------------------------
   DenseSubgraph& sub = scratch.sub;
-  detail::induce_from_lazy(h, n_set, sub, scratch, stats);
+  detail::induce_from_lazy(h, n_set, sub, scratch, tally);
   // m̂/(n(n-1)) is the paper's pre-extraction estimate (m̂ sums directed
   // degrees, so it is ~2m̂_edges); the default uses the extracted
   // subgraph's exact density, which is available at no extra cost and
@@ -426,7 +416,7 @@ void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
     const double nn = static_cast<double>(n_set.size());
     density = m_hat / (nn * (nn - 1.0));
   }
-  stats.filter_ns.fetch_add(to_ns(timer.lap()), std::memory_order_relaxed);
+  tally.filter_ns += to_ns(timer.lap());
 
   // A clique K in G[N] with |K| > |C*| - 1 yields {v} ∪ K with size > |C*|.
   const VertexId sub_bound = bound > 0 ? bound - 1 : 0;
@@ -439,7 +429,7 @@ void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
     all.reinit(sub.size());
     for (std::size_t i = 0; i < sub.size(); ++i) all.set(i);
     VertexId chi = greedy_color_count(sub, all, scratch.color);
-    stats.filter_ns.fetch_add(to_ns(timer.lap()), std::memory_order_relaxed);
+    tally.filter_ns += to_ns(timer.lap());
     if (chi <= sub_bound) return;
   }
 
@@ -452,14 +442,14 @@ void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
     vc::McViaVcResult r = vc::max_clique_via_vc(
         sub, sub_bound, options.control, budget, &scratch.vc,
         &incumbent.size_atomic(), /*live_bound_offset=*/1);
-    stats.vc_ns.fetch_add(to_ns(timer.lap()), std::memory_order_relaxed);
-    stats.vc_nodes.fetch_add(r.nodes, std::memory_order_relaxed);
+    tally.vc_ns += to_ns(timer.lap());
+    tally.vc_nodes += r.nodes;
     if (r.budget_exhausted) {
       // Misprediction: fall through to the MC solver below.
-      stats.vc_fallbacks.fetch_add(1, std::memory_order_relaxed);
+      ++tally.vc_fallbacks;
     } else {
       solved = true;
-      stats.solved_vc.fetch_add(1, std::memory_order_relaxed);
+      ++tally.solved_vc;
       if (!r.clique.empty()) publish(v, r.clique, sub.vertices);
     }
   }
@@ -471,7 +461,7 @@ void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
     // vertex contributes 1, so the local bound is the incumbent minus 1.
     bb.live_bound = &incumbent.size_atomic();
     bb.live_bound_offset = 1;
-    SplitHook hook(sink, options, stats, h, v, sub);
+    SplitHook hook(sink, options, tally, h, v, sub);
     // Root frames can hold at most sub.size() candidates, so when even
     // that fails the active acceptance rule no offer could succeed and
     // the hook is not installed at all.
@@ -489,26 +479,26 @@ void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
                sub.size() >= options.split_min_cands) {
       // The count rule would have engaged the hook; the estimate said the
       // whole subproblem is too sparse to be worth carving.
-      stats.split_work_rejected.fetch_add(1, std::memory_order_relaxed);
+      ++tally.split_work_rejected;
     }
     BBResult r = solve_mc_dense(sub, bb, scratch.mc);
     hook.flush();
-    stats.mc_ns.fetch_add(to_ns(timer.lap()), std::memory_order_relaxed);
-    stats.mc_nodes.fetch_add(r.nodes, std::memory_order_relaxed);
-    stats.solved_mc.fetch_add(1, std::memory_order_relaxed);
+    tally.mc_ns += to_ns(timer.lap());
+    tally.mc_nodes += r.nodes;
+    ++tally.solved_mc;
     if (!r.clique.empty()) publish(v, r.clique, sub.vertices);
   }
 }
 
 bool run_subproblem_task(const SubproblemTask& task, Incumbent& incumbent,
                          const NeighborSearchOptions& options,
-                         SearchStats& stats, SearchScratch& scratch,
+                         SearchTally& tally, SearchScratch& scratch,
                          SubproblemSink* sink) {
   // Claim-time incumbent re-check: the coloring bound recorded at split
   // time caps anything this frame can produce, so a bound raised anywhere
   // since then retires the task without coloring a single node.
   if (task.upper_bound <= incumbent.size()) {
-    stats.retired_subtasks.fetch_add(1, std::memory_order_relaxed);
+    ++tally.retired_subtasks;
     return false;
   }
   WallTimer timer;
@@ -518,7 +508,7 @@ bool run_subproblem_task(const SubproblemTask& task, Incumbent& incumbent,
   bb.live_bound = &incumbent.size_atomic();
   bb.live_bound_offset = 1;
   bb.control = options.control;
-  SplitHook hook(sink, options, stats, task.shared, task.depth);
+  SplitHook hook(sink, options, tally, task.shared, task.depth);
   if (sink != nullptr && options.split_mode != SplitMode::kOff &&
       task.depth < options.split_depth) {
     bb.split = &hook;
@@ -526,8 +516,8 @@ bool run_subproblem_task(const SubproblemTask& task, Incumbent& incumbent,
   BBResult r = solve_mc_dense_rooted(task.shared->graph, task.prefix,
                                      task.candidates, bb, scratch.mc);
   hook.flush();
-  stats.mc_ns.fetch_add(to_ns(timer.elapsed()), std::memory_order_relaxed);
-  stats.mc_nodes.fetch_add(r.nodes, std::memory_order_relaxed);
+  tally.mc_ns += to_ns(timer.elapsed());
+  tally.mc_nodes += r.nodes;
   if (!r.clique.empty()) {
     std::vector<VertexId>& orig = scratch.clique;
     orig.clear();
@@ -538,6 +528,38 @@ bool run_subproblem_task(const SubproblemTask& task, Incumbent& incumbent,
     incumbent.offer(orig);
   }
   return true;
+}
+
+namespace {
+
+/// `options` with its policy counting into `tally` instead of the shared
+/// atomics.
+NeighborSearchOptions counting_into(const NeighborSearchOptions& options,
+                                    SearchTally& tally) {
+  NeighborSearchOptions counted = options;
+  counted.intersect.tally = &tally.kernels;
+  return counted;
+}
+
+}  // namespace
+
+void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
+                     const NeighborSearchOptions& options, SearchStats& stats,
+                     SearchScratch& scratch, SubproblemSink* sink) {
+  SearchTally tally;
+  FlushOnExit flush_guard({&tally, 1}, &stats, options.intersect.counters);
+  neighbor_search(h, v, incumbent, counting_into(options, tally), tally,
+                  scratch, sink);
+}
+
+bool run_subproblem_task(const SubproblemTask& task, Incumbent& incumbent,
+                         const NeighborSearchOptions& options,
+                         SearchStats& stats, SearchScratch& scratch,
+                         SubproblemSink* sink) {
+  SearchTally tally;
+  FlushOnExit flush_guard({&tally, 1}, &stats, options.intersect.counters);
+  return run_subproblem_task(task, incumbent, counting_into(options, tally),
+                             tally, scratch, sink);
 }
 
 namespace {
@@ -666,29 +688,40 @@ void systematic_search(LazyGraph& h, Incumbent& incumbent,
   // ---- drain: no barriers, incumbent re-checked at claim time ----------
   // Probe chunks and subproblem tasks interleave in one loop; the drain
   // ends when the TaskGroup says everything ever enqueued completed.
+  // Each participant counts into its own SearchTally through its own copy
+  // of the options (the policy's tally); the guard flushes them all into
+  // the caller's counters once the drain is over, however it ends.
   std::vector<SearchScratch> scratch(participants);
+  std::vector<SearchTally> tallies(participants);
+  std::vector<NeighborSearchOptions> counted;
+  counted.reserve(participants);
+  for (std::size_t p = 0; p < participants; ++p) {
+    counted.push_back(counting_into(options, tallies[p]));
+  }
+  FlushOnExit flush_guard(tallies, &stats, options.intersect.counters);
   try {
     drain_queue(
       thread_pool(), queue, group,
       [&](std::size_t p, WorkItem& item) {
         LAZYMC_FAULT_THROW("worker.exec");
         SearchScratch& mine = scratch[p];
+        SearchTally& tally = tallies[p];
         SubproblemSink* sink = split_enabled ? &sinks[p] : nullptr;
         if (LevelChunk* c = std::get_if<LevelChunk>(&item)) {
           const VertexId bound = incumbent.size();
           if (c->coreness < bound) {
-            stats.retired_chunks.fetch_add(1, std::memory_order_relaxed);
+            ++tally.retired_chunks;
             return;
           }
           for (VertexId v = c->begin; v < c->end; ++v) {
             if (options.control && options.control->cancelled()) break;
             if (h.coreness(v) >= incumbent.size()) {
-              neighbor_search(h, v, incumbent, options, stats, mine, sink);
+              neighbor_search(h, v, incumbent, counted[p], tally, mine, sink);
             }
           }
         } else {
           run_subproblem_task(std::get<SubproblemTask>(item), incumbent,
-                              options, stats, mine, sink);
+                              counted[p], tally, mine, sink);
         }
       },
       [&] { return options.control && options.control->cancelled(); });
@@ -699,7 +732,8 @@ void systematic_search(LazyGraph& h, Incumbent& incumbent,
     // TaskGroup abort path drains the queue, and only then does the
     // error resurface to the caller (the CLI reports it structured).
     // All per-solve state (scratch arenas, queue, sinks) unwinds here,
-    // so the pool and a fresh solve are immediately usable again.
+    // so the pool and a fresh solve are immediately usable again; the
+    // tallies are flushed on the way out, so the counts survive too.
     if (options.control) options.control->cancel();
     throw;
   }

@@ -24,7 +24,8 @@
 // when the chunk is *claimed*, so a bound raised anywhere retires whole
 // chunks without touching their vertices (stats.retired_chunks).  Every
 // participant owns a SearchScratch arena, making steady-state probes
-// allocation-free.
+// allocation-free, and a SearchTally of plain counters, so the filters'
+// per-intersection counts never touch a shared cache line.
 //
 // Two-level drain (subproblem splitting): on zero-gap instances the tail
 // of the search degenerates to a few enormous surviving neighborhoods,
@@ -43,7 +44,6 @@
 // meaningless as a termination signal.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -53,68 +53,11 @@
 #include "mc/greedy_color.hpp"
 #include "mc/incumbent.hpp"
 #include "mc/intersect_policy.hpp"
+#include "mc/search_counters.hpp"
 #include "support/control.hpp"
 #include "vc/mc_via_vc.hpp"
 
 namespace lazymc::mc {
-
-/// Aggregated instrumentation across all NeighborSearch calls (Table III,
-/// Fig. 3).  Counters are relaxed atomics: updated once per neighborhood.
-struct SearchStats {
-  // Funnel counts (Table III): neighborhoods surviving each stage.
-  std::atomic<std::uint64_t> evaluated{0};       // NeighborSearch calls
-  std::atomic<std::uint64_t> pass_filter1{0};    // after coreness filter
-  std::atomic<std::uint64_t> pass_filter2{0};    // after 1st degree filter
-  std::atomic<std::uint64_t> pass_filter3{0};    // after 2nd degree filter
-  // Algorithmic choice (Fig. 3).
-  std::atomic<std::uint64_t> solved_mc{0};
-  std::atomic<std::uint64_t> solved_vc{0};
-  // k-VC probes abandoned on node budget and re-solved as MC.
-  std::atomic<std::uint64_t> vc_fallbacks{0};
-  // Worklist chunks retired unvisited because the incumbent had grown
-  // past their coreness by claim time (incumbent broadcast at work).
-  std::atomic<std::uint64_t> retired_chunks{0};
-  // Subproblem decomposition: B&B root frames carved onto the work queue,
-  // tasks retired at claim time because the incumbent outgrew their
-  // coloring bound, and the deepest split generation reached.
-  std::atomic<std::uint64_t> split_tasks{0};
-  std::atomic<std::uint64_t> retired_subtasks{0};
-  std::atomic<std::uint64_t> max_split_depth{0};
-  // Frames big enough for the raw count rule (split_min_cands) that the
-  // work estimate (candidates x density, split_min_work mode) rejected.
-  std::atomic<std::uint64_t> split_work_rejected{0};
-  // Graceful degradation (failure model): each count is one recovered
-  // allocation failure that would previously have aborted the solve.
-  // SparseWordSet builds that failed — the filter round ran on scalar
-  // kernels instead of word-parallel ones.
-  std::atomic<std::uint64_t> degraded_wordsets{0};
-  // Subproblem decompositions that failed to materialize — the B&B
-  // solved the frame inline on the probing thread instead of splitting.
-  std::atomic<std::uint64_t> degraded_splits{0};
-  // Where the adaptive dispatcher ran each intersection (wired into every
-  // IntersectPolicy used by the solve; see mc/intersect_policy.hpp).
-  KernelCounters kernels;
-  // Work split in seconds (Fig. 3) and node counts (Fig. 6).
-  std::atomic<std::uint64_t> filter_ns{0};
-  std::atomic<std::uint64_t> mc_ns{0};
-  std::atomic<std::uint64_t> vc_ns{0};
-  std::atomic<std::uint64_t> mc_nodes{0};
-  std::atomic<std::uint64_t> vc_nodes{0};
-
-  double filter_seconds() const {
-    return static_cast<double>(filter_ns.load()) * 1e-9;
-  }
-  double mc_seconds() const {
-    return static_cast<double>(mc_ns.load()) * 1e-9;
-  }
-  double vc_seconds() const {
-    return static_cast<double>(vc_ns.load()) * 1e-9;
-  }
-  /// Total systematic-search work in seconds (Fig. 7 "work" ratio).
-  double work_seconds() const {
-    return filter_seconds() + mc_seconds() + vc_seconds();
-  }
-};
 
 /// Per-thread scratch arena for the systematic search.  Holds every
 /// intermediate container a NeighborSearch probe needs — candidate
@@ -240,9 +183,18 @@ struct NeighborSearchOptions {
 
 /// Algorithm 8: searches the right-neighborhood of relabelled vertex v and
 /// offers any improving clique (original ids) to the incumbent.  All
-/// intermediate state lives in `scratch` (one per thread).  When `sink`
-/// is non-null and options allow, oversized B&B roots are decomposed into
-/// SubproblemTasks submitted there instead of being solved inline.
+/// intermediate state lives in `scratch` and the search counts go to
+/// `tally` (one of each per thread); kernel counts go wherever
+/// `options.intersect` points them.  When `sink` is non-null and options
+/// allow, oversized B&B roots are decomposed into SubproblemTasks
+/// submitted there instead of being solved inline.
+void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
+                     const NeighborSearchOptions& options, SearchTally& tally,
+                     SearchScratch& scratch, SubproblemSink* sink = nullptr);
+
+/// The same probe counted into shared totals: a private tally is flushed
+/// into `stats`, and its kernel counts into `options.intersect.counters`,
+/// as the call returns.  For one-off probes and tests; allocation-free.
 void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
                      const NeighborSearchOptions& options, SearchStats& stats,
                      SearchScratch& scratch, SubproblemSink* sink = nullptr);
@@ -261,6 +213,12 @@ inline void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
 /// the B&B from the explicit frame, publishing any improving clique.
 /// `sink` (optional) receives re-split child tasks while
 /// task.depth < options.split_depth.
+bool run_subproblem_task(const SubproblemTask& task, Incumbent& incumbent,
+                         const NeighborSearchOptions& options,
+                         SearchTally& tally, SearchScratch& scratch,
+                         SubproblemSink* sink = nullptr);
+
+/// The same task counted into shared totals (see neighbor_search).
 bool run_subproblem_task(const SubproblemTask& task, Incumbent& incumbent,
                          const NeighborSearchOptions& options,
                          SearchStats& stats, SearchScratch& scratch,
@@ -290,14 +248,17 @@ namespace detail {
 /// on a pair, and row i decides pair i < j as in the pairwise path.
 void induce_from_lazy(LazyGraph& h, const std::vector<VertexId>& members,
                       DenseSubgraph& out, SearchScratch& scratch,
-                      SearchStats& stats);
+                      SearchTally& tally);
 
 }  // namespace detail
 
 /// Algorithm 7 over a zero-barrier sharded worklist: one probe vertex per
 /// degeneracy level (from |C*| upward) enqueued first, then all levels
 /// from high to low coreness, drained in parallel with claim-time
-/// incumbent re-checks (see the header comment).
+/// incumbent re-checks (see the header comment).  Each participant counts
+/// into its own SearchTally; the tallies are flushed into `stats` (kernel
+/// counts into `options.intersect.counters`) before the call returns or
+/// rethrows.
 void systematic_search(LazyGraph& h, Incumbent& incumbent,
                        const NeighborSearchOptions& options,
                        SearchStats& stats);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <string_view>
 #include <thread>
 
 #include "baselines/reference.hpp"
@@ -13,6 +15,8 @@
 #include "lazygraph/lazy_graph.hpp"
 #include "mc/lazymc.hpp"
 #include "mc/neighbor_search.hpp"
+#include "support/control.hpp"
+#include "support/faultinject.hpp"
 #include "support/parallel.hpp"
 #include "support/random.hpp"
 
@@ -175,6 +179,178 @@ TEST(ConcurrencyStress, CancellationDuringParallelSearchUnwinds) {
   } else {
     EXPECT_TRUE(is_clique(g, r.clique));
   }
+  set_num_threads(0);
+}
+
+// ---- per-worker counter blocks -------------------------------------------
+// Workers count into private tallies that the search flushes into the
+// caller's SearchStats and KernelCounters once, as it returns.  These tests
+// pin the flushed totals: exact at one thread, consistent at four, and
+// present on the cancel and exception paths.
+
+/// A lazy graph over `g` in (coreness, degree) order with bitset rows over
+/// the whole graph, so the filters run the word kernels whose calls the
+/// tier counters split.
+struct CountedSearch {
+  explicit CountedSearch(const Graph& g)
+      : core(kcore::coreness(g)),
+        order(kcore::order_by_coreness_degree(g, core.coreness)),
+        lazy(g, order, core.coreness, &incumbent.size_atomic()) {
+    lazy.enable_bitset_rows(std::size_t{1} << 24);
+    options.intersect.counters = &stats.kernels;
+  }
+
+  kcore::CoreDecomposition core;
+  kcore::VertexOrder order;
+  Incumbent incumbent;
+  LazyGraph lazy;
+  mc::SearchStats stats;
+  mc::NeighborSearchOptions options;
+};
+
+Graph counter_graph() {
+  return gen::plant_clique(gen::gnp(400, 0.08, 411), 16, 412);
+}
+
+std::uint64_t word_tier_sum(const mc::KernelCounters& k) {
+  std::uint64_t sum = 0;
+  for (const auto& calls : k.word_tier) sum += calls.load();
+  return sum;
+}
+
+TEST(WorkerCounters, OneThreadTotalsEqualASequentialLoop) {
+  const Graph g = counter_graph();
+  set_num_threads(1);
+  CountedSearch drained(g);
+  mc::systematic_search(drained.lazy, drained.incumbent, drained.options,
+                        drained.stats);
+
+  // The 1-thread drain visits its worklist in order: one probe vertex per
+  // coreness level from |C*| (here 0) upward, then every level from the
+  // top down without its probe.  Replay that order with one
+  // neighbor_search call per vertex, each flushed on its own.
+  CountedSearch looped(g);
+  std::map<VertexId, std::pair<VertexId, VertexId>> levels;  // [first, end)
+  for (VertexId v = 0; v < looped.lazy.num_vertices(); ++v) {
+    auto [it, fresh] = levels.try_emplace(looped.lazy.coreness(v), v, v);
+    it->second.second = v + 1;
+  }
+  std::vector<VertexId> visit;
+  for (const auto& [k, range] : levels) visit.push_back(range.first);
+  for (auto it = levels.rbegin(); it != levels.rend(); ++it) {
+    for (VertexId v = it->second.first + 1; v < it->second.second; ++v) {
+      visit.push_back(v);
+    }
+  }
+  mc::SearchScratch scratch;
+  for (VertexId v : visit) {
+    if (looped.lazy.coreness(v) >= looped.incumbent.size()) {
+      mc::neighbor_search(looped.lazy, v, looped.incumbent, looped.options,
+                          looped.stats, scratch);
+    }
+  }
+
+  EXPECT_EQ(drained.incumbent.size(), looped.incumbent.size());
+  const mc::SearchStats& a = drained.stats;
+  const mc::SearchStats& b = looped.stats;
+  // The loop has no worklist chunks to retire; a retired chunk's vertices
+  // all fail the per-vertex coreness check, so nothing else differs.
+#define LAZYMC_EXPECT_SAME(name, merge)                       \
+  if (std::string_view(#name) != "retired_chunks") {          \
+    EXPECT_EQ(a.name.load(), b.name.load()) << #name;         \
+  }
+  LAZYMC_SEARCH_COUNTERS(LAZYMC_EXPECT_SAME)
+#undef LAZYMC_EXPECT_SAME
+#define LAZYMC_EXPECT_SAME(name) \
+  EXPECT_EQ(a.kernels.name.load(), b.kernels.name.load()) << #name;
+  LAZYMC_KERNEL_COUNTERS(LAZYMC_EXPECT_SAME)
+#undef LAZYMC_EXPECT_SAME
+  for (std::size_t t = 0; t < simd::kNumTiers; ++t) {
+    EXPECT_EQ(a.kernels.word_tier[t].load(), b.kernels.word_tier[t].load());
+  }
+  EXPECT_EQ(b.retired_chunks.load(), 0u);
+  // The comparison is not vacuous: the search ran the word kernels.
+  EXPECT_GT(a.evaluated.load(), 0u);
+  EXPECT_GT(a.pass_filter3.load(), 0u);
+  EXPECT_GT(a.kernels.bitset_word.load(), 0u);
+  set_num_threads(0);
+}
+
+TEST(WorkerCounters, FourThreadTotalsKeepTheirInvariants) {
+  const Graph g = counter_graph();
+  set_num_threads(4);
+  CountedSearch f(g);
+  mc::systematic_search(f.lazy, f.incumbent, f.options, f.stats);
+  const mc::SearchStats& s = f.stats;
+  EXPECT_LE(s.pass_filter3.load(), s.pass_filter2.load());
+  EXPECT_LE(s.pass_filter2.load(), s.pass_filter1.load());
+  EXPECT_LE(s.pass_filter1.load(), s.evaluated.load());
+  EXPECT_LE(s.evaluated.load(), g.num_vertices());
+  EXPECT_GT(s.kernels.bitset_word.load(), 0u);
+  EXPECT_EQ(word_tier_sum(s.kernels), s.kernels.bitset_word.load());
+  EXPECT_EQ(f.incumbent.size(), baselines::max_clique_reference(g).size());
+
+  // The full pipeline also counts the coreness heuristic's intersections.
+  const auto r = mc::lazy_mc(g);
+  EXPECT_LE(r.search.pass_filter3, r.search.pass_filter2);
+  EXPECT_LE(r.search.pass_filter2, r.search.pass_filter1);
+  EXPECT_LE(r.search.pass_filter1, r.search.evaluated);
+  EXPECT_EQ(r.search.kernel_word_scalar + r.search.kernel_word_avx2 +
+                r.search.kernel_word_avx512,
+            r.search.kernel_bitset_word);
+  set_num_threads(0);
+}
+
+TEST(WorkerCounters, TimedOutSearchStillReportsItsCounts) {
+  // The limit has passed before the search starts, so the first solver
+  // call that checks it cancels the search; the drain then winds down
+  // through the cancel path, which must still flush the tallies.
+  const Graph g = counter_graph();
+  set_num_threads(4);
+  CountedSearch f(g);
+  SolveControl control(1e-9);
+  f.options.control = &control;
+  mc::systematic_search(f.lazy, f.incumbent, f.options, f.stats);
+  EXPECT_TRUE(control.cancelled());
+  EXPECT_GT(f.stats.evaluated.load(), 0u);
+  EXPECT_LE(f.stats.pass_filter1.load(), f.stats.evaluated.load());
+  EXPECT_EQ(word_tier_sum(f.stats.kernels), f.stats.kernels.bitset_word.load());
+  set_num_threads(0);
+}
+
+TEST(WorkerCounters, InjectedWorkerFaultLeavesCountsAndPoolUsable) {
+  if (!faults::enabled()) GTEST_SKIP() << "needs -DLAZYMC_FAULTS=ON";
+  const Graph g = counter_graph();
+  const auto best = baselines::max_clique_reference(g);
+  set_num_threads(4);
+  faults::reset();
+  faults::configure("worker.exec=nth:1");
+  {
+    CountedSearch failed(g);
+    SolveControl control;
+    failed.options.control = &control;
+    EXPECT_THROW(mc::systematic_search(failed.lazy, failed.incumbent,
+                                       failed.options, failed.stats),
+                 faults::InjectedFault);
+    EXPECT_LE(failed.stats.evaluated.load(), g.num_vertices());
+  }
+  faults::reset();
+
+  // Same pool, fresh solve.  With the optimum already in the incumbent
+  // nothing improves, so every vertex whose coreness reaches omega is
+  // evaluated exactly once at any thread count: a total carried over from
+  // the failed solve would show.
+  CountedSearch next(g);
+  next.incumbent.offer(best);
+  const auto omega = static_cast<VertexId>(best.size());
+  std::uint64_t expected = 0;
+  for (VertexId v = 0; v < next.lazy.num_vertices(); ++v) {
+    expected += next.lazy.coreness(v) >= omega ? 1 : 0;
+  }
+  mc::systematic_search(next.lazy, next.incumbent, next.options, next.stats);
+  EXPECT_EQ(next.stats.evaluated.load(), expected);
+  EXPECT_EQ(next.stats.retired_chunks.load(), 0u);
+  EXPECT_EQ(next.incumbent.size(), omega);
   set_num_threads(0);
 }
 

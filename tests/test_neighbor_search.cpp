@@ -232,8 +232,8 @@ void expect_matches_reference(LazyGraph& lazy, const ExtractFixture& f,
                               const std::vector<VertexId>& members,
                               mc::SearchScratch& scratch,
                               const std::string& what) {
-  mc::SearchStats stats;
-  mc::detail::induce_from_lazy(lazy, members, scratch.sub, scratch, stats);
+  mc::SearchTally tally;
+  mc::detail::induce_from_lazy(lazy, members, scratch.sub, scratch, tally);
   std::vector<VertexId> orig;
   for (VertexId v : members) orig.push_back(f.order.new_to_orig[v]);
   const DenseSubgraph ref = induce_dense(f.g, orig);
@@ -402,8 +402,8 @@ TEST(InduceFromLazy, RowsFilteredAtDifferentIncumbentsStaySymmetric) {
   f.incumbent.store(lazy->coreness(members[members.size() / 2]));
   ASSERT_GT(lazy->filter_bound(), lazy->coreness(members.front()));
   mc::SearchScratch scratch;
-  mc::SearchStats stats;
-  mc::detail::induce_from_lazy(*lazy, members, scratch.sub, scratch, stats);
+  mc::SearchTally tally;
+  mc::detail::induce_from_lazy(*lazy, members, scratch.sub, scratch, tally);
   const DenseSubgraph& sub = scratch.sub;
   EdgeId m = 0;
   for (std::size_t i = 0; i < members.size(); ++i) {
