@@ -14,17 +14,14 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "common.hpp"
-#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/suite.hpp"
 #include "hashset/hopscotch_set.hpp"
-#include "intersect/hybrid_row.hpp"
 #include "intersect/intersect.hpp"
 #include "kcore/kcore.hpp"
 #include "kcore/order.hpp"
@@ -409,9 +406,9 @@ void run_intersect_shootout() {
   bench::Table table("intersect-shootout",
                      {"scenario", "|A|", "|B|", "universe", "theta", "result",
                       "hash-serial ns", "hash-batched ns", "bitset-scalar ns",
-                      "bitset-avx2 ns", "bitset-avx512 ns", "hyb-array ns",
-                      "hyb-run ns", "merge ns", "bitset/hash", "avx2/scalar",
-                      "avx512/scalar", "batch/serial"});
+                      "bitset-avx2 ns", "bitset-avx512 ns", "merge ns",
+                      "bitset/hash", "avx2/scalar", "avx512/scalar",
+                      "batch/serial"});
   for (const Scenario& s : scenarios) {
     auto a = random_sorted(s.na, 91, s.universe);
     auto b = random_sorted(s.nb, 92, s.universe);
@@ -426,35 +423,9 @@ void run_intersect_shootout() {
                   static_cast<std::uint32_t>(b.size())};
     std::span<const VertexId> as(a);
 
-    // Hybrid-row containers over the same B set (zone coords == ids: the
-    // scenarios put zone_begin at 0), answering the identical question.
-    std::vector<std::uint64_t> array_payload((b.size() + 1) / 2 + 1, 0);
-    std::memcpy(array_payload.data(), b.data(), b.size() * 4);
-    const HybridRow hyb_array{array_payload.data(), 0, s.universe,
-                              static_cast<std::uint32_t>(b.size()),
-                              static_cast<std::uint32_t>(b.size()),
-                              RowContainer::kArray};
-    std::vector<std::uint32_t> run_pairs;
-    for (std::size_t i = 0; i < b.size(); ++i) {
-      if (i == 0 || b[i] != b[i - 1] + 1) {
-        run_pairs.push_back(b[i]);
-        run_pairs.push_back(1);
-      } else {
-        ++run_pairs.back();
-      }
-    }
-    std::vector<std::uint64_t> run_payload(run_pairs.size() / 2 + 1, 0);
-    std::memcpy(run_payload.data(), run_pairs.data(), run_pairs.size() * 4);
-    const HybridRow hyb_run{run_payload.data(), 0, s.universe,
-                            static_cast<std::uint32_t>(b.size()),
-                            static_cast<std::uint32_t>(run_pairs.size() / 2),
-                            RowContainer::kRun};
-
     const bool expected = intersect_size_gt_bool(as, hs, s.theta);
     if (intersect_size_gt_bool_prefetch(as, hs, s.theta) != expected ||
         intersect_size_gt_bool(aw, row, s.theta) != expected ||
-        intersect_size_gt_bool(aw, hyb_array, s.theta) != expected ||
-        intersect_size_gt_bool(aw, hyb_run, s.theta) != expected ||
         intersect_sorted_size_gt_bool(as, b, s.theta) != expected) {
       std::fprintf(stderr, "shootout: kernel disagreement on %s\n", s.name);
       std::exit(1);
@@ -478,12 +449,6 @@ void run_intersect_shootout() {
     for (double t : tier_ns) {
       if (t > 0) best_bitset_ns = std::min(best_bitset_ns, t);
     }
-    double hyb_array_ns = time_ns_per_op([&] {
-      benchmark::DoNotOptimize(intersect_size_gt_bool(aw, hyb_array, s.theta));
-    });
-    double hyb_run_ns = time_ns_per_op([&] {
-      benchmark::DoNotOptimize(intersect_size_gt_bool(aw, hyb_run, s.theta));
-    });
     double merge_ns = time_ns_per_op([&] {
       benchmark::DoNotOptimize(intersect_sorted_size_gt_bool(as, b, s.theta));
     });
@@ -494,178 +459,12 @@ void run_intersect_shootout() {
          bench::fmt(batch_ns, 1), bench::fmt(scalar_ns, 1),
          avx2_ns > 0 ? bench::fmt(avx2_ns, 1) : "n/a",
          avx512_ns > 0 ? bench::fmt(avx512_ns, 1) : "n/a",
-         bench::fmt(hyb_array_ns, 1), bench::fmt(hyb_run_ns, 1),
          bench::fmt(merge_ns, 1), bench::fmt(hash_ns / best_bitset_ns, 2),
          avx2_ns > 0 ? bench::fmt(scalar_ns / avx2_ns, 2) : "n/a",
          avx512_ns > 0 ? bench::fmt(scalar_ns / avx512_ns, 2) : "n/a",
          bench::fmt(hash_ns / batch_ns, 2)});
   }
   table.print();
-}
-
-// --- hybrid-row starved-budget shoot-out -----------------------------------
-// The compressed-row acceptance scenario: a dense-zone graph whose rows
-// compress, solved under a row budget that pure bitset rows exhaust
-// midway while the hybrid containers fit whole.  The instance is a union
-// of dense communities of pairwise-distinct sizes: distinct sizes give
-// each community its own coreness band, so the (coreness, degree)
-// relabelling keeps every community contiguous in zone coordinates and
-// each neighborhood collapses to a handful of run spans — word-parallel
-// kernels at a fraction of the full-stride bitset bytes.  One row per
-// configuration; the speedup column is wall time relative to the starved
-// pure-bitset run (whose unbuilt rows fall back to the hash kernels).
-
-// Dense communities of pairwise-distinct sizes plus one high-degree
-// "anchor" clique.  Distinct sizes give each community its own coreness
-// band, so the (coreness, degree) relabelling keeps each community
-// contiguous in zone coordinates and its rows collapse to run spans.
-// The anchor clique (larger than any community's own clique number, and
-// lifted above every community degree by random halo edges so the degree
-// heuristic finds it first) pins the incumbent high enough that every
-// community root grinds through the quadratic membership filters and is
-// then colour-pruned — the rep-sensitive filter kernels dominate the
-// solve instead of the rep-independent dense branch-and-bound.
-Graph make_clustered_zone_graph(VertexId communities, VertexId min_size,
-                                VertexId step, double p_intra,
-                                VertexId anchor, VertexId halo,
-                                std::uint64_t seed) {
-  GraphBuilder b;
-  Rng rng(seed);
-  VertexId base = 0;
-  for (VertexId c = 0; c < communities; ++c) {
-    const VertexId size = min_size + c * step;
-    for (VertexId i = 0; i < size; ++i) {
-      for (VertexId j = i + 1; j < size; ++j) {
-        if (rng.next_double() < p_intra) b.add_edge(base + i, base + j);
-      }
-    }
-    base += size;
-  }
-  const VertexId community_vertices = base;
-  for (VertexId i = 0; i < anchor; ++i) {
-    for (VertexId j = i + 1; j < anchor; ++j) {
-      b.add_edge(community_vertices + i, community_vertices + j);
-    }
-    for (VertexId h = 0; h < halo; ++h) {
-      b.add_edge(community_vertices + i,
-                 static_cast<VertexId>(rng.next_below(community_vertices)));
-    }
-  }
-  return b.build();
-}
-
-struct StarveRun {
-  double seconds = 1e300;
-  double filter_seconds = 0;
-  double mc_seconds = 0;
-  double heur_seconds = 0;
-  double sys_seconds = 0;
-  VertexId omega = 0;
-  std::size_t built = 0;
-  std::size_t bytes = 0;
-  std::size_t zone = 0;
-  std::uint64_t word_kernels = 0;
-  LazyGraph::Stats stats;
-};
-
-StarveRun run_starve_config(const Graph& g, NeighborhoodRep rep,
-                            std::size_t budget_bytes) {
-  StarveRun best;
-  for (int repeat = 0; repeat < 3; ++repeat) {
-    mc::LazyMCConfig cfg;
-    cfg.neighborhood_rep = rep;
-    cfg.bitset_budget_bytes = budget_bytes;
-    WallTimer timer;
-    const auto r = mc::lazy_mc(g, cfg);
-    const double sec = timer.elapsed();
-    if (repeat == 0) best.stats = r.lazy_graph;
-    if (sec < best.seconds) {
-      best.seconds = sec;
-      best.filter_seconds = r.search.filter_seconds;
-      best.mc_seconds = r.search.mc_seconds;
-      best.heur_seconds = r.phases.degree_heuristic + r.phases.coreness_heuristic;
-      best.sys_seconds = r.phases.systematic;
-      best.omega = r.omega;
-      best.built = r.lazy_graph.bitset_built;
-      best.bytes = r.lazy_graph.bitset_bytes;
-      best.zone = r.lazy_graph.zone_size;
-      best.word_kernels = r.search.kernel_bitset_word +
-                          r.search.kernel_array_gallop +
-                          r.search.kernel_run_and;
-    }
-  }
-  return best;
-}
-
-void run_hybrid_starve_shootout() {
-  VertexId communities = 30, min_size = 272, step = 4, anchor = 180,
-           halo = 220;
-  double p_intra = 0.94;
-  if (const char* spec = std::getenv("LAZYMC_STARVE_SPEC")) {
-    // Tuning hook: "communities:min_size:step:p_intra:anchor:halo".
-    unsigned c = 0, m = 0, s = 0, a = 0, h = 0;
-    double p = 0;
-    if (std::sscanf(spec, "%u:%u:%u:%lf:%u:%u", &c, &m, &s, &p, &a, &h) == 6) {
-      communities = c;
-      min_size = m;
-      step = s;
-      p_intra = p;
-      anchor = a;
-      halo = h;
-    }
-  }
-  const Graph g = make_clustered_zone_graph(communities, min_size, step,
-                                            p_intra, anchor, halo, 4242);
-  set_num_threads(1);
-  // Unconstrained probes size the starved budget: hybrid fits with 50%
-  // headroom, pure bitset rows exhaust after a fraction of the zone.
-  const StarveRun uh =
-      run_starve_config(g, NeighborhoodRep::kHybrid, std::size_t{1} << 30);
-  const std::size_t bookkeeping =
-      uh.zone * (sizeof(std::uint64_t*) + sizeof(std::uint32_t));
-  const std::size_t budget = bookkeeping + uh.bytes + uh.bytes / 2 + 8192;
-
-  const StarveRun runs[] = {
-      run_starve_config(g, NeighborhoodRep::kHash, 0),
-      run_starve_config(g, NeighborhoodRep::kBitset, std::size_t{1} << 30),
-      run_starve_config(g, NeighborhoodRep::kBitset, budget),
-      run_starve_config(g, NeighborhoodRep::kHybrid, budget),
-  };
-  const char* names[] = {"hash", "bitset-full", "bitset-starved",
-                         "hybrid-starved"};
-  for (const StarveRun& r : runs) {
-    if (r.omega != runs[0].omega) {
-      std::fprintf(stderr, "hybrid-starve: omega diverged\n");
-      std::exit(1);
-    }
-  }
-  const double baseline = runs[2].seconds;  // starved bitset = hash fallback
-  bench::Table table("hybrid-starve",
-                     {"config", "omega", "zone", "rows built", "row bytes",
-                      "word kernels", "heur s", "sys s", "filter s", "mc s",
-                      "seconds", "speedup vs starved-bitset"});
-  for (std::size_t i = 0; i < 4; ++i) {
-    const StarveRun& r = runs[i];
-    table.add_row({names[i], std::to_string(r.omega), std::to_string(r.zone),
-                   std::to_string(r.built), std::to_string(r.bytes),
-                   std::to_string(r.word_kernels), bench::fmt(r.heur_seconds),
-                   bench::fmt(r.sys_seconds), bench::fmt(r.filter_seconds),
-                   bench::fmt(r.mc_seconds), bench::fmt(r.seconds),
-                   bench::fmt(baseline / r.seconds, 2)});
-  }
-  table.print();
-
-  const LazyGraph::Stats& hs = runs[3].stats;
-  bench::Table containers("hybrid-containers",
-                          {"container", "rows", "bytes"});
-  containers.add_row({"array", std::to_string(hs.hybrid_rows_array),
-                      std::to_string(hs.hybrid_array_bytes)});
-  containers.add_row({"bitset", std::to_string(hs.hybrid_rows_bitset),
-                      std::to_string(hs.hybrid_bitset_bytes)});
-  containers.add_row({"run", std::to_string(hs.hybrid_rows_run),
-                      std::to_string(hs.hybrid_run_bytes)});
-  containers.print();
-  set_num_threads(0);
 }
 
 // --- subproblem-splitting shoot-out ----------------------------------------
@@ -752,7 +551,6 @@ void run_split_shootout() {
 int main(int argc, char** argv) {
   bool shootout = false;
   bool split_shootout = false;
-  bool hybrid_starve = false;
   std::vector<char*> keep;
   keep.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
@@ -761,17 +559,14 @@ int main(int argc, char** argv) {
       shootout = true;
     } else if (arg == "--split-shootout") {
       split_shootout = true;
-    } else if (arg == "--hybrid-starve") {
-      hybrid_starve = true;
     } else if (arg.rfind("--json=", 0) == 0) {
       lazymc::bench::enable_json_export(arg.substr(7));
     } else {
       keep.push_back(argv[i]);
     }
   }
-  if (shootout || split_shootout || hybrid_starve) {
+  if (shootout || split_shootout) {
     if (shootout) lazymc::run_intersect_shootout();
-    if (hybrid_starve) lazymc::run_hybrid_starve_shootout();
     if (split_shootout) lazymc::run_split_shootout();
     return 0;
   }

@@ -174,6 +174,7 @@ expect("${last_out}" "\"timed_out\":true" "timeout flagged in report")
 expect("${last_out}" "\"verification\":\"ok\"" "timed-out witness verified")
 expect_exit(3 "missing-file exit code" --graph /nonexistent.clq)
 expect_exit(3 "bad-flag exit code" --graph "${clq}" --no-such-flag)
+expect_exit(3 "removed --rep hybrid" --graph "${clq}" --rep hybrid)
 expect_exit(3 "bad-manifest exit code" --manifest /nonexistent.manifest)
 
 # 10. Crash-safe batch: a journaled sweep records completed instances; a

@@ -124,22 +124,8 @@ void solve_into(const Options& options, RunReport& report,
       config.vertex_order = options.order == Order::kPeeling
                                 ? mc::VertexOrderKind::kPeeling
                                 : mc::VertexOrderKind::kCorenessDegree;
-      switch (options.rep) {
-        case Rep::kAuto: config.neighborhood_rep = NeighborhoodRep::kAuto;
-          break;
-        case Rep::kHash: config.neighborhood_rep = NeighborhoodRep::kHash;
-          break;
-        case Rep::kSorted: config.neighborhood_rep = NeighborhoodRep::kSorted;
-          break;
-        case Rep::kBitset: config.neighborhood_rep = NeighborhoodRep::kBitset;
-          break;
-        case Rep::kHybrid: config.neighborhood_rep = NeighborhoodRep::kHybrid;
-          break;
-      }
+      config.neighborhood_rep = options.rep;
       config.bitset_budget_bytes = options.bitset_budget_mb << 20;
-      config.hybrid_array_max =
-          static_cast<std::uint32_t>(options.hybrid_array_max);
-      config.hybrid_run_min_saving = options.hybrid_run_min_saving;
       config.pre_extraction_density = options.pre_extraction_density;
       switch (options.split) {
         case Split::kAuto: config.split_mode = mc::SplitMode::kAuto; break;

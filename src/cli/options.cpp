@@ -33,14 +33,10 @@ Order parse_order(const std::string& name) {
   fail("unknown vertex order '" + name + "' (expected coreness|peeling)");
 }
 
-Rep parse_rep(const std::string& name) {
-  if (name == "auto") return Rep::kAuto;
-  if (name == "hash") return Rep::kHash;
-  if (name == "sorted") return Rep::kSorted;
-  if (name == "bitset") return Rep::kBitset;
-  if (name == "hybrid") return Rep::kHybrid;
-  fail("unknown representation '" + name +
-       "' (expected auto|hash|sorted|bitset|hybrid)");
+NeighborhoodRep parse_rep(const std::string& name) {
+  if (auto rep = parse_neighborhood_rep(name)) return *rep;
+  fail("unknown representation '" + name + "' (expected " +
+       std::string(kNeighborhoodRepNames) + ")");
 }
 
 Split parse_split(const std::string& name) {
@@ -70,16 +66,6 @@ std::size_t parse_size(const std::string& flag, const std::string& v) {
     fail(flag + " expects a non-negative integer, got '" + v + "'");
   }
   return static_cast<std::size_t>(n);
-}
-
-double parse_positive_double(const std::string& flag, const std::string& v) {
-  errno = 0;
-  char* end = nullptr;
-  double x = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0' || errno == ERANGE || !(x > 0)) {
-    fail(flag + " expects a positive number, got '" + v + "'");
-  }
-  return x;
 }
 
 }  // namespace
@@ -114,17 +100,10 @@ std::string usage() {
       "  --rep KIND           lazymc neighborhood representation built on\n"
       "                       first use: auto (default; degree rule +\n"
       "                       bitset rows where cheap) | hash | sorted |\n"
-      "                       bitset | hybrid (Roaring-style per-row\n"
-      "                       array/bitset/run containers).  hash/sorted\n"
-      "                       disable zone rows entirely\n"
-      "  --bitset-budget-mb N memory budget for bitset/hybrid rows\n"
+      "                       bitset.  hash/sorted disable zone rows\n"
+      "                       entirely\n"
+      "  --bitset-budget-mb N memory budget for bitset rows\n"
       "                       (default 64; 0 disables the representation)\n"
-      "  --hybrid-array-max N max in-zone degree stored as a sorted array\n"
-      "                       container (default 4096; --rep hybrid)\n"
-      "  --hybrid-run-min-saving X\n"
-      "                       pick the run container only when >= X times\n"
-      "                       smaller than the dense alternative\n"
-      "                       (default 2.0; --rep hybrid)\n"
       "  --pre-density        route the MC-vs-VC solver choice on the\n"
       "                       filter-3 edge estimate instead of the\n"
       "                       extracted subgraph's exact density\n"
@@ -211,10 +190,6 @@ Options parse_options(int argc, char** argv, bool& wants_help) {
       options.rep = parse_rep(value(i, arg));
     } else if (arg == "--bitset-budget-mb") {
       options.bitset_budget_mb = parse_size(arg, value(i, arg));
-    } else if (arg == "--hybrid-array-max") {
-      options.hybrid_array_max = parse_size(arg, value(i, arg));
-    } else if (arg == "--hybrid-run-min-saving") {
-      options.hybrid_run_min_saving = parse_positive_double(arg, value(i, arg));
     } else if (arg == "--pre-density") {
       options.pre_extraction_density = true;
     } else if (arg == "--split") {

@@ -4,8 +4,7 @@
 //   lazymc --graph <file|gen:name[:scale]> [--graph ...] [--manifest FILE]
 //          [--solver NAME] [--threads N] [--time-limit SECONDS]
 //          [--order coreness|peeling]
-//          [--rep auto|hash|sorted|bitset|hybrid] [--bitset-budget-mb N]
-//          [--hybrid-array-max N] [--hybrid-run-min-saving X]
+//          [--rep auto|hash|sorted|bitset] [--bitset-budget-mb N]
 //          [--pre-density]
 //          [--split auto|on|off] [--split-depth N] [--split-min-cands N]
 //          [--split-min-work N] [--kernels auto|scalar|avx2|avx512]
@@ -24,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "lazygraph/neighborhood_rep.hpp"
+
 namespace lazymc::cli {
 
 enum class Solver {
@@ -37,10 +38,6 @@ enum class Solver {
 };
 
 enum class Order { kCorenessDegree, kPeeling };
-
-/// Lazy-graph neighborhood representation (lazymc solver only); mirrors
-/// lazymc::NeighborhoodRep.
-enum class Rep { kAuto, kHash, kSorted, kBitset, kHybrid };
 
 /// Subproblem-splitting mode (lazymc solver only); mirrors mc::SplitMode.
 enum class Split { kAuto, kOn, kOff };
@@ -58,11 +55,9 @@ struct Options {
   std::string manifest_path;
   Solver solver = Solver::kLazyMc;
   Order order = Order::kCorenessDegree;
-  Rep rep = Rep::kAuto;
-  std::size_t bitset_budget_mb = 64;  // 0 disables bitset/hybrid rows
-  /// Hybrid-row container thresholds (--rep hybrid only).
-  std::size_t hybrid_array_max = 4096;
-  double hybrid_run_min_saving = 2.0;
+  /// Lazy-graph neighborhood representation (lazymc solver only).
+  NeighborhoodRep rep = NeighborhoodRep::kAuto;
+  std::size_t bitset_budget_mb = 64;  // 0 disables bitset rows
   bool pre_extraction_density = false;
   Split split = Split::kAuto;
   std::size_t split_depth = 2;       // 0 disables splitting

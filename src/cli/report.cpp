@@ -82,9 +82,7 @@ void render_text(const RunReport& r, std::ostream& out) {
       << " hash=" << s.kernel_hash
       << " hash-batched=" << s.kernel_hash_batched
       << " bitset-probe=" << s.kernel_bitset_probe
-      << " bitset-word=" << s.kernel_bitset_word
-      << " array-gallop=" << s.kernel_array_gallop
-      << " run-and=" << s.kernel_run_and << "\n";
+      << " bitset-word=" << s.kernel_bitset_word << "\n";
   out << "          simd-tier=" << s.simd_tier
       << " word-scalar=" << s.kernel_word_scalar
       << " word-avx2=" << s.kernel_word_avx2
@@ -97,13 +95,6 @@ void render_text(const RunReport& r, std::ostream& out) {
       << " bitset-bytes=" << g.bitset_bytes << " zone=" << g.zone_size
       << "\n           neighbors-kept=" << g.neighbors_kept
       << " neighbors-filtered=" << g.neighbors_filtered << "\n";
-  if (g.hybrid_rows_array + g.hybrid_rows_bitset + g.hybrid_rows_run > 0) {
-    out << "hybrid:   rows array=" << g.hybrid_rows_array
-        << " bitset=" << g.hybrid_rows_bitset << " run=" << g.hybrid_rows_run
-        << "\n          bytes array=" << g.hybrid_array_bytes
-        << " bitset=" << g.hybrid_bitset_bytes
-        << " run=" << g.hybrid_run_bytes << "\n";
-  }
 }
 
 void render_json(const RunReport& r, std::ostream& out) {
@@ -186,14 +177,6 @@ void render_json(const RunReport& r, std::ostream& out) {
     w.field("zone_size", g.zone_size);
     w.field("neighbors_kept", g.neighbors_kept);
     w.field("neighbors_filtered", g.neighbors_filtered);
-    w.open("hybrid_rows");
-    w.field("array", g.hybrid_rows_array);
-    w.field("bitset", g.hybrid_rows_bitset);
-    w.field("run", g.hybrid_rows_run);
-    w.field("array_bytes", g.hybrid_array_bytes);
-    w.field("bitset_bytes", g.hybrid_bitset_bytes);
-    w.field("run_bytes", g.hybrid_run_bytes);
-    w.close();
     w.close();
     // Graceful-degradation counters (failure model): recovered
     // allocation failures, by fallback path.

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "lazygraph/neighborhood_rep.hpp"
 #include "support/json.hpp"
 #include "support/jsonmini.hpp"
 
@@ -41,12 +42,10 @@ Request parse_request(const std::string& line) {
   json_get_string(line, "graph", request.graph);
   json_get_string(line, "id", request.id);
   if (json_get_string(line, "rep", request.rep) && !request.rep.empty() &&
-      request.rep != "auto" && request.rep != "hash" &&
-      request.rep != "sorted" && request.rep != "bitset" &&
-      request.rep != "hybrid") {
+      !parse_neighborhood_rep(request.rep)) {
     throw Error(ErrorKind::kInput,
-                "unknown rep '" + request.rep +
-                    "' (expected auto|hash|sorted|bitset|hybrid)");
+                "unknown rep '" + request.rep + "' (expected " +
+                    std::string(kNeighborhoodRepNames) + ")");
   }
   double limit = 0;
   if (json_get_number(line, "time_limit", limit)) {

@@ -6,7 +6,7 @@
 // request_id/status fields).  Verbs:
 //
 //   {"verb":"load","graph":"<spec>",
-//    "rep":"auto|hash|sorted|bitset|hybrid"}     load/cache a graph
+//    "rep":"auto|hash|sorted|bitset"}            load/cache a graph
 //   {"verb":"solve","graph":"<spec>","rep":...,
 //    "time_limit":S,"id":"<client id>"}          solve (budget and rep
 //                                                optional)

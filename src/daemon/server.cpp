@@ -147,13 +147,6 @@ struct Daemon {
   std::atomic<bool> stop_requested{false};
   std::atomic<bool> closing_connections{false};
 
-  /// Cumulative hybrid-row build totals across completed solves (status
-  /// verb reporting; relaxed — monitoring, not coordination).
-  std::atomic<std::uint64_t> hybrid_rows_array{0};
-  std::atomic<std::uint64_t> hybrid_rows_bitset{0};
-  std::atomic<std::uint64_t> hybrid_rows_run{0};
-  std::atomic<std::uint64_t> hybrid_row_bytes{0};
-
   /// One ticket -> one response line (the broker's SolveFn).
   std::string solve_ticket(RequestTicket& ticket) {
     const std::shared_ptr<const cli::LoadedGraph> loaded =
@@ -188,15 +181,8 @@ struct Daemon {
     mc_config.control = &ticket.control();
     // Per-request representation choice (validated at parse time; empty
     // keeps the config default, auto).
-    const std::string& rep = ticket.rep();
-    if (rep == "hash") {
-      mc_config.neighborhood_rep = NeighborhoodRep::kHash;
-    } else if (rep == "sorted") {
-      mc_config.neighborhood_rep = NeighborhoodRep::kSorted;
-    } else if (rep == "bitset") {
-      mc_config.neighborhood_rep = NeighborhoodRep::kBitset;
-    } else if (rep == "hybrid") {
-      mc_config.neighborhood_rep = NeighborhoodRep::kHybrid;
+    if (const auto rep = parse_neighborhood_rep(ticket.rep())) {
+      mc_config.neighborhood_rep = *rep;
     }
 
     WallTimer timer;
@@ -231,16 +217,6 @@ struct Daemon {
                   "result verification failed for request " +
                       report.request_id + " on " + report.graph);
     }
-
-    const LazyGraph::Stats& lg = report.lazymc.lazy_graph;
-    hybrid_rows_array.fetch_add(lg.hybrid_rows_array,
-                                std::memory_order_relaxed);
-    hybrid_rows_bitset.fetch_add(lg.hybrid_rows_bitset,
-                                 std::memory_order_relaxed);
-    hybrid_rows_run.fetch_add(lg.hybrid_rows_run, std::memory_order_relaxed);
-    hybrid_row_bytes.fetch_add(lg.hybrid_array_bytes + lg.hybrid_bitset_bytes +
-                                   lg.hybrid_run_bytes,
-                               std::memory_order_relaxed);
 
     {
       MutexLock lock(journal_mutex);
@@ -292,12 +268,6 @@ struct Daemon {
     w.open("watchdog");
     w.field("cancels", watchdog->cancels());
     w.field("stalls", watchdog->stalls());
-    w.close();
-    w.open("hybrid_rows");
-    w.field("array", hybrid_rows_array.load(std::memory_order_relaxed));
-    w.field("bitset", hybrid_rows_bitset.load(std::memory_order_relaxed));
-    w.field("run", hybrid_rows_run.load(std::memory_order_relaxed));
-    w.field("bytes", hybrid_row_bytes.load(std::memory_order_relaxed));
     w.close();
     w.field("recovered_stale", recovered_stale);
     w.field("journal_recovered", journal_recovered);

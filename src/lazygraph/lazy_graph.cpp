@@ -18,7 +18,6 @@ bool NeighborhoodView::contains(VertexId v) const {
     return std::binary_search(sorted_.begin(), sorted_.end(), v);
   }
   if (row_.valid()) return row_.contains(v);
-  if (hybrid_.valid()) return hybrid_.contains(v);
   return false;
 }
 
@@ -90,35 +89,22 @@ void LazyGraph::build_sorted(VertexId v) {
   flags_[v].fetch_or(kSortedBuilt, std::memory_order_release);
 }
 
-std::uint64_t* LazyGraph::carve(std::size_t stride_words) {
+std::uint64_t* LazyGraph::carve_row() {
+  const std::size_t stride = row_stride_words_;
   SpinLockGuard guard(arena_lock_);
-  if (slab_words_left_ < stride_words) {
+  if (slab_words_left_ < stride) {
     LAZYMC_FAULT_BAD_ALLOC("slab.alloc");
-    // Variable container strides (hybrid mode) can leave a tail too small
-    // for this carve.  The tail is unreachable memory, so account it as
-    // waste and charge it to the budget — total arena allocation stays
-    // within the cap, and carved + waste + remainder always explains the
-    // allocated total (the checked-mode invariant below).
-    if (slab_words_left_ > 0) {
-      arena_waste_words_.fetch_add(slab_words_left_,
-                                   std::memory_order_relaxed);
-      bitset_budget_words_.fetch_sub(
-          static_cast<std::int64_t>(slab_words_left_),
-          std::memory_order_relaxed);
-      slab_words_left_ = 0;
-    }
-    // The caller already reserved this carve from the budget, so
+    // The caller already reserved this row from the budget, so
     // `remaining` counts the *other* rows that can still be admitted;
-    // sizing the slab to them (plus this carve) keeps total arena
+    // sizing the slab to them (plus this row) keeps total arena
     // allocation within the budget instead of overshooting by up to a
-    // slab.
+    // slab.  Slabs hold whole rows, so a slab is always used up exactly.
     const std::int64_t remaining =
         bitset_budget_words_.load(std::memory_order_relaxed);
-    std::size_t words = stride_words;
+    std::size_t words = stride;
     if (remaining > 0) {
-      words += std::min(slab_words_ - stride_words,
-                        static_cast<std::size_t>(remaining) / stride_words *
-                            stride_words);
+      words += std::min(slab_words_ - stride,
+                        static_cast<std::size_t>(remaining) / stride * stride);
     }
     // AlignedWords puts the slab base on a 64-byte boundary; carving at
     // multiples of 8 words keeps every row on one too.
@@ -128,15 +114,14 @@ std::uint64_t* LazyGraph::carve(std::size_t stride_words) {
     slab_words_left_ = words;
   }
   std::uint64_t* row = slab_cursor_;
-  slab_cursor_ += stride_words;
-  slab_words_left_ -= stride_words;
-  arena_carved_words_.fetch_add(stride_words, std::memory_order_relaxed);
+  slab_cursor_ += stride;
+  slab_words_left_ -= stride;
+  arena_carved_words_.fetch_add(stride, std::memory_order_relaxed);
   LAZYMC_ASSERT(arena_total_words_.load(std::memory_order_relaxed) ==
                     arena_carved_words_.load(std::memory_order_relaxed) +
-                        arena_waste_words_.load(std::memory_order_relaxed) +
                         slab_words_left_,
-                "slab arena accounting drifted: allocated != carved + waste "
-                "+ remainder");
+                "slab arena accounting drifted: allocated != carved + "
+                "remainder");
   return row;
 }
 
@@ -198,160 +183,8 @@ void LazyGraph::build_bitset(VertexId v) {
   flags_[v].fetch_or(kBitsetBuilt, std::memory_order_release);
 }
 
-namespace {
-// Payload of every empty hybrid row: valid pointer, zero units, no arena
-// charge.  Read-only after static initialization.
-std::uint64_t empty_hybrid_payload[1] = {0};
-}  // namespace
-
-void LazyGraph::build_hybrid(VertexId v) {
-  SpinLockGuard guard(locks_[v]);
-  if (flags_[v].load(std::memory_order_relaxed) & kBitsetBuilt) return;
-  if (bitset_exhausted_.load(std::memory_order_relaxed)) return;
-  const VertexId zi = v - zone_begin_;
-
-  // Phase 1 (may allocate, nothing reserved yet): the filtered
-  // neighborhood as sorted in-zone offsets, plus the run decomposition.
-  // An allocation failure here degrades this one vertex to hash/sorted.
-  std::vector<std::uint32_t> offs;
-  std::vector<std::uint32_t> run_payload;
-  std::uint32_t runs = 0;
-  try {
-    LAZYMC_FAULT_BAD_ALLOC("bitset.row");
-    std::vector<VertexId> nbrs = filtered_neighbors(v);
-    offs.reserve(nbrs.size());
-    for (VertexId u : nbrs) {
-      if (u < zone_begin_) continue;
-      const VertexId off = u - zone_begin_;
-      LAZYMC_ASSERT(off < zone_bits_,
-                    "hybrid row bit outside the zone of interest");
-      offs.push_back(static_cast<std::uint32_t>(off));
-    }
-    std::sort(offs.begin(), offs.end());
-    for (std::size_t i = 0; i < offs.size(); ++i) {
-      if (i == 0 || offs[i] != offs[i - 1] + 1) ++runs;
-    }
-    run_payload.reserve(2 * static_cast<std::size_t>(runs));
-    for (std::size_t i = 0; i < offs.size(); ++i) {
-      if (i == 0 || offs[i] != offs[i - 1] + 1) {
-        run_payload.push_back(offs[i]);  // start
-        run_payload.push_back(1);        // length
-      } else {
-        ++run_payload.back();
-      }
-    }
-  } catch (const std::bad_alloc&) {
-    stat_bitset_degraded_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  const std::uint32_t count = static_cast<std::uint32_t>(offs.size());
-
-  // Container selection by per-row byte cost, at the carve granularity
-  // (whole 64-byte cache lines — the budget charges the stride):
-  //   array  — count u32 offsets, eligible when count <= array_max and it
-  //            actually undercuts the packed words;
-  //   run    — `runs` (start, len) pairs, chosen only when at least
-  //            run_min_saving x smaller than the best dense alternative
-  //            (cursor overhead is not worth a marginal saving);
-  //   bitset — row_words_ packed words, the dense default.
-  RowContainer kind = RowContainer::kBitset;
-  std::size_t stride = row_stride_words_;
-  std::uint32_t units = static_cast<std::uint32_t>(row_words_);
-  if (count == 0) {
-    kind = RowContainer::kArray;
-    stride = 0;
-    units = 0;
-  } else {
-    const std::size_t stride_array =
-        ((static_cast<std::size_t>(count) + 1) / 2 + 7) & ~std::size_t{7};
-    if (count <= hybrid_array_max_ && stride_array < stride) {
-      kind = RowContainer::kArray;
-      stride = stride_array;
-      units = count;
-    }
-    const std::size_t stride_run =
-        (static_cast<std::size_t>(runs) + 7) & ~std::size_t{7};
-    if (static_cast<double>(stride_run) * hybrid_run_min_saving_ <=
-        static_cast<double>(stride)) {
-      kind = RowContainer::kRun;
-      stride = stride_run;
-      units = runs;
-    }
-  }
-
-  std::uint64_t* row = empty_hybrid_payload;
-  if (stride > 0) {
-    // Reserve this container's words (at the carve stride) from the
-    // global budget before committing.
-    const std::int64_t words = static_cast<std::int64_t>(stride);
-    if (bitset_budget_words_.fetch_sub(words, std::memory_order_relaxed) <
-        words) {
-      bitset_budget_words_.fetch_add(words, std::memory_order_relaxed);
-      bitset_exhausted_.store(true, std::memory_order_relaxed);
-      return;
-    }
-    try {
-      row = carve(stride);
-    } catch (const std::bad_alloc&) {
-      // Same refund contract as build_bitset: the reserved words go back
-      // (stride included — the budget charged the stride, so the refund
-      // returns the stride), this vertex degrades, later rows still get
-      // their chance.
-      bitset_budget_words_.fetch_add(words, std::memory_order_relaxed);
-      stat_bitset_degraded_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    LAZYMC_ASSERT(reinterpret_cast<std::uintptr_t>(row) % 64 == 0,
-                  "hybrid row is not 64-byte aligned");
-    // Phase 2 (no-throw): fill the carved payload.  Slab words are
-    // value-initialized, so padding past the payload stays zero.
-    switch (kind) {
-      case RowContainer::kArray:
-        std::memcpy(row, offs.data(), static_cast<std::size_t>(count) * 4);
-        break;
-      case RowContainer::kRun:
-        std::memcpy(row, run_payload.data(), run_payload.size() * 4);
-        break;
-      case RowContainer::kBitset:
-        std::fill(row, row + row_words_, 0);
-        for (std::uint32_t off : offs) {
-          row[off >> 6] |= 1ULL << (off & 63);
-        }
-        break;
-    }
-  }
-  LAZYMC_ASSERT_EXPENSIVE(
-      ([&] {
-        const HybridRow hr{row,   zone_begin_, zone_bits_,
-                           count, units,       kind};
-        for (std::uint32_t off : offs) {
-          if (!hr.contains(zone_begin_ + off)) return false;
-        }
-        std::size_t total = 0;
-        hybrid_detail::for_each_word(hr, [&](std::uint32_t,
-                                             std::uint64_t bits) {
-          total += static_cast<std::size_t>(std::popcount(bits));
-          return true;
-        });
-        return total == count;
-      }()),
-      "hybrid row container does not reproduce the offsets written");
-  row_ptr_[zi] = row;
-  row_count_[zi] = count;
-  row_units_[zi] = units;
-  row_kind_[zi] = static_cast<std::uint8_t>(kind);
-  stat_bitset_built_.fetch_add(1, std::memory_order_relaxed);
-  stat_bitset_words_.fetch_add(stride, std::memory_order_relaxed);
-  stat_hybrid_rows_[static_cast<std::size_t>(kind)].fetch_add(
-      1, std::memory_order_relaxed);
-  stat_hybrid_words_[static_cast<std::size_t>(kind)].fetch_add(
-      stride, std::memory_order_relaxed);
-  // The release publishes the row pointer, payload, and container
-  // metadata to readers that load the flag with acquire (hybrid_view).
-  flags_[v].fetch_or(kBitsetBuilt, std::memory_order_release);
-}
-
-bool LazyGraph::init_zone(std::size_t budget_bytes) {
+void LazyGraph::enable_bitset_rows(std::size_t budget_bytes) {
+  if (bitset_enabled_) return;
   const VertexId bound = filter_bound();
   // Relabelled ids are sorted by ascending coreness (both supported
   // orders), so the zone of interest is the suffix starting at the first
@@ -359,7 +192,7 @@ bool LazyGraph::init_zone(std::size_t budget_bytes) {
   const VertexId zb = static_cast<VertexId>(
       std::lower_bound(coreness_new_.begin(), coreness_new_.end(), bound) -
       coreness_new_.begin());
-  if (zb >= n_) return false;  // empty zone: nothing left to search anyway
+  if (zb >= n_) return;  // empty zone: nothing left to search anyway
   const VertexId zone_bits = n_ - zb;
   // The per-vertex bookkeeping (row pointer + popcount array) is O(zone)
   // and allocated up front, so it counts against the budget too —
@@ -367,7 +200,7 @@ bool LazyGraph::init_zone(std::size_t budget_bytes) {
   const std::size_t overhead =
       static_cast<std::size_t>(zone_bits) *
       (sizeof(std::uint64_t*) + sizeof(std::uint32_t));
-  if (budget_bytes <= overhead) return false;  // zone too large for budget
+  if (budget_bytes <= overhead) return;  // zone too large for budget
   zone_begin_ = zb;
   zone_bits_ = zone_bits;
   row_words_ = (static_cast<std::size_t>(zone_bits_) + 63) / 64;
@@ -397,38 +230,14 @@ bool LazyGraph::init_zone(std::size_t budget_bytes) {
   }
   arena_total_words_.store(0, std::memory_order_relaxed);
   arena_carved_words_.store(0, std::memory_order_relaxed);
-  arena_waste_words_.store(0, std::memory_order_relaxed);
   bitset_budget_words_.store(static_cast<std::int64_t>(budget_words),
                              std::memory_order_relaxed);
   bitset_exhausted_.store(false, std::memory_order_relaxed);
-  return true;
-}
-
-void LazyGraph::enable_bitset_rows(std::size_t budget_bytes) {
-  if (bitset_enabled_ || hybrid_enabled_) return;
-  if (!init_zone(budget_bytes)) return;
   bitset_enabled_ = true;
 }
 
-void LazyGraph::enable_hybrid_rows(std::size_t budget_bytes,
-                                   std::uint32_t array_max,
-                                   double run_min_saving) {
-  if (bitset_enabled_ || hybrid_enabled_) return;
-  // The container metadata is 5 extra bytes per zone vertex on top of the
-  // pointer + popcount bookkeeping init_zone charges.
-  if (!init_zone(budget_bytes)) return;
-  hybrid_array_max_ = array_max;
-  // < 1 would let a *larger* run container beat the alternatives; clamp
-  // so run selection is always a genuine saving.
-  hybrid_run_min_saving_ = std::max(1.0, run_min_saving);
-  row_units_.assign(zone_bits_, 0);
-  row_kind_.assign(zone_bits_,
-                   static_cast<std::uint8_t>(RowContainer::kBitset));
-  hybrid_enabled_ = true;
-}
-
 bool LazyGraph::adopt_prebuilt_rows(const PrebuiltRows& rows, bool hybrid) {
-  if (bitset_enabled_ || hybrid_enabled_) return false;
+  if (hybrid || bitset_enabled_) return false;
   if (!rows.valid()) return false;
   // The zone must be exactly the suffix [zone_begin, n) of relabelled
   // ids — the store and this graph must agree on the vertex order for
@@ -465,12 +274,6 @@ bool LazyGraph::adopt_prebuilt_rows(const PrebuiltRows& rows, bool hybrid) {
     row_ptr_[i] = const_cast<std::uint64_t*>(
         rows.words + static_cast<std::size_t>(i) * rows.stride_words);
   }
-  if (hybrid) {
-    // Every adopted row is a packed bitset container over the full zone.
-    row_units_.assign(zone_bits_, static_cast<std::uint32_t>(row_words_));
-    row_kind_.assign(zone_bits_,
-                     static_cast<std::uint8_t>(RowContainer::kBitset));
-  }
   // No budget: nothing will ever be carved (every zone row already
   // exists), and out-of-zone vertices never get rows by construction.
   bitset_budget_words_.store(0, std::memory_order_relaxed);
@@ -478,14 +281,10 @@ bool LazyGraph::adopt_prebuilt_rows(const PrebuiltRows& rows, bool hybrid) {
   rows_prebuilt_ = zone_bits_;
   for (VertexId v = zone_begin_; v < n_; ++v) {
     // The release publishes the pointers and metadata written above to
-    // readers that load the flag with acquire (row_view / hybrid_view).
+    // readers that load the flag with acquire (row_view).
     flags_[v].fetch_or(kBitsetBuilt, std::memory_order_release);
   }
-  if (hybrid) {
-    hybrid_enabled_ = true;
-  } else {
-    bitset_enabled_ = true;
-  }
+  bitset_enabled_ = true;
   return true;
 }
 
@@ -519,38 +318,16 @@ BitsetRow LazyGraph::bitset_row(VertexId v) {
   return row_view(v);
 }
 
-HybridRow LazyGraph::hybrid_row(VertexId v) {
-  if (!hybrid_enabled_ || v < zone_begin_) return {};
-  if (!(flags_[v].load(std::memory_order_acquire) & kBitsetBuilt)) {
-    build_hybrid(v);
-    if (!(flags_[v].load(std::memory_order_acquire) & kBitsetBuilt)) {
-      return {};  // budget exhausted or degraded
-    }
-  }
-  return hybrid_view(v);
-}
-
 NeighborhoodView LazyGraph::membership(VertexId v) {
   std::uint8_t f = flags_[v].load(std::memory_order_acquire);
   BitsetRow row{};
-  HybridRow hyb{};
-  if (f & kBitsetBuilt) {
-    // kBitsetBuilt means "zone row built"; which view it decodes to
-    // depends on the mode the zone was enabled in.
-    if (hybrid_enabled_) {
-      hyb = hybrid_view(v);
-    } else {
-      row = row_view(v);
-    }
-  }
-  if (f & kHashBuilt) return NeighborhoodView(&hash_[v], {}, row, hyb);
+  if (f & kBitsetBuilt) row = row_view(v);
+  if (f & kHashBuilt) return NeighborhoodView(&hash_[v], {}, row);
   if (f & kSortedBuilt) {
     return NeighborhoodView(nullptr, {sorted_[v].data(), sorted_[v].size()},
-                            row, hyb);
+                            row);
   }
-  if (row.valid() || hyb.valid()) {
-    return NeighborhoodView(nullptr, {}, row, hyb);
-  }
+  if (row.valid()) return NeighborhoodView(nullptr, {}, row);
 
   // Nothing exists yet: build by preference.
   if (rep_ == NeighborhoodRep::kHash) {
@@ -564,23 +341,13 @@ NeighborhoodView LazyGraph::membership(VertexId v) {
     if (r.valid()) return NeighborhoodView(nullptr, {}, r);
     // Out of zone or budget: fall through to the auto rule.
   }
-  if (rep_ == NeighborhoodRep::kHybrid) {
-    HybridRow r = hybrid_row(v);
-    if (r.valid()) return NeighborhoodView(nullptr, {}, {}, r);
-    // Out of zone or budget: fall through to the auto rule.
-  }
-  // Auto rule (paper: hash when degree > 16), upgraded to a zone row
+  // Auto rule (paper: hash when degree > 16), upgraded to a bitset row
   // when one is available and no more expensive to build than the set.
   const VertexId deg = original_degree(v);
   if (deg > kHashDegreeThreshold) {
     if (auto_wants_bitset(v, deg)) {
-      if (hybrid_enabled_) {
-        HybridRow r = hybrid_row(v);
-        if (r.valid()) return NeighborhoodView(nullptr, {}, {}, r);
-      } else {
-        BitsetRow r = bitset_row(v);
-        if (r.valid()) return NeighborhoodView(nullptr, {}, r);
-      }
+      BitsetRow r = bitset_row(v);
+      if (r.valid()) return NeighborhoodView(nullptr, {}, r);
     }
     return NeighborhoodView(&hashed_neighborhood(v), {});
   }
@@ -603,13 +370,9 @@ void LazyGraph::prepopulate(Prepopulate policy, VertexId must_threshold) {
       case NeighborhoodRep::kBitset:
         if (bitset_row(v).valid()) return;
         break;
-      case NeighborhoodRep::kHybrid:
-        if (hybrid_row(v).valid()) return;
-        break;
       case NeighborhoodRep::kAuto:
         if (auto_wants_bitset(v, original_degree(v)) &&
-            (hybrid_enabled_ ? hybrid_row(v).valid()
-                             : bitset_row(v).valid())) {
+            bitset_row(v).valid()) {
           return;
         }
         break;
@@ -621,9 +384,6 @@ void LazyGraph::prepopulate(Prepopulate policy, VertexId must_threshold) {
 }
 
 LazyGraph::Stats LazyGraph::stats() const {
-  constexpr auto kA = static_cast<std::size_t>(RowContainer::kArray);
-  constexpr auto kB = static_cast<std::size_t>(RowContainer::kBitset);
-  constexpr auto kR = static_cast<std::size_t>(RowContainer::kRun);
   Stats s;
   s.hash_built = stat_hash_built_.load(std::memory_order_relaxed);
   s.sorted_built = stat_sorted_built_.load(std::memory_order_relaxed);
@@ -631,28 +391,9 @@ LazyGraph::Stats LazyGraph::stats() const {
   s.bitset_degraded = stat_bitset_degraded_.load(std::memory_order_relaxed);
   s.rows_prebuilt = rows_prebuilt_;
   s.bitset_bytes = stat_bitset_words_.load(std::memory_order_relaxed) * 8;
-  s.zone_size = (bitset_enabled_ || hybrid_enabled_)
-                    ? static_cast<std::size_t>(zone_bits_)
-                    : 0;
+  s.zone_size = bitset_enabled_ ? static_cast<std::size_t>(zone_bits_) : 0;
   s.neighbors_kept = stat_kept_.load(std::memory_order_relaxed);
   s.neighbors_filtered = stat_filtered_.load(std::memory_order_relaxed);
-  s.hybrid_rows_array = stat_hybrid_rows_[kA].load(std::memory_order_relaxed);
-  s.hybrid_rows_bitset = stat_hybrid_rows_[kB].load(std::memory_order_relaxed);
-  s.hybrid_rows_run = stat_hybrid_rows_[kR].load(std::memory_order_relaxed);
-  s.hybrid_array_bytes =
-      stat_hybrid_words_[kA].load(std::memory_order_relaxed) * 8;
-  s.hybrid_bitset_bytes =
-      stat_hybrid_words_[kB].load(std::memory_order_relaxed) * 8;
-  s.hybrid_run_bytes =
-      stat_hybrid_words_[kR].load(std::memory_order_relaxed) * 8;
-  // The committed row bytes are exactly the per-class sum in hybrid mode
-  // (quiescent check: callers read stats after the search completes).
-  LAZYMC_ASSERT(!hybrid_enabled_ ||
-                    s.bitset_bytes == s.hybrid_array_bytes +
-                                          s.hybrid_bitset_bytes +
-                                          s.hybrid_run_bytes,
-                "hybrid per-class byte accounting drifted from the "
-                "committed row total");
   return s;
 }
 

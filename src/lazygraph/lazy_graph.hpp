@@ -43,8 +43,8 @@
 #include "graph/graph.hpp"
 #include "hashset/hopscotch_set.hpp"
 #include "intersect/bitset_row.hpp"
-#include "intersect/hybrid_row.hpp"
 #include "kcore/order.hpp"
+#include "lazygraph/neighborhood_rep.hpp"
 #include "support/check.hpp"
 #include "support/spinlock.hpp"
 #include "support/thread_annotations.hpp"
@@ -58,15 +58,6 @@ enum class Prepopulate {
   kAll,           // eager: prebuild every vertex's hash set
 };
 
-/// Which representation `membership()` builds when a vertex has none yet.
-enum class NeighborhoodRep {
-  kAuto,    // degree rule; prefer a bitset row when it is cheap (default)
-  kHash,    // always a hopscotch set
-  kSorted,  // always a sorted array
-  kBitset,  // a bitset row whenever possible (zone + budget permitting)
-  kHybrid,  // a hybrid row (array/bitset/run container per density)
-};
-
 /// A membership view over whichever representations a vertex has.
 /// Satisfies the MembershipSet concept used by the intersection kernels;
 /// the adaptive dispatcher (mc::IntersectPolicy) inspects the individual
@@ -74,15 +65,14 @@ enum class NeighborhoodRep {
 class NeighborhoodView {
  public:
   NeighborhoodView(const HopscotchSet* hash, std::span<const VertexId> sorted,
-                   BitsetRow row = {}, HybridRow hybrid = {})
-      : hash_(hash), sorted_(sorted), row_(row), hybrid_(hybrid) {}
+                   BitsetRow row = {})
+      : hash_(hash), sorted_(sorted), row_(row) {}
 
   bool contains(VertexId v) const;
   std::size_t size() const {
     if (hash_) return hash_->size();
     if (!sorted_.empty()) return sorted_.size();
     if (row_.valid()) return row_.size();
-    if (hybrid_.valid()) return hybrid_.size();
     return 0;
   }
   bool is_hashed() const { return hash_ != nullptr; }
@@ -90,14 +80,11 @@ class NeighborhoodView {
   std::span<const VertexId> sorted() const { return sorted_; }
   bool has_bitset() const { return row_.valid(); }
   const BitsetRow& bitset() const { return row_; }
-  bool has_hybrid() const { return hybrid_.valid(); }
-  const HybridRow& hybrid() const { return hybrid_; }
 
  private:
   const HopscotchSet* hash_;  // preferred when present
   std::span<const VertexId> sorted_;
   BitsetRow row_;
-  HybridRow hybrid_;
 };
 
 class LazyGraph {
@@ -180,22 +167,6 @@ class LazyGraph {
   /// the zone, or the memory budget is exhausted.
   BitsetRow bitset_row(VertexId v);
 
-  // ---- hybrid rows (Roaring-style per-row containers) --------------------
-
-  /// Like enable_bitset_rows, but each row is stored as the cheapest of
-  /// three containers for its density: a sorted u32 offset array (in-zone
-  /// degree <= `array_max` and smaller than the packed words), run-length
-  /// spans (at least `run_min_saving` x smaller than the best dense
-  /// alternative), or the packed bitset words.  Containers are carved
-  /// from the same slab arena with per-container byte accounting, so a
-  /// budget that starves an all-bitset zone can still keep most rows on
-  /// the word kernels.  Mutually exclusive with enable_bitset_rows; call
-  /// once, before concurrent use.
-  void enable_hybrid_rows(std::size_t budget_bytes, std::uint32_t array_max,
-                          double run_min_saving);
-
-  bool hybrid_enabled() const { return hybrid_enabled_; }
-
   // ---- prebuilt rows (binary graph store) --------------------------------
 
   /// Adopts a block of prebuilt zone rows (the binary graph store's
@@ -203,10 +174,6 @@ class LazyGraph {
   /// every in-zone vertex is immediately marked built, pointing straight
   /// at the caller's storage — zero copies, zero arena carves, and
   /// stats().bitset_built stays 0 for adopted rows.
-  ///
-  /// `hybrid` selects which view the rows decode to (each prebuilt row is
-  /// a packed bitset, which is also a valid kBitset hybrid container), so
-  /// both --rep bitset and --rep hybrid solves can consume the same store.
   ///
   /// Returns false — leaving the graph untouched, lazy building still
   /// available — when rows are already enabled, `rows` is malformed for
@@ -217,13 +184,13 @@ class LazyGraph {
   /// row, which is NOT covered by the heterogeneous-incumbent invariant).
   ///
   /// Lifetime: the caller keeps the backing storage alive for this
-  /// graph's lifetime.  Call before concurrent use, like the enable_*
-  /// methods.
+  /// graph's lifetime.  Call before concurrent use, like
+  /// enable_bitset_rows.
+  ///
+  /// The second parameter is kept only because lmcbench/main.cpp passes
+  /// it: `false` adopts as described; `true` (the removed hybrid-row
+  /// view) returns false and leaves the graph untouched.
   bool adopt_prebuilt_rows(const PrebuiltRows& rows, bool hybrid);
-
-  /// The hybrid row of v; builds on first use.  Invalid when hybrid rows
-  /// are disabled, v lies outside the zone, or the budget is exhausted.
-  HybridRow hybrid_row(VertexId v);
 
   /// Representation `membership()` builds when a vertex has none.
   void set_preferred_rep(NeighborhoodRep rep) { rep_ = rep; }
@@ -245,19 +212,16 @@ class LazyGraph {
                                       // and fell back to hash/sorted
     std::size_t rows_prebuilt = 0;    // zone rows adopted from a binary
                                       // store (never built, never carved)
-    std::size_t bitset_bytes = 0;  // row storage actually committed (all
-                                   // containers; the arena's carved total)
+    std::size_t bitset_bytes = 0;  // row storage actually committed (the
+                                   // arena's carved total)
     std::size_t zone_size = 0;     // bits per row (0 = rows disabled)
     std::size_t neighbors_kept = 0;
     std::size_t neighbors_filtered = 0;
-    // Hybrid rows: how many rows each container class won, and the carved
-    // bytes per class (all zero unless enable_hybrid_rows was called).
+    // Always 0: kept only because lmcbench/main.cpp reads them, from
+    // when zone rows could also be stored as hybrid containers.
     std::size_t hybrid_rows_array = 0;
     std::size_t hybrid_rows_bitset = 0;
     std::size_t hybrid_rows_run = 0;
-    std::size_t hybrid_array_bytes = 0;
-    std::size_t hybrid_bitset_bytes = 0;
-    std::size_t hybrid_run_bytes = 0;
   };
   Stats stats() const;
 
@@ -274,20 +238,13 @@ class LazyGraph {
   /// Attempts to build v's bitset row (budget permitting); the kBitsetBuilt
   /// flag reports success.
   void build_bitset(VertexId v);
-  /// Attempts to build v's hybrid row (container chosen by density);
-  /// kBitsetBuilt doubles as the "zone row built" flag in hybrid mode.
-  void build_hybrid(VertexId v);
-  /// Shared zone fixing + arena setup for enable_{bitset,hybrid}_rows.
-  /// Returns false when the zone is empty or the bookkeeping alone would
-  /// bust the budget.
-  bool init_zone(std::size_t budget_bytes);
 
-  /// Whether the auto rule prefers a zone row (bitset or hybrid) for v:
-  /// enabled, in zone, budget not exhausted, and the worst-case row build
-  /// cost (zone_words memset) is within a small factor of the hash-set
-  /// build cost (degree inserts).
+  /// Whether the auto rule prefers a bitset row for v: enabled, in zone,
+  /// budget not exhausted, and the worst-case row build cost (zone_words
+  /// memset) is within a small factor of the hash-set build cost (degree
+  /// inserts).
   bool auto_wants_bitset(VertexId v, VertexId degree) const {
-    return (bitset_enabled_ || hybrid_enabled_) && v >= zone_begin_ &&
+    return bitset_enabled_ && v >= zone_begin_ &&
            !bitset_exhausted_.load(std::memory_order_relaxed) &&
            row_words_ <= std::max<std::size_t>(64, 4 * std::size_t{degree});
   }
@@ -300,24 +257,12 @@ class LazyGraph {
     return BitsetRow{row_ptr_[i], zone_begin_, zone_bits_, row_count_[i]};
   }
 
-  HybridRow hybrid_view(VertexId v) const {
-    LAZYMC_ASSERT(v >= zone_begin_ && v - zone_begin_ < zone_bits_,
-                  "hybrid row requested for a vertex outside the zone of "
-                  "interest");
-    const VertexId i = v - zone_begin_;
-    return HybridRow{row_ptr_[i],    zone_begin_,   zone_bits_,
-                     row_count_[i],  row_units_[i],
-                     static_cast<RowContainer>(row_kind_[i])};
-  }
-
-  /// Reserves `stride_words` (a multiple of 8, so every carve starts on a
-  /// cache line) from the shared arena: pointer bump under a spinlock, a
-  /// new slab when the current one cannot fit the request.  Caller fills
+  /// Reserves one row (row_stride_words_, a multiple of 8, so every row
+  /// starts on a cache line) from the shared arena: pointer bump under a
+  /// spinlock, a new slab when the current one is used up.  Caller fills
   /// outside the lock.  Only called after the global word budget admitted
-  /// the carve; an abandoned slab tail is charged to the budget as waste
-  /// so total arena allocation stays within the cap.
-  std::uint64_t* carve(std::size_t stride_words);
-  std::uint64_t* carve_row() { return carve(row_stride_words_); }
+  /// the row.
+  std::uint64_t* carve_row();
 
   const Graph* base_;
   const kcore::VertexOrder* order_;
@@ -334,13 +279,9 @@ class LazyGraph {
   // bitset rows (zone-indexed: entry i is relabelled vertex zone_begin_+i)
   NeighborhoodRep rep_ = NeighborhoodRep::kAuto;
   bool bitset_enabled_ = false;
-  bool hybrid_enabled_ = false;
   VertexId zone_begin_ = 0;
   VertexId zone_bits_ = 0;
   std::size_t row_words_ = 0;
-  // Hybrid container selection thresholds (enable_hybrid_rows).
-  std::uint32_t hybrid_array_max_ = 4096;
-  double hybrid_run_min_saving_ = 2.0;
   std::atomic<std::int64_t> bitset_budget_words_{0};
   std::atomic<bool> bitset_exhausted_{false};
   // Row storage: one shared arena of slab allocations carved per row,
@@ -358,24 +299,19 @@ class LazyGraph {
   std::size_t slab_words_left_ LAZYMC_GUARDED_BY(arena_lock_) = 0;
   // Slab size, a multiple of the row stride.
   std::size_t slab_words_ LAZYMC_GUARDED_BY(arena_lock_) = 0;
-  // Arena accounting (mutated under arena_lock_; atomic so stats() and the
+  // Arena accounting (mutated under arena_lock_; atomic so the
   // checked-mode drift assert can read without the lock):
   //   total  = sum of allocated slab sizes,
   //   carved = words handed out to rows,
-  //   waste  = abandoned slab tails (variable-stride carving only),
-  // with total == carved + waste + slab_words_left_ at all times.
+  // with total == carved + slab_words_left_ at all times.
   std::atomic<std::size_t> arena_total_words_{0};
   std::atomic<std::size_t> arena_carved_words_{0};
-  std::atomic<std::size_t> arena_waste_words_{0};
   std::vector<std::uint64_t*> row_ptr_;  // null until the row is built
   std::vector<std::uint32_t> row_count_;
   // Rows adopted from a binary store (adopt_prebuilt_rows): the zone size
   // at adoption, 0 when rows are lazily built.  The row pointers then
   // alias read-only caller storage, never the arena.
   std::size_t rows_prebuilt_ = 0;
-  // Hybrid-row container metadata (zone-indexed, hybrid mode only).
-  std::vector<std::uint32_t> row_units_;
-  std::vector<std::uint8_t> row_kind_;
 
   // stats counters (relaxed)
   mutable std::atomic<std::size_t> stat_hash_built_{0};
@@ -385,9 +321,6 @@ class LazyGraph {
   mutable std::atomic<std::size_t> stat_bitset_words_{0};
   mutable std::atomic<std::size_t> stat_kept_{0};
   mutable std::atomic<std::size_t> stat_filtered_{0};
-  // Hybrid per-container tallies (rows and carved words per class).
-  mutable std::atomic<std::size_t> stat_hybrid_rows_[3]{};
-  mutable std::atomic<std::size_t> stat_hybrid_words_[3]{};
 };
 
 }  // namespace lazymc

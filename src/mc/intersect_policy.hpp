@@ -96,34 +96,6 @@ struct IntersectPolicy {
   bool size_gt_bool(std::span<const VertexId> a, const NeighborhoodView& b,
                     std::int64_t theta,
                     const SparseWordSet* a_words = nullptr) const {
-    if (b.has_hybrid()) {
-      const HybridRow& row = b.hybrid();
-      if (a_words && a_words->zone_begin() == row.zone_begin) {
-        bump_container(row.kind);
-        if (!early_exits) {
-          return static_cast<std::int64_t>(intersect_size(*a_words, row)) >
-                 theta;
-        }
-        return intersect_size_gt_bool(*a_words, row, theta, second_exit);
-      }
-      // No word form of A: the array container is itself a sorted array,
-      // so merge or gallop directly; bitset/run fall back to bit probes.
-      if (row.kind == RowContainer::kArray) {
-        if (probe_beats_merge(a.size(), row.units)) {
-          bump(Kernel::array_gallop);
-          return size_gt_bool(a, HybridArrayLookup(row), theta);
-        }
-        bump(Kernel::merge);
-        if (!early_exits) {
-          std::int64_t n = 0;
-          for (VertexId v : a) n += row.contains(v) ? 1 : 0;
-          return n > theta;
-        }
-        return hybrid_array_size_gt_bool(a, row, theta, second_exit);
-      }
-      bump(Kernel::bitset_probe);
-      return size_gt_bool(a, row, theta);
-    }
     if (b.has_bitset()) {
       const BitsetRow& row = b.bitset();
       if (a_words && a_words->zone_begin() == row.zone_begin) {
@@ -165,32 +137,6 @@ struct IntersectPolicy {
   int size_gt_val(std::span<const VertexId> a, const NeighborhoodView& b,
                   std::int64_t theta,
                   const SparseWordSet* a_words = nullptr) const {
-    if (b.has_hybrid()) {
-      const HybridRow& row = b.hybrid();
-      if (a_words && a_words->zone_begin() == row.zone_begin) {
-        bump_container(row.kind);
-        if (!early_exits) {
-          int n = static_cast<int>(intersect_size(*a_words, row));
-          return n > theta ? n : kTooSmall;
-        }
-        return intersect_size_gt_val(*a_words, row, theta);
-      }
-      if (row.kind == RowContainer::kArray) {
-        if (probe_beats_merge(a.size(), row.units)) {
-          bump(Kernel::array_gallop);
-          return size_gt_val(a, HybridArrayLookup(row), theta);
-        }
-        bump(Kernel::merge);
-        if (!early_exits) {
-          std::int64_t n = 0;
-          for (VertexId v : a) n += row.contains(v) ? 1 : 0;
-          return n > theta ? static_cast<int>(n) : kTooSmall;
-        }
-        return hybrid_array_size_gt_val(a, row, theta);
-      }
-      bump(Kernel::bitset_probe);
-      return size_gt_val(a, row, theta);
-    }
     if (b.has_bitset()) {
       const BitsetRow& row = b.bitset();
       if (a_words && a_words->zone_begin() == row.zone_begin) {
@@ -232,34 +178,6 @@ struct IntersectPolicy {
 
   int gt(std::span<const VertexId> a, const NeighborhoodView& b, VertexId* out,
          std::int64_t theta, const SparseWordSet* a_words = nullptr) const {
-    if (b.has_hybrid()) {
-      const HybridRow& row = b.hybrid();
-      if (a_words && a_words->zone_begin() == row.zone_begin) {
-        bump_container(row.kind);
-        if (!early_exits) {
-          int n = static_cast<int>(intersect_words(*a_words, row, out));
-          return n > theta ? n : kTooSmall;
-        }
-        return intersect_gt(*a_words, row, out, theta);
-      }
-      if (row.kind == RowContainer::kArray) {
-        if (probe_beats_merge(a.size(), row.units)) {
-          bump(Kernel::array_gallop);
-          return gt(a, HybridArrayLookup(row), out, theta);
-        }
-        bump(Kernel::merge);
-        if (!early_exits) {
-          int n = 0;
-          for (VertexId v : a) {
-            if (row.contains(v)) out[n++] = v;
-          }
-          return n > theta ? n : kTooSmall;
-        }
-        return hybrid_array_gt(a, row, out, theta);
-      }
-      bump(Kernel::bitset_probe);
-      return gt(a, row, out, theta);
-    }
     if (b.has_bitset()) {
       const BitsetRow& row = b.bitset();
       if (a_words && a_words->zone_begin() == row.zone_begin) {
@@ -322,20 +240,6 @@ struct IntersectPolicy {
     } else if (counters) {
       counters->bitset_word.fetch_add(1, std::memory_order_relaxed);
       counters->word_tier[t].fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  /// Word-form dispatch against a hybrid row, counted per container.
-  void bump_container(RowContainer kind) const {
-    switch (kind) {
-      case RowContainer::kBitset:
-        bump_word();  // same tiered kernel as a plain bitset row
-        return;
-      case RowContainer::kArray:
-        bump(Kernel::array_gallop);
-        return;
-      case RowContainer::kRun:
-        bump(Kernel::run_and);
-        return;
     }
   }
 };

@@ -133,18 +133,12 @@ LazyMCResult lazy_mc(const Graph& g, const LazyMCConfig& config) {
   if (use_prebuilt && pre->rows.valid() && config.bitset_budget_bytes > 0 &&
       config.neighborhood_rep != NeighborhoodRep::kHash &&
       config.neighborhood_rep != NeighborhoodRep::kSorted) {
-    adopted = lazy.adopt_prebuilt_rows(
-        pre->rows, config.neighborhood_rep == NeighborhoodRep::kHybrid);
+    adopted = lazy.adopt_prebuilt_rows(pre->rows, /*hybrid=*/false);
   }
-  if (!adopted && config.bitset_budget_bytes > 0) {
-    if (config.neighborhood_rep == NeighborhoodRep::kHybrid) {
-      lazy.enable_hybrid_rows(config.bitset_budget_bytes,
-                              config.hybrid_array_max,
-                              config.hybrid_run_min_saving);
-    } else if (config.neighborhood_rep == NeighborhoodRep::kAuto ||
-               config.neighborhood_rep == NeighborhoodRep::kBitset) {
-      lazy.enable_bitset_rows(config.bitset_budget_bytes);
-    }
+  if (!adopted && config.bitset_budget_bytes > 0 &&
+      (config.neighborhood_rep == NeighborhoodRep::kAuto ||
+       config.neighborhood_rep == NeighborhoodRep::kBitset)) {
+    lazy.enable_bitset_rows(config.bitset_budget_bytes);
   }
   lazy.prepopulate(config.prepopulate, /*must_threshold=*/incumbent.size());
   result.phases.must_subgraph = timer.lap();

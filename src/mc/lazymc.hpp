@@ -86,13 +86,6 @@ struct LazyMCConfig {
   /// Memory budget for bitset rows over the zone of interest, in bytes;
   /// 0 disables the bitset representation.
   std::size_t bitset_budget_bytes = std::size_t{64} << 20;
-  /// Hybrid-row container thresholds (kHybrid only).  A row goes to the
-  /// sorted-array container when its in-zone degree is <= hybrid_array_max
-  /// and the array is strictly smaller than the packed words; the run
-  /// container wins only when it is at least hybrid_run_min_saving x
-  /// smaller than the best dense alternative.
-  std::uint32_t hybrid_array_max = 4096;
-  double hybrid_run_min_saving = 2.0;
   /// Early-exit intersection toggles (Fig. 5 ablation).
   bool early_exit_intersections = true;
   bool second_exit = true;

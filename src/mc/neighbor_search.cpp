@@ -83,7 +83,7 @@ void induce_from_lazy(LazyGraph& h, const std::vector<VertexId>& members,
   const std::size_t n = members.size();
   out.reset_pooled(n);
   out.vertices.assign(members.begin(), members.end());
-  bool words_ready = (h.bitset_enabled() || h.hybrid_enabled()) && n >= 2;
+  bool words_ready = h.bitset_enabled() && n >= 2;
   if (words_ready) {
     try {
       scratch.a_words.build({members.data(), members.size()}, h.zone_begin());
@@ -116,7 +116,7 @@ void induce_from_lazy(LazyGraph& h, const std::vector<VertexId>& members,
     min_coreness = std::min(min_coreness, h.coreness(members[i]));
     NeighborhoodView view = h.membership(members[i]);
     DynamicBitset& row = out.adj[i];
-    if (!view.has_bitset() && !view.has_hybrid()) {
+    if (!view.has_bitset()) {
       // Every row is filled from its own neighborhood, so a member
       // without a zone row probes all the others, not only those above.
       for (std::size_t j = 0; j < n; ++j) {
@@ -125,20 +125,7 @@ void induce_from_lazy(LazyGraph& h, const std::vector<VertexId>& members,
       degree_sum += row.count();
       continue;
     }
-    // The dense containers (plain bitset row, hybrid bitset kind) feed the
-    // gather-AND primitive; array/run containers produce the row's words
-    // through their ascending cursors instead.
-    const std::uint64_t* row_words =
-        view.has_bitset() ? view.bitset().words
-                          : (view.hybrid().kind == RowContainer::kBitset
-                                 ? view.hybrid().data
-                                 : nullptr);
-    if (row_words != nullptr) {
-      ops.gather_and(hit, bits.data(), idx.data(), row_words, cnt);
-    } else {
-      hybrid_detail::HybridWordCursor cur(view.hybrid());
-      for (std::size_t e = 0; e < cnt; ++e) hit[e] = bits[e] & cur.word(idx[e]);
-    }
+    ops.gather_and(hit, bits.data(), idx.data(), view.bitset().words, cnt);
     // No self-loop, even from a store row that carries its own bit.
     while (prefix[self_entry + 1] <= i) ++self_entry;
     hit[self_entry] &= ~(1ULL << ((members[i] - zone_begin) & 63));
@@ -338,7 +325,7 @@ void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
   // filter 1 has coreness >= bound >= the bound when rows were enabled).
   // A failed word-form build degrades the round to scalar kernels (the
   // word set is an accelerator; membership views answer without it).
-  bool zone_kernels = h.bitset_enabled() || h.hybrid_enabled();
+  bool zone_kernels = h.bitset_enabled();
   auto build_words = [&](std::span<const VertexId> span)
       -> const SparseWordSet* {
     if (!zone_kernels) return nullptr;

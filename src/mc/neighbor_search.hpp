@@ -234,9 +234,8 @@ namespace detail {
 ///
 /// With the members' word form A (scratch.a_words, rebuilt here), each
 /// member with a zone row builds its own full row from whole words: the
-/// row is ANDed against every occupied word of A (gather_and for dense
-/// rows, the hybrid word cursor for array/run containers), and each hit
-/// word is compressed to local ids by PEXT against A's word, landing at
+/// row is ANDed against every occupied word of A (gather_and), and each
+/// hit word is compressed to local ids by PEXT against A's word, landing at
 /// that word's prefix offset (wordops::compress_or).  The work per member
 /// scales with A's occupied words, not with its edges.  A member without
 /// a row probes every other member into its own row.  Without a word form

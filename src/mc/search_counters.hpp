@@ -29,10 +29,10 @@
 namespace lazymc::mc {
 
 /// Where the adaptive dispatcher ran each intersection (one count per
-/// call; see mc/intersect_policy.hpp).  The hybrid-row container kernels
-/// are array_gallop (word cursor against the array container) and run_and
-/// (span AND against the run container); the hybrid bitset container
-/// counts under bitset_word, since it runs the same tiered kernel.
+/// call; see mc/intersect_policy.hpp).  array_gallop and run_and are
+/// always 0: nothing dispatches to them since hybrid rows were removed,
+/// and they are kept only because lmcbench/main.cpp and the JSON report's
+/// `kernels` keys read them.
 #define LAZYMC_KERNEL_COUNTERS(X) \
   X(merge)                        \
   X(gallop)                       \

@@ -103,11 +103,14 @@ TEST(Protocol, RejectsMalformedRequests) {
   EXPECT_THROW(parse_request(R"({"verb":"load"})"), Error);
   EXPECT_THROW(
       parse_request(R"({"verb":"solve","graph":"g","time_limit":-1})"), Error);
-  try {
-    parse_request(R"({"verb":"nope"})");
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.kind(), ErrorKind::kInput);
+  for (const char* line : {R"({"verb":"nope"})",
+                           R"({"verb":"solve","graph":"g","rep":"hybrid"})"}) {
+    try {
+      parse_request(line);
+      FAIL() << "expected Error for " << line;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kInput) << line;
+    }
   }
 }
 

@@ -146,29 +146,22 @@ TEST_P(KernelTierSweepTest, OmegaIdenticalAcrossTiersAndThreads) {
   for (std::size_t threads : {1, 2, 8}) {
     set_num_threads(threads);
     for (simd::Tier tier : supported_tiers()) {
-      for (NeighborhoodRep rep :
-           {NeighborhoodRep::kBitset, NeighborhoodRep::kHybrid}) {
-        mc::LazyMCConfig cfg;
-        cfg.neighborhood_rep = rep;
-        cfg.kernel_tier = tier;
-        auto r = mc::lazy_mc(g, cfg);
-        EXPECT_EQ(r.omega, baseline.omega)
-            << GetParam() << " threads=" << threads
-            << " tier=" << simd::tier_name(tier)
-            << " rep=" << static_cast<int>(rep);
-        EXPECT_TRUE(is_clique(g, r.clique));
-        EXPECT_FALSE(r.timed_out);
-        EXPECT_EQ(r.search.simd_tier, simd::tier_name(tier));
-        if (rep == NeighborhoodRep::kBitset) {
-          // Any bitset-word dispatch must be attributed to the forced
-          // tier (hybrid rows split theirs across container counters).
-          const std::uint64_t attributed =
-              tier == simd::Tier::kScalar   ? r.search.kernel_word_scalar
-              : tier == simd::Tier::kAvx2   ? r.search.kernel_word_avx2
-                                            : r.search.kernel_word_avx512;
-          EXPECT_EQ(attributed, r.search.kernel_bitset_word);
-        }
-      }
+      mc::LazyMCConfig cfg;
+      cfg.neighborhood_rep = NeighborhoodRep::kBitset;
+      cfg.kernel_tier = tier;
+      auto r = mc::lazy_mc(g, cfg);
+      EXPECT_EQ(r.omega, baseline.omega)
+          << GetParam() << " threads=" << threads
+          << " tier=" << simd::tier_name(tier);
+      EXPECT_TRUE(is_clique(g, r.clique));
+      EXPECT_FALSE(r.timed_out);
+      EXPECT_EQ(r.search.simd_tier, simd::tier_name(tier));
+      // Any bitset-word dispatch must be attributed to the forced tier.
+      const std::uint64_t attributed =
+          tier == simd::Tier::kScalar   ? r.search.kernel_word_scalar
+          : tier == simd::Tier::kAvx2   ? r.search.kernel_word_avx2
+                                        : r.search.kernel_word_avx512;
+      EXPECT_EQ(attributed, r.search.kernel_bitset_word);
     }
     // Auto dispatch (no forced tier) must agree too.
     simd::reset_tier();

@@ -165,12 +165,11 @@ TEST(SystematicSearch, WorkSecondsAccumulate) {
 
 // ---- induce_from_lazy against induce_dense ---------------------------------
 
-enum class Rep { kBitset, kHybrid, kHash, kSorted, kStarvedBitset };
+enum class Rep { kBitset, kHash, kSorted, kStarvedBitset };
 
 const char* rep_name(Rep rep) {
   switch (rep) {
     case Rep::kBitset: return "bitset";
-    case Rep::kHybrid: return "hybrid";
     case Rep::kHash: return "hash";
     case Rep::kSorted: return "sorted";
     case Rep::kStarvedBitset: return "starved-bitset";
@@ -197,10 +196,6 @@ struct ExtractFixture {
       case Rep::kBitset:
         lazy->enable_bitset_rows(std::size_t{64} << 20);
         lazy->set_preferred_rep(NeighborhoodRep::kBitset);
-        break;
-      case Rep::kHybrid:
-        lazy->enable_hybrid_rows(std::size_t{64} << 20, 4096, 2.0);
-        lazy->set_preferred_rep(NeighborhoodRep::kHybrid);
         break;
       case Rep::kHash:
         lazy->set_preferred_rep(NeighborhoodRep::kHash);
@@ -285,7 +280,7 @@ std::vector<std::vector<VertexId>> member_sets(VertexId n,
 }
 
 /// A dense block, a sparse remainder and a planted clique: rows of every
-/// density, so hybrid zones hold array, bitset and run containers.
+/// density.
 Graph mixed_density_graph(std::uint64_t seed) {
   return gen::plant_clique(gen::graph_union(gen::gnp(200, 0.5, seed),
                                             gen::gnp(1700, 0.003, seed + 1)),
@@ -302,8 +297,8 @@ TEST(InduceFromLazy, MatchesInduceDenseOnEveryRepresentation) {
   for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
     ExtractFixture f(graphs[gi]);
     const VertexId n = f.g.num_vertices();
-    for (Rep rep : {Rep::kBitset, Rep::kHybrid, Rep::kHash, Rep::kSorted,
-                    Rep::kStarvedBitset}) {
+    for (Rep rep :
+         {Rep::kBitset, Rep::kHash, Rep::kSorted, Rep::kStarvedBitset}) {
       std::unique_ptr<LazyGraph> lazy = f.make(rep);
       mc::SearchScratch scratch;
       std::size_t k = 0;
@@ -332,31 +327,20 @@ TEST(InduceFromLazy, MatchesInduceDenseOnEveryRepresentation) {
   EXPECT_TRUE(unaligned_prefix);
 }
 
-TEST(InduceFromLazy, CoversEveryHybridContainerAndTheMixedCase) {
+TEST(InduceFromLazy, StarvedBudgetMixesWordRowsAndProbes) {
+  // Some members extract from a word row, the rest from probes, and the
+  // rows must still agree.
   ExtractFixture f(mixed_density_graph(45));
   const VertexId n = f.g.num_vertices();
   std::vector<VertexId> all(n);
   for (VertexId v = 0; v < n; ++v) all[v] = v;
-  {
-    std::unique_ptr<LazyGraph> lazy = f.make(Rep::kHybrid);
-    mc::SearchScratch scratch;
-    expect_matches_reference(*lazy, f, all, scratch, "hybrid all");
-    const LazyGraph::Stats s = lazy->stats();
-    EXPECT_GT(s.hybrid_rows_array, 0u);
-    EXPECT_GT(s.hybrid_rows_bitset, 0u);
-    EXPECT_GT(s.hybrid_rows_run, 0u);
-  }
-  {
-    // A starved row budget: some members extract from a word row, the
-    // rest from probes, and the rows must still agree.
-    std::unique_ptr<LazyGraph> lazy = f.make(Rep::kStarvedBitset);
-    mc::SearchScratch scratch;
-    expect_matches_reference(*lazy, f, all, scratch, "starved all");
-    std::size_t with_row = 0;
-    for (VertexId v = 0; v < n; ++v) with_row += lazy->has_bitset(v);
-    EXPECT_GT(with_row, 0u);
-    EXPECT_LT(with_row, static_cast<std::size_t>(n));
-  }
+  std::unique_ptr<LazyGraph> lazy = f.make(Rep::kStarvedBitset);
+  mc::SearchScratch scratch;
+  expect_matches_reference(*lazy, f, all, scratch, "starved all");
+  std::size_t with_row = 0;
+  for (VertexId v = 0; v < n; ++v) with_row += lazy->has_bitset(v);
+  EXPECT_GT(with_row, 0u);
+  EXPECT_LT(with_row, static_cast<std::size_t>(n));
 }
 
 TEST(InduceFromLazy, AdoptedRowsWithTheirOwnBitKeepNoSelfLoops) {

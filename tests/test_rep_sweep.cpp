@@ -1,7 +1,7 @@
-// Suite-wide correctness of the zone-row representations: omega must be
-// identical with bitset rows forced on, hybrid rows forced on, rows forced
-// off, and rows chosen adaptively, at 1, 2 and 8 threads — plus unit
-// coverage of the zone/budget semantics of enable_{bitset,hybrid}_rows.
+// Suite-wide correctness of the zone rows: omega must be identical with
+// bitset rows forced on, rows forced off, and rows chosen adaptively, at
+// 1, 2 and 8 threads — plus unit coverage of the zone/budget semantics of
+// enable_bitset_rows.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -34,7 +34,6 @@ TEST_P(RepSweepTest, OmegaIdenticalWithBitsetRowsOnAndOff) {
   for (std::size_t threads : {1, 2, 8}) {
     set_num_threads(threads);
     for (NeighborhoodRep rep : {NeighborhoodRep::kBitset,
-                                NeighborhoodRep::kHybrid,
                                 NeighborhoodRep::kAuto,
                                 NeighborhoodRep::kHash}) {
       mc::LazyMCConfig cfg;
@@ -75,11 +74,6 @@ TEST(RepSweep, TinyBudgetStillCorrectAndPreDensityAgrees) {
   tiny.bitset_budget_bytes = 1024;
   EXPECT_EQ(mc::lazy_mc(inst.graph, tiny).omega, expected);
 
-  mc::LazyMCConfig tiny_hybrid;
-  tiny_hybrid.neighborhood_rep = NeighborhoodRep::kHybrid;
-  tiny_hybrid.bitset_budget_bytes = 1024;
-  EXPECT_EQ(mc::lazy_mc(inst.graph, tiny_hybrid).omega, expected);
-
   mc::LazyMCConfig zero;
   zero.neighborhood_rep = NeighborhoodRep::kAuto;
   zero.bitset_budget_bytes = 0;  // rows disabled
@@ -104,79 +98,31 @@ TEST(RepSweep, BitsetRepReportsWordKernelDispatch) {
   EXPECT_GT(r.lazy_graph.zone_size, 0u);
 }
 
-TEST(RepSweep, HybridRepReportsContainerKernelDispatch) {
-  // Forced hybrid rows must still answer through the zone-row kernels:
-  // every word-form dispatch lands on a container counter (bitset_word /
-  // array_gallop / run_and), and the per-class build stats are populated.
-  auto inst = suite::make_instance("webcc", suite::Scale::kSmall);
-  mc::LazyMCConfig cfg;
-  cfg.neighborhood_rep = NeighborhoodRep::kHybrid;
-  auto r = mc::lazy_mc(inst.graph, cfg);
-  ASSERT_GT(r.search.evaluated, 0u);
-  EXPECT_GT(r.search.kernel_bitset_word + r.search.kernel_array_gallop +
-                r.search.kernel_run_and,
-            0u);
-  const auto& g = r.lazy_graph;
-  EXPECT_GT(g.bitset_built, 0u);
-  EXPECT_EQ(g.bitset_built,
-            g.hybrid_rows_array + g.hybrid_rows_bitset + g.hybrid_rows_run);
-  EXPECT_EQ(g.bitset_bytes,
-            g.hybrid_array_bytes + g.hybrid_bitset_bytes + g.hybrid_run_bytes);
-  EXPECT_GT(g.zone_size, 0u);
-}
-
-TEST(RepSweep, HybridKeepsWordKernelsWhereBitsetStarves) {
-  // The acceptance scenario: a budget sized so pure bitset rows exhaust
-  // after a fraction of the zone, while the hybrid containers (measured
-  // by an unconstrained probe) fit with headroom.  Hybrid must degrade
-  // nothing, keep the intersections on the word kernels, and agree on
-  // omega.  A moderately dense random graph is the compressible case:
-  // coreness is high everywhere (the zone covers most of the graph) but
-  // rows hold ~32 of 4000 possible bits, so the sorted-array container
-  // undercuts the 64-word packed rows several times over.
+TEST(RepSweep, StarvedBitsetBudgetBuildsPartOfTheZone) {
+  // A budget that holds about half of the rows an unconstrained run
+  // builds: rows must stop mid-zone within the budget, the rest of the
+  // zone falls back to hash/sorted, and omega must not move.  The random
+  // graph has coreness high everywhere, so the zone covers most of it.
   const Graph g = gen::gnp(4000, 0.008, 4242);
 
-  mc::LazyMCConfig probe_b;
-  probe_b.neighborhood_rep = NeighborhoodRep::kBitset;
-  const auto ub = mc::lazy_mc(g, probe_b);
-  mc::LazyMCConfig probe_h;
-  probe_h.neighborhood_rep = NeighborhoodRep::kHybrid;
-  const auto uh = mc::lazy_mc(g, probe_h);
-
-  const std::size_t zone = ub.lazy_graph.zone_size;
+  mc::LazyMCConfig unconstrained;
+  unconstrained.neighborhood_rep = NeighborhoodRep::kBitset;
+  const auto full = mc::lazy_mc(g, unconstrained);
+  const std::size_t zone = full.lazy_graph.zone_size;
   ASSERT_GT(zone, 0u);
-  ASSERT_GT(ub.lazy_graph.bitset_built, 0u);
-  // The instance only exercises the scenario if compression is real:
-  // hybrid rows must cost well under half of what packed rows cost.
-  const std::size_t bb = ub.lazy_graph.bitset_bytes;
-  const std::size_t hb = uh.lazy_graph.bitset_bytes;
-  ASSERT_LT(hb * 2, bb);
+  ASSERT_GT(full.lazy_graph.bitset_built, 0u);
 
-  // Hybrid fits with 50% headroom; pure bitset exhausts under this cap.
   const std::size_t bookkeeping =
       zone * (sizeof(std::uint64_t*) + sizeof(std::uint32_t));
-  const std::size_t budget = bookkeeping + hb + hb / 2 + 8192;
+  const std::size_t budget = bookkeeping + full.lazy_graph.bitset_bytes / 2;
+  mc::LazyMCConfig starved = unconstrained;
+  starved.bitset_budget_bytes = budget;
+  const auto r = mc::lazy_mc(g, starved);
 
-  mc::LazyMCConfig starved_bitset;
-  starved_bitset.neighborhood_rep = NeighborhoodRep::kBitset;
-  starved_bitset.bitset_budget_bytes = budget;
-  const auto rb = mc::lazy_mc(g, starved_bitset);
-
-  mc::LazyMCConfig starved_hybrid;
-  starved_hybrid.neighborhood_rep = NeighborhoodRep::kHybrid;
-  starved_hybrid.bitset_budget_bytes = budget;
-  const auto rh = mc::lazy_mc(g, starved_hybrid);
-
-  EXPECT_EQ(rb.omega, ub.omega);
-  EXPECT_EQ(rh.omega, ub.omega);
-  // Pure bitset ran out of budget; hybrid built every row it was asked
-  // for and lost none to degradation.
-  EXPECT_LT(rb.lazy_graph.bitset_built, ub.lazy_graph.bitset_built);
-  EXPECT_EQ(rh.lazy_graph.bitset_degraded, 0u);
-  EXPECT_GE(rh.lazy_graph.bitset_built, uh.lazy_graph.bitset_built);
-  EXPECT_GT(rh.search.kernel_bitset_word + rh.search.kernel_array_gallop +
-                rh.search.kernel_run_and,
-            rb.search.kernel_bitset_word);
+  EXPECT_GT(r.lazy_graph.bitset_built, 0u);
+  EXPECT_LT(r.lazy_graph.bitset_built, full.lazy_graph.bitset_built);
+  EXPECT_LE(r.lazy_graph.bitset_bytes, budget - bookkeeping);
+  EXPECT_EQ(r.omega, full.omega);
 }
 
 // ---- LazyGraph zone / budget unit tests -----------------------------------
@@ -282,6 +228,32 @@ TEST(LazyGraphBitset, ForcedRepBuildsRowsInMembership) {
     bool edge = f.g.has_edge(f.order.new_to_orig[3], f.order.new_to_orig[u]);
     EXPECT_EQ(view.contains(u), edge) << u;
   }
+}
+
+TEST(LazyGraphBitset, ConcurrentBuildsAreSafe) {
+  // Threads race to build the same rows: each row is carved from the
+  // shared arena once, and every reader sees the published row.
+  ZoneFixture f(gen::gnp(400, 0.2, 780));
+  LazyGraph lazy = f.make();
+  lazy.enable_bitset_rows(1 << 22);
+  ASSERT_TRUE(lazy.bitset_enabled());
+  set_num_threads(8);
+  const VertexId zb = lazy.zone_begin();
+  const VertexId n = lazy.num_vertices();
+  std::atomic<std::size_t> mismatches{0};
+  parallel_for(0, (n - zb) * 4, [&](std::size_t i) {
+    const VertexId v = zb + static_cast<VertexId>(i % (n - zb));
+    BitsetRow row = lazy.bitset_row(v);
+    NeighborhoodView view = lazy.membership(v);
+    if (!row.valid() || !view.has_bitset() || view.size() != row.size()) {
+      mismatches.fetch_add(1, std::memory_order_relaxed);
+    }
+  }, 16);
+  set_num_threads(0);
+  EXPECT_EQ(mismatches.load(), 0u);
+  const auto s = lazy.stats();
+  EXPECT_EQ(s.bitset_built, static_cast<std::size_t>(n - zb));
+  EXPECT_EQ(s.bitset_bytes, s.bitset_built * ((n - zb + 511) / 512) * 64);
 }
 
 }  // namespace

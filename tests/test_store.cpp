@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -304,17 +305,21 @@ TEST(Store, SolveEquivalenceAcrossSuiteAndThreads) {
   set_num_threads(0);
 }
 
-TEST(Store, HybridAdoptsPrebuiltRows) {
+TEST(Store, AdoptRefusesTheRemovedHybridView) {
+  // adopt_prebuilt_rows keeps the flag that once selected the hybrid-row
+  // view; `true` must refuse and leave the graph free to adopt as usual.
   auto inst = suite::make_instance("webcc", suite::Scale::kTiny);
   const Graph& g = inst.graph;
-  const std::string path = write_store(g, "hybrid.lmg", true, 1);
+  const std::string path = write_store(g, "adopt.lmg", true, 1);
   auto view = store::BinaryGraphView::open(path);
   ASSERT_TRUE(view->has_rows());
-  auto fresh = mc::lazy_mc(g);
-  auto stored = solve_with_store(g, view, NeighborhoodRep::kHybrid);
-  EXPECT_EQ(stored.omega, fresh.omega);
-  EXPECT_EQ(stored.lazy_graph.rows_prebuilt, view->zone_size());
-  EXPECT_EQ(stored.lazy_graph.bitset_built, 0u);
+  std::atomic<VertexId> incumbent{0};
+  LazyGraph lazy(g, view->order(), view->coreness(), &incumbent);
+  EXPECT_FALSE(lazy.adopt_prebuilt_rows(view->rows(), /*hybrid=*/true));
+  EXPECT_FALSE(lazy.bitset_enabled());
+  EXPECT_EQ(lazy.stats().rows_prebuilt, 0u);
+  EXPECT_TRUE(lazy.adopt_prebuilt_rows(view->rows(), /*hybrid=*/false));
+  EXPECT_EQ(lazy.stats().rows_prebuilt, view->zone_size());
 }
 
 TEST(Store, IncompatibleZoneFallsBackToLazyBuild) {
