@@ -9,9 +9,11 @@
 //  * `coreness` — Matula–Beck bucket peeling, O(n + m), sequential; also
 //    yields the peeling (degeneracy) order.
 //  * `coreness_parallel` — iterative parallel peeling (Dhulipala et al.
-//    style rounds), used by LazyMC's preprocessing phase.  It produces the
-//    same coreness values but no unique peeling order, which is why LazyMC
-//    sorts by (coreness, degree) instead (Section IV-F).
+//    style rounds).  It produces the same coreness values but no unique
+//    peeling order, which is why LazyMC sorts by (coreness, degree)
+//    instead (Section IV-F).  Only the tests call it, as a cross-check of
+//    the sequential peel; LazyMC's preprocessing runs
+//    `coreness_lower_bounded`.
 //
 // `coreness_lower_bounded` implements KCore(G, lb) from Algorithm 1: only
 // vertices that could matter given an incumbent of size lb participate;

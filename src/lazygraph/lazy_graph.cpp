@@ -31,8 +31,7 @@ LazyGraph::LazyGraph(const Graph& g, const kcore::VertexOrder& order,
       flags_(g.num_vertices()),
       locks_(std::make_unique<SpinLock[]>(g.num_vertices())),
       hash_(g.num_vertices()),
-      sorted_(g.num_vertices()),
-      right_begin_(g.num_vertices(), 0) {
+      sorted_(g.num_vertices()) {
   if (coreness_orig.size() != n_ || order.size() != n_) {
     throw std::invalid_argument("LazyGraph: order/coreness size mismatch");
   }
@@ -82,9 +81,6 @@ void LazyGraph::build_sorted(VertexId v) {
   std::vector<VertexId> nbrs = filtered_neighbors(v);
   std::sort(nbrs.begin(), nbrs.end());
   sorted_[v] = std::move(nbrs);
-  right_begin_[v] = static_cast<std::uint32_t>(
-      std::upper_bound(sorted_[v].begin(), sorted_[v].end(), v) -
-      sorted_[v].begin());
   stat_sorted_built_.fetch_add(1, std::memory_order_relaxed);
   flags_[v].fetch_or(kSortedBuilt, std::memory_order_release);
 }
@@ -302,9 +298,37 @@ std::span<const VertexId> LazyGraph::sorted_neighborhood(VertexId v) {
   return {sorted_[v].data(), sorted_[v].size()};
 }
 
-std::span<const VertexId> LazyGraph::right_neighborhood(VertexId v) {
-  auto all = sorted_neighborhood(v);
-  return all.subspan(right_begin_[v]);
+void LazyGraph::right_neighbors(VertexId v, VertexId bound,
+                                std::vector<VertexId>& out) const {
+  out.clear();
+  if (flags_[v].load(std::memory_order_acquire) & kBitsetBuilt) {
+    // Bit i of the row is vertex zone_begin_ + i, so N+(v) is the row's
+    // bits after v's own, already ascending.
+    const std::size_t start = std::size_t{v - zone_begin_} + 1;
+    const std::size_t first = start >> 6;
+    const std::uint64_t* row = row_ptr_[v - zone_begin_];
+    // Bits past the zone's end are never set in a built row, but an
+    // adopted store row is outside input, so mask them off anyway.
+    const std::uint64_t tail =
+        ~std::uint64_t{0} >> ((64 - zone_bits_ % 64) % 64);
+    for (std::size_t w = first; w < row_words_; ++w) {
+      std::uint64_t word = row[w];
+      if (w == first) word &= ~((std::uint64_t{1} << (start & 63)) - 1);
+      if (w + 1 == row_words_) word &= tail;
+      for (; word != 0; word &= word - 1) {
+        const VertexId u =
+            zone_begin_ +
+            static_cast<VertexId>((w << 6) + std::countr_zero(word));
+        if (coreness_new_[u] >= bound) out.push_back(u);
+      }
+    }
+    return;
+  }
+  for (VertexId u_orig : base_->neighbors(order_->new_to_orig[v])) {
+    const VertexId u = order_->orig_to_new[u_orig];
+    if (u > v && coreness_new_[u] >= bound) out.push_back(u);
+  }
+  std::sort(out.begin(), out.end());
 }
 
 BitsetRow LazyGraph::bitset_row(VertexId v) {

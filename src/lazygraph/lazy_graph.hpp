@@ -13,12 +13,16 @@
 //
 // Three neighborhood representations may exist per vertex:
 //  * a hopscotch hash set (O(1) probes, ~6 bytes/neighbor),
-//  * a sorted array (merge/galloping intersections, right-neighborhoods),
+//  * a sorted array (merge/galloping intersections),
 //  * a packed 64-bit bitset row over the *zone of interest* — the suffix
 //    of relabelled ids whose coreness was >= the incumbent when
 //    enable_bitset_rows() was called.  Rows turn |A ∩ B| > θ queries into
 //    one AND + popcount per occupied word of A (see intersect/bitset_row
 //    .hpp) and cost zone_size/8 bytes each, capped by a global budget.
+//
+// Right-neighborhoods N+(v) are not a representation: right_neighbors()
+// reads them into a caller buffer from v's row if it is built, else from
+// the base graph's CSR.
 //
 // Any subset may have been built, each filtered against a possibly
 // different incumbent size.  That is deliberate and safe: discrepancies
@@ -126,9 +130,16 @@ class LazyGraph {
   /// Sorted filtered relabelled neighborhood; builds on first use.
   std::span<const VertexId> sorted_neighborhood(VertexId v);
 
-  /// Right-neighborhood N+(v) = {u in N(v) filtered : u > v}, a suffix of
-  /// the sorted representation.
-  std::span<const VertexId> right_neighborhood(VertexId v);
+  /// Writes the right-neighborhood {u in N(v) : u > v, coreness(u) >=
+  /// bound}, ascending, into `out` (cleared first).  Builds and caches
+  /// nothing: the answer comes from v's zone row when it is built, else
+  /// from the base graph.  Exact when `bound` is at least the filter bound
+  /// v's row was built with.  A row built against a higher incumbent than
+  /// `bound` (another thread raised it in between) leaves out only
+  /// neighbors whose coreness is below that incumbent, which the search
+  /// no longer needs.
+  void right_neighbors(VertexId v, VertexId bound,
+                       std::vector<VertexId>& out) const;
 
   /// "Either representation" accessor: returns whatever exists (all built
   /// forms are exposed so the kernel dispatcher can choose); if nothing
@@ -274,7 +285,6 @@ class LazyGraph {
   std::unique_ptr<SpinLock[]> locks_;
   std::vector<HopscotchSet> hash_;
   std::vector<std::vector<VertexId>> sorted_;
-  std::vector<std::uint32_t> right_begin_;  // index into sorted_[v] where u > v
 
   // bitset rows (zone-indexed: entry i is relabelled vertex zone_begin_+i)
   NeighborhoodRep rep_ = NeighborhoodRep::kAuto;

@@ -223,8 +223,8 @@ namespace {
 /// candidate, abandoning once the clique cannot beat the incumbent.
 void grow_from_seed(LazyGraph& h, VertexId v, Incumbent& incumbent,
                     const IntersectPolicy& policy) {
-  auto right = h.right_neighborhood(v);
-  std::vector<VertexId> candidates(right.begin(), right.end());
+  std::vector<VertexId> candidates;
+  h.right_neighbors(v, h.filter_bound(), candidates);
   std::vector<VertexId> clique{v};
   std::vector<VertexId> next(candidates.size());
 

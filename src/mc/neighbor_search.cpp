@@ -305,14 +305,7 @@ void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
   // ---- filter 1: coreness (Algorithm 8 line 2) -------------------------
   VertexId bound = incumbent.size();
   std::vector<VertexId>& n_set = scratch.n_set;
-  n_set.clear();
-  {
-    auto right = h.right_neighborhood(v);
-    n_set.reserve(right.size());
-    for (VertexId u : right) {
-      if (h.coreness(u) >= bound) n_set.push_back(u);
-    }
-  }
+  h.right_neighbors(v, bound, n_set);
   if (n_set.size() < bound) {
     tally.filter_ns += to_ns(timer.elapsed());
     return;

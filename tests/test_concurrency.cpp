@@ -2,6 +2,7 @@
 // full pipeline under varying thread counts and repeated runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <string_view>
@@ -41,15 +42,28 @@ TEST(ConcurrencyStress, LazyGraphMixedReadersAndBuilders) {
   auto order = kcore::order_by_coreness_degree(g, core.coreness);
   std::atomic<VertexId> incumbent{0};
   LazyGraph lazy(g, order, core.coreness, &incumbent);
+  // Rows are built concurrently below, so right_neighbors reads a head's
+  // row or the base graph depending on whether its build won the race.
+  lazy.enable_bitset_rows(std::size_t{1} << 20);
+  std::vector<std::vector<VertexId>> expected_right(300);
+  for (VertexId v = 0; v < 300; ++v) {
+    for (VertexId u : g.neighbors(order.new_to_orig[v])) {
+      if (order.orig_to_new[u] > v) {
+        expected_right[v].push_back(order.orig_to_new[u]);
+      }
+    }
+    std::sort(expected_right[v].begin(), expected_right[v].end());
+  }
 
   std::atomic<int> errors{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 6; ++t) {
     threads.emplace_back([&, t] {
       Rng rng(1000 + t);
-      for (int i = 0; i < 3000; ++i) {
+      std::vector<VertexId> right;
+      for (int i = 0; i < 4000; ++i) {
         VertexId v = static_cast<VertexId>(rng.next_below(300));
-        switch (i % 3) {
+        switch (i % 4) {
           case 0: {
             const HopscotchSet& h = lazy.hashed_neighborhood(v);
             auto s = lazy.sorted_neighborhood(v);
@@ -57,16 +71,19 @@ TEST(ConcurrencyStress, LazyGraphMixedReadersAndBuilders) {
             break;
           }
           case 1: {
-            auto right = lazy.right_neighborhood(v);
-            for (VertexId u : right) {
-              if (u <= v) errors++;
-            }
+            lazy.right_neighbors(v, 0, right);
+            if (right != expected_right[v]) errors++;
             break;
           }
           case 2: {
             NeighborhoodView view = lazy.membership(v);
             // Probe an arbitrary vertex; just must not crash/race.
             view.contains(static_cast<VertexId>(rng.next_below(300)));
+            break;
+          }
+          case 3: {
+            BitsetRow row = lazy.bitset_row(v);
+            if (!row.valid()) errors++;
             break;
           }
         }

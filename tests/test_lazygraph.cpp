@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 
 #include "graph/builder.hpp"
@@ -61,17 +62,172 @@ TEST(LazyGraph, HashedNeighborhoodMatchesSorted) {
 TEST(LazyGraph, RightNeighborhoodOnlyHigherIds) {
   Fixture f(gen::gnp(40, 0.2, 7));
   LazyGraph lazy = f.make();
+  std::vector<VertexId> right;
   for (VertexId v = 0; v < lazy.num_vertices(); ++v) {
-    for (VertexId u : lazy.right_neighborhood(v)) {
+    lazy.right_neighbors(v, lazy.filter_bound(), right);
+    for (VertexId u : right) {
       EXPECT_GT(u, v);
     }
+    EXPECT_TRUE(std::is_sorted(right.begin(), right.end()));
     // left + right = all
-    EXPECT_EQ(lazy.sorted_neighborhood(v).size() -
-                  lazy.right_neighborhood(v).size(),
-              static_cast<std::size_t>(
-                  std::count_if(lazy.sorted_neighborhood(v).begin(),
-                                lazy.sorted_neighborhood(v).end(),
-                                [&](VertexId u) { return u < v; })));
+    auto all = lazy.sorted_neighborhood(v);
+    EXPECT_EQ(all.size() - right.size(),
+              static_cast<std::size_t>(std::count_if(
+                  all.begin(), all.end(), [&](VertexId u) { return u < v; })));
+  }
+}
+
+/// {u in N(v) : u > v, coreness(u) >= bound} in relabelled ids, ascending,
+/// straight from the base graph.
+std::vector<VertexId> reference_right(const Fixture& f, VertexId v,
+                                      VertexId bound) {
+  std::vector<VertexId> right;
+  for (VertexId u_orig : f.g.neighbors(f.order.new_to_orig[v])) {
+    const VertexId u = f.order.orig_to_new[u_orig];
+    if (u > v && f.core.coreness[u_orig] >= bound) right.push_back(u);
+  }
+  std::sort(right.begin(), right.end());
+  return right;
+}
+
+/// Expects right_neighbors at `bound` to match the reference for every
+/// head.  The output buffer is shared across heads, so a stale entry
+/// would show.
+void expect_right_neighbors_match(const LazyGraph& lazy, const Fixture& f,
+                                  VertexId bound, const std::string& what) {
+  std::vector<VertexId> right{kInvalidVertex};
+  for (VertexId v = 0; v < lazy.num_vertices(); ++v) {
+    lazy.right_neighbors(v, bound, right);
+    ASSERT_EQ(right, reference_right(f, v, bound))
+        << what << ", head " << v << ", bound " << bound;
+  }
+}
+
+/// Zone rows over [zone_begin, n) written the way a binary store writes
+/// them: every in-zone neighbor, no coreness filter.  Each row also
+/// carries its own bit and, past the zone's end, set padding bits; both
+/// must be ignored.
+struct StoreRows {
+  simd::AlignedWords words;
+  std::vector<std::uint32_t> counts;
+  PrebuiltRows rows;
+
+  StoreRows(const Fixture& f, VertexId zone_begin) {
+    const VertexId n = f.g.num_vertices();
+    const VertexId bits = n - zone_begin;
+    const std::size_t stride = ((bits + 63) / 64 + 7) / 8 * 8;
+    words.assign(std::size_t{bits} * stride, 0);
+    counts.assign(bits, 0);
+    for (VertexId i = 0; i < bits; ++i) {
+      std::uint64_t* row = words.data() + std::size_t{i} * stride;
+      row[i >> 6] |= 1ULL << (i & 63);
+      const VertexId v = zone_begin + i;
+      for (VertexId u_orig : f.g.neighbors(f.order.new_to_orig[v])) {
+        const VertexId u = f.order.orig_to_new[u_orig];
+        if (u < zone_begin) continue;
+        row[(u - zone_begin) >> 6] |= 1ULL << ((u - zone_begin) & 63);
+        ++counts[i];
+      }
+      if (bits % 64 != 0) row[(bits - 1) / 64] |= ~((1ULL << (bits % 64)) - 1);
+    }
+    rows = PrebuiltRows{words.data(), counts.data(), zone_begin, bits, stride};
+  }
+};
+
+TEST(LazyGraph, RightNeighborsMatchReference) {
+  // Vertex counts are whole words, so store zones from 0 and from 1 end
+  // on a word boundary and mid-word.
+  const Graph graphs[] = {
+      gen::gnp(320, 0.1, 61),
+      gen::rmat(10, 8, 0.57, 0.19, 0.19, 62),  // hubs and a long tail
+      gen::plant_clique(gen::gnp(384, 0.05, 63), 40, 64),
+  };
+  for (const Graph& g : graphs) {
+    Fixture f(g);
+    const VertexId n = g.num_vertices();
+    ASSERT_EQ(n % 64, 0u);
+    std::vector<VertexId> coreness(n);
+    for (VertexId v = 0; v < n; ++v) {
+      coreness[v] = f.core.coreness[f.order.new_to_orig[v]];
+    }
+    // b1 is the top coreness level, raised past the rows' filter after
+    // they are built; b0 is below it and admits more than two words of
+    // vertices into the zone.
+    const VertexId b1 = coreness.back();
+    const auto top = std::lower_bound(coreness.begin(), coreness.end(), b1);
+    ASSERT_NE(top, coreness.begin());
+    const VertexId b0 = std::min(coreness[n - 129], *(top - 1));
+    const VertexId live_zone_begin = static_cast<VertexId>(
+        std::lower_bound(coreness.begin(), coreness.end(), b0) -
+        coreness.begin());
+    ASSERT_GT(live_zone_begin, 0u);
+    f.incumbent.store(b0);
+
+    {
+      // Rows for the whole zone.  A zone of more than two words makes the
+      // all-head sweep cover heads at bit 0, bit 63 and the zone's end.
+      LazyGraph lazy = f.make();
+      lazy.enable_bitset_rows(std::size_t{64} << 20);
+      ASSERT_EQ(lazy.zone_begin(), live_zone_begin);
+      ASSERT_GT(lazy.zone_size(), 128u);
+      lazy.set_preferred_rep(NeighborhoodRep::kBitset);
+      lazy.prepopulate(Prepopulate::kMustSubgraph, b0);
+      for (VertexId v = lazy.zone_begin(); v < n; ++v) {
+        ASSERT_TRUE(lazy.has_bitset(v));
+      }
+      expect_right_neighbors_match(lazy, f, b0, "rows");
+      f.incumbent.store(b1);
+      expect_right_neighbors_match(lazy, f, b1, "rows, raised bound");
+      EXPECT_EQ(lazy.stats().sorted_built, 0u);
+      f.incumbent.store(b0);
+    }
+    {
+      // Room for a dozen rows: the other heads answer from the base graph.
+      LazyGraph lazy = f.make();
+      const std::size_t zone = n - live_zone_begin;
+      const std::size_t row_bytes = ((zone + 63) / 64 + 7) / 8 * 64;
+      lazy.enable_bitset_rows(
+          zone * (sizeof(std::uint64_t*) + sizeof(std::uint32_t)) +
+          12 * row_bytes);
+      ASSERT_TRUE(lazy.bitset_enabled());
+      std::size_t with_row = 0;
+      for (VertexId v = lazy.zone_begin(); v < n; ++v) {
+        with_row += lazy.bitset_row(v).valid();
+      }
+      EXPECT_GT(with_row, 0u);
+      EXPECT_LT(with_row, zone);
+      expect_right_neighbors_match(lazy, f, b0, "starved rows");
+    }
+    {
+      LazyGraph lazy = f.make();
+      lazy.set_preferred_rep(NeighborhoodRep::kHash);
+      lazy.prepopulate(Prepopulate::kAll, 0);
+      expect_right_neighbors_match(lazy, f, b0, "hash");
+      EXPECT_EQ(lazy.stats().sorted_built, 0u);
+    }
+    {
+      // Cached sorted arrays are not read: the base graph answers.
+      LazyGraph lazy = f.make();
+      lazy.set_preferred_rep(NeighborhoodRep::kSorted);
+      lazy.prepopulate(Prepopulate::kAll, 0);
+      const std::size_t built = lazy.stats().sorted_built;
+      ASSERT_EQ(built, n);
+      expect_right_neighbors_match(lazy, f, b0, "sorted");
+      expect_right_neighbors_match(lazy, f, b1, "sorted, raised bound");
+      EXPECT_EQ(lazy.stats().sorted_built, built);
+    }
+    // Store rows over a zone wider than the live one, ending on a word
+    // boundary (from 0: the last head's bits start at the row's end) and
+    // mid-word (from 1).
+    for (VertexId zone_begin : {VertexId{0}, VertexId{1}}) {
+      StoreRows store(f, zone_begin);
+      LazyGraph lazy = f.make();
+      ASSERT_TRUE(lazy.adopt_prebuilt_rows(store.rows, false));
+      expect_right_neighbors_match(lazy, f, b0, "adopted rows");
+      f.incumbent.store(b1);
+      expect_right_neighbors_match(lazy, f, b1, "adopted rows, raised bound");
+      f.incumbent.store(b0);
+    }
   }
 }
 

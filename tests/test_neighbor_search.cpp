@@ -125,6 +125,29 @@ TEST(NeighborSearch, SingleVertexNeighborhood) {
   EXPECT_EQ(f.stats.evaluated.load(), 1u);
 }
 
+TEST(NeighborSearch, ProbesBuildNoSortedLists) {
+  // Filter 1 reads N+(v) from the head's row or the base graph; with rows
+  // on and the must-subgraph prebuilt, a pass over the zone caches
+  // nothing new.
+  std::vector<VertexId> planted;
+  Graph g = gen::plant_clique(gen::gnp(300, 0.1, 33), 24, 34, &planted);
+  auto ref = baselines::max_clique_reference(g);
+  Fixture f(std::move(g));
+  f.incumbent.offer(
+      std::vector<VertexId>(planted.begin(), planted.begin() + 12));
+  f.lazy->enable_bitset_rows(std::size_t{64} << 20);
+  ASSERT_TRUE(f.lazy->bitset_enabled());
+  f.lazy->prepopulate(Prepopulate::kMustSubgraph, f.incumbent.size());
+  const std::size_t sorted_before = f.lazy->stats().sorted_built;
+  mc::NeighborSearchOptions opt;
+  for (VertexId v = f.lazy->num_vertices(); v-- > f.lazy->zone_begin();) {
+    mc::neighbor_search(*f.lazy, v, f.incumbent, opt, f.stats);
+  }
+  EXPECT_GT(f.stats.pass_filter1.load(), 0u);
+  EXPECT_EQ(f.lazy->stats().sorted_built, sorted_before);
+  EXPECT_EQ(f.incumbent.size(), ref.size());
+}
+
 TEST(NeighborSearch, RespectsCancelledControl) {
   Fixture f(gen::gnp(60, 0.4, 27));
   SolveControl control;
