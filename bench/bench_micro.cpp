@@ -26,9 +26,6 @@
 #include "kcore/kcore.hpp"
 #include "kcore/order.hpp"
 #include "lazygraph/lazy_graph.hpp"
-#include "mc/incumbent.hpp"
-#include "mc/lazymc.hpp"
-#include "mc/neighbor_search.hpp"
 #include "support/parallel.hpp"
 #include "support/random.hpp"
 #include "support/simd.hpp"
@@ -467,107 +464,29 @@ void run_intersect_shootout() {
   table.print();
 }
 
-// --- subproblem-splitting shoot-out ----------------------------------------
-// Replays the zero-gap tail of the systematic phase: a dense G(160, 0.8)
-// instance whose incumbent is seeded far below omega, so the first
-// surviving probe carries a giant B&B subproblem.  With splitting off
-// that subproblem pins one worker while the rest of the pool drains the
-// cheap probes and idles; with splitting on its root branches become
-// stealable tasks on the same queue.  One table row per thread count:
-// wall seconds off vs on, the speedup, and the task/retirement counters
-// (omegas are verified to agree).
-
-struct SplitRun {
-  double seconds = 0;
-  VertexId omega = 0;
-  std::uint64_t split_tasks = 0;
-  std::uint64_t retired_subtasks = 0;
-};
-
-SplitRun run_split_config(const Graph& g, mc::SplitMode mode,
-                          std::size_t threads) {
-  set_num_threads(threads);
-  auto core = kcore::coreness(g);
-  auto order = kcore::order_by_coreness_degree(g, core.coreness);
-  SplitRun best;
-  best.seconds = 1e300;
-  for (int rep = 0; rep < 2; ++rep) {
-    Incumbent incumbent;
-    incumbent.offer(std::vector<VertexId>{0});  // far below omega
-    LazyGraph lazy(g, order, core.coreness, &incumbent.size_atomic());
-    mc::SearchStats stats;
-    mc::NeighborSearchOptions opt;
-    opt.split_mode = mode;
-    opt.split_min_cands = 64;
-    opt.density_threshold = 1.1;  // keep the giant subproblem on the B&B
-    WallTimer timer;
-    mc::systematic_search(lazy, incumbent, opt, stats);
-    const double sec = timer.elapsed();
-    if (sec < best.seconds) {
-      // Keep the whole record from the fastest rep so every column of a
-      // table row describes the same run.
-      best.seconds = sec;
-      best.omega = incumbent.size();
-      best.split_tasks = stats.split_tasks.load();
-      best.retired_subtasks = stats.retired_subtasks.load();
-    }
-  }
-  return best;
-}
-
-void run_split_shootout() {
-  const Graph g = gen::gnp(160, 0.8, 4242);
-  bench::Table table("split-shootout",
-                     {"threads", "split-off s", "split-on s", "off/on",
-                      "omega", "tasks", "retired"});
-  for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                              std::size_t{4}, std::size_t{8}}) {
-    SplitRun off = run_split_config(g, mc::SplitMode::kOff, threads);
-    SplitRun on = run_split_config(g, mc::SplitMode::kOn, threads);
-    if (off.omega != on.omega) {
-      std::fprintf(stderr,
-                   "split-shootout: omega diverged at %zu threads "
-                   "(off=%u on=%u)\n",
-                   threads, off.omega, on.omega);
-      std::exit(1);
-    }
-    table.add_row({std::to_string(threads), bench::fmt(off.seconds),
-                   bench::fmt(on.seconds),
-                   bench::fmt(off.seconds / on.seconds, 2),
-                   std::to_string(on.omega), std::to_string(on.split_tasks),
-                   std::to_string(on.retired_subtasks)});
-  }
-  table.print();
-  set_num_threads(0);
-}
-
 }  // namespace
 }  // namespace lazymc
 
 // Custom main: strips the repo-convention flags (--shootout,
-// --split-shootout, --json=PATH) before handing the rest to
+// --json=PATH) before handing the rest to
 // google-benchmark, whose BENCHMARK_MAIN would reject them as
 // unrecognized.
 int main(int argc, char** argv) {
   bool shootout = false;
-  bool split_shootout = false;
   std::vector<char*> keep;
   keep.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--shootout") {
       shootout = true;
-    } else if (arg == "--split-shootout") {
-      split_shootout = true;
     } else if (arg.rfind("--json=", 0) == 0) {
       lazymc::bench::enable_json_export(arg.substr(7));
     } else {
       keep.push_back(argv[i]);
     }
   }
-  if (shootout || split_shootout) {
-    if (shootout) lazymc::run_intersect_shootout();
-    if (split_shootout) lazymc::run_split_shootout();
+  if (shootout) {
+    lazymc::run_intersect_shootout();
     return 0;
   }
   int kargc = static_cast<int>(keep.size());

@@ -1,7 +1,9 @@
 # End-to-end smoke test for the `lazymc` CLI driver, run by ctest as
 #   cmake -DLAZYMC_BIN=... -DWORK_DIR=... -P cli_smoke.cmake
 # Exercises both graph sources (synthetic-suite generator and a DIMACS
-# file) and both output modes, and checks the reported omega.
+# file) and both output modes, and checks the reported omega.  With
+# -DLAZYMC_CONVERT_BIN / -DLAZYMCD_BIN it also covers lazymc-convert and
+# the count flags of lazymc-convert and lazymcd.
 
 if(NOT LAZYMC_BIN OR NOT WORK_DIR)
   message(FATAL_ERROR "usage: cmake -DLAZYMC_BIN=<lazymc> -DWORK_DIR=<dir> "
@@ -138,16 +140,7 @@ expect("${fail_out}" "\"error\":" "bad instance reported as an error object")
 expect("${fail_out}" "\"error_kind\":\"input\"" "error object carries its kind")
 expect("${fail_out}" "\"attempts\":1" "error object counts attempts")
 
-# 6. Subproblem splitting forced on must not change omega.
-run_lazymc(split_out --graph "${clq}" --split on --split-min-cands 2 --json)
-expect("${split_out}" "\"omega\":4" "split-on omega")
-
-# 7. Split-work estimation gate must not change omega either.
-run_lazymc(work_out --graph "${clq}" --split on --split-min-cands 2
-           --split-min-work 1 --json)
-expect("${work_out}" "\"omega\":4" "split-min-work omega")
-
-# 8. The scalar kernel tier can always be forced; the report names it.
+# 6. The scalar kernel tier can always be forced; the report names it.
 run_lazymc(kern_out --graph "${clq}" --kernels scalar --json)
 expect("${kern_out}" "\"omega\":4" "kernels-scalar omega")
 expect("${kern_out}" "\"tier\":\"scalar\"" "forced tier surfaced in report")
@@ -165,7 +158,7 @@ function(expect_exit expected what)
   set(last_out "${output}" PARENT_SCOPE)
 endfunction()
 
-# 9. 0 = solved; 2 = timed out (best-so-far is still verified); 3 = input
+# 7. 0 = solved; 2 = timed out (best-so-far is still verified); 3 = input
 # error (unreadable graph, bad flag).
 expect_exit(0 "solved exit code" --graph "${clq}")
 expect_exit(2 "timed-out exit code"
@@ -177,7 +170,40 @@ expect_exit(3 "bad-flag exit code" --graph "${clq}" --no-such-flag)
 expect_exit(3 "removed --rep hybrid" --graph "${clq}" --rep hybrid)
 expect_exit(3 "bad-manifest exit code" --manifest /nonexistent.manifest)
 
-# 10. Crash-safe batch: a journaled sweep records completed instances; a
+# 8. Counts from the command line are parsed strictly, and thread and
+# executor counts are capped, before any pool or broker exists.  Every
+# call below also omits a required argument, so a parser that let the
+# count through would still stop before spawning anything (and fail the
+# message check instead).
+function(expect_count_rejected bin flag)
+  execute_process(COMMAND "${bin}" ${ARGN}
+                  OUTPUT_VARIABLE output ERROR_VARIABLE error
+                  RESULT_VARIABLE status)
+  if(NOT status EQUAL 3 OR NOT error MATCHES "${flag} expects an integer")
+    message(FATAL_ERROR "${bin} ${ARGN}: expected exit 3 naming ${flag}, "
+                        "got ${status}:\n${output}\n${error}")
+  endif()
+endfunction()
+foreach(bad 1025 -1 abc 2x 99999999999999999999)
+  expect_count_rejected("${LAZYMC_BIN}" --threads --threads ${bad})
+endforeach()
+expect_count_rejected("${LAZYMC_BIN}" --retries --retries -3)
+if(LAZYMC_CONVERT_BIN)
+  foreach(bad 1025 -1 abc)
+    expect_count_rejected("${LAZYMC_CONVERT_BIN}" --threads --threads ${bad})
+  endforeach()
+  expect_count_rejected("${LAZYMC_CONVERT_BIN}" --rows-omega
+                        --rows-omega 4294967296)
+endif()
+if(LAZYMCD_BIN)
+  foreach(flag --threads --executors)
+    foreach(bad 1025 -1 abc)
+      expect_count_rejected("${LAZYMCD_BIN}" ${flag} ${flag} ${bad})
+    endforeach()
+  endforeach()
+endif()
+
+# 9. Crash-safe batch: a journaled sweep records completed instances; a
 # --resume re-run skips them (solving only what is missing) and exits 0.
 set(journal "${WORK_DIR}/smoke_journal.jsonl")
 file(REMOVE "${journal}")
@@ -209,7 +235,7 @@ expect("${journal_text}" "smoke_k4" "resumed sweep journaled the file spec")
 # --resume without --journal is an input error.
 expect_exit(3 "resume-without-journal exit code" --graph "${clq}" --resume)
 
-# 11. SIGINT during a long solve: the driver reports best-so-far with
+# 10. SIGINT during a long solve: the driver reports best-so-far with
 # "interrupted": true and exits with the documented code (6).  MCE on the
 # medium gene network reliably runs far longer than the kill delay.
 if(UNIX)

@@ -24,6 +24,7 @@
 #include <cstring>
 #include <exception>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,7 @@
 #include "mc/heuristic.hpp"
 #include "mc/incumbent.hpp"
 #include "store/binary_graph.hpp"
+#include "support/count_arg.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
 #include "support/timer.hpp"
@@ -57,7 +59,8 @@ const char* kUsage =
     "  --rows-omega N   zone threshold for --with-rows; rows cover every\n"
     "                   vertex with coreness >= N (default: the omega the\n"
     "                   degree heuristic finds)\n"
-    "  --threads N      worker threads (0 = hardware concurrency)\n"
+    "  --threads N      worker threads, at most 1024 (0 = hardware\n"
+    "                   concurrency)\n"
     "  --verify         reopen the output and compare it section by\n"
     "                   section against the source graph\n"
     "  --emit FORMAT    output format: lmg (default), dimacs, or edges —\n"
@@ -143,11 +146,13 @@ int run(int argc, char** argv) {
     } else if (arg == "--verify") {
       verify = true;
     } else if (arg == "--rows-omega") {
-      rows_omega = static_cast<VertexId>(std::stoul(next("--rows-omega")));
+      rows_omega = static_cast<VertexId>(
+          parse_count(arg, next("--rows-omega"),
+                      std::numeric_limits<VertexId>::max()));
       have_rows_omega = true;
       with_rows = true;
     } else if (arg == "--threads") {
-      threads = std::stoul(next("--threads"));
+      threads = parse_count(arg, next("--threads"), kMaxThreadCount);
     } else if (arg == "--emit") {
       emit = next("--emit");
       if (emit != "lmg" && emit != "dimacs" && emit != "edges") {

@@ -127,15 +127,6 @@ void solve_into(const Options& options, RunReport& report,
       config.neighborhood_rep = options.rep;
       config.bitset_budget_bytes = options.bitset_budget_mb << 20;
       config.pre_extraction_density = options.pre_extraction_density;
-      switch (options.split) {
-        case Split::kAuto: config.split_mode = mc::SplitMode::kAuto; break;
-        case Split::kOn: config.split_mode = mc::SplitMode::kOn; break;
-        case Split::kOff: config.split_mode = mc::SplitMode::kOff; break;
-      }
-      config.split_depth = static_cast<unsigned>(options.split_depth);
-      config.split_min_cands =
-          static_cast<VertexId>(options.split_min_cands);
-      config.split_min_work = options.split_min_work;
       switch (options.kernels) {
         case Kernels::kAuto: break;  // leave the dispatcher on best-tier
         case Kernels::kScalar: config.kernel_tier = simd::Tier::kScalar;

@@ -1,11 +1,11 @@
 #include "cli/options.hpp"
 
-#include <cerrno>
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <string>
 
+#include "support/count_arg.hpp"
 #include "support/error.hpp"
 
 namespace lazymc::cli {
@@ -39,13 +39,6 @@ NeighborhoodRep parse_rep(const std::string& name) {
        std::string(kNeighborhoodRepNames) + ")");
 }
 
-Split parse_split(const std::string& name) {
-  if (name == "auto") return Split::kAuto;
-  if (name == "on") return Split::kOn;
-  if (name == "off") return Split::kOff;
-  fail("unknown split mode '" + name + "' (expected auto|on|off)");
-}
-
 Kernels parse_kernels(const std::string& name) {
   if (name == "auto") return Kernels::kAuto;
   if (name == "scalar") return Kernels::kScalar;
@@ -53,19 +46,6 @@ Kernels parse_kernels(const std::string& name) {
   if (name == "avx512") return Kernels::kAvx512;
   fail("unknown kernel tier '" + name +
        "' (expected auto|scalar|avx2|avx512)");
-}
-
-std::size_t parse_size(const std::string& flag, const std::string& v) {
-  errno = 0;
-  char* end = nullptr;
-  long n = std::strtol(v.c_str(), &end, 10);
-  // Bounding by INT_MAX also keeps later narrowing (e.g. split_depth to
-  // unsigned) exact; no flag has a meaningful value anywhere near it.
-  if (end == v.c_str() || *end != '\0' || n < 0 || errno == ERANGE ||
-      n > std::numeric_limits<int>::max()) {
-    fail(flag + " expects a non-negative integer, got '" + v + "'");
-  }
-  return static_cast<std::size_t>(n);
 }
 
 }  // namespace
@@ -91,7 +71,8 @@ std::string usage() {
       "                       starts a comment, blank lines skipped)\n"
       "  --solver NAME        lazymc (default), domega | domega-bs,\n"
       "                       domega-ls, mcbrb, pmc, reference, mce\n"
-      "  --threads N          worker threads (default: hardware)\n"
+      "  --threads N          worker threads, at most 1024 (default:\n"
+      "                       hardware)\n"
       "  --time-limit SECONDS wall-clock limit (default: none; the\n"
       "                       reference solver does not support limits\n"
       "                       and ignores this)\n"
@@ -107,17 +88,6 @@ std::string usage() {
       "  --pre-density        route the MC-vs-VC solver choice on the\n"
       "                       filter-3 edge estimate instead of the\n"
       "                       extracted subgraph's exact density\n"
-      "  --split MODE         decompose oversized B&B subproblems into\n"
-      "                       stealable tasks on the shared work queue:\n"
-      "                       auto (default; only when >1 thread) | on |\n"
-      "                       off\n"
-      "  --split-depth N      maximum split generations (default 2;\n"
-      "                       0 disables splitting)\n"
-      "  --split-min-cands N  minimum candidate-set size for a frame to\n"
-      "                       be carved into a task (default 128)\n"
-      "  --split-min-work N   gate task carving on the work estimate\n"
-      "                       candidates x density >= N instead of the raw\n"
-      "                       candidate count (default 0 = count rule)\n"
       "  --kernels TIER       SIMD tier for the word-parallel kernels:\n"
       "                       auto (default; best of build + CPU) |\n"
       "                       scalar | avx2 | avx512 (forced tiers fail\n"
@@ -189,21 +159,13 @@ Options parse_options(int argc, char** argv, bool& wants_help) {
     } else if (arg == "--rep") {
       options.rep = parse_rep(value(i, arg));
     } else if (arg == "--bitset-budget-mb") {
-      options.bitset_budget_mb = parse_size(arg, value(i, arg));
+      options.bitset_budget_mb = parse_count(arg, value(i, arg), kMaxCount);
     } else if (arg == "--pre-density") {
       options.pre_extraction_density = true;
-    } else if (arg == "--split") {
-      options.split = parse_split(value(i, arg));
-    } else if (arg == "--split-depth") {
-      options.split_depth = parse_size(arg, value(i, arg));
-    } else if (arg == "--split-min-cands") {
-      options.split_min_cands = parse_size(arg, value(i, arg));
-    } else if (arg == "--split-min-work") {
-      options.split_min_work = parse_size(arg, value(i, arg));
     } else if (arg == "--kernels") {
       options.kernels = parse_kernels(value(i, arg));
     } else if (arg == "--threads") {
-      options.threads = parse_size(arg, value(i, arg));
+      options.threads = parse_count(arg, value(i, arg), kMaxThreadCount);
     } else if (arg == "--time-limit") {
       const std::string v = value(i, arg);
       char* end = nullptr;
@@ -220,7 +182,7 @@ Options parse_options(int argc, char** argv, bool& wants_help) {
     } else if (arg == "--resume") {
       options.resume = true;
     } else if (arg == "--retries") {
-      options.retries = parse_size(arg, value(i, arg));
+      options.retries = parse_count(arg, value(i, arg), kMaxCount);
     } else if (arg == "--fault") {
       options.fault_specs.push_back(value(i, arg));
     } else {

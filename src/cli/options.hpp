@@ -5,9 +5,7 @@
 //          [--solver NAME] [--threads N] [--time-limit SECONDS]
 //          [--order coreness|peeling]
 //          [--rep auto|hash|sorted|bitset] [--bitset-budget-mb N]
-//          [--pre-density]
-//          [--split auto|on|off] [--split-depth N] [--split-min-cands N]
-//          [--split-min-work N] [--kernels auto|scalar|avx2|avx512]
+//          [--pre-density] [--kernels auto|scalar|avx2|avx512]
 //          [--json] [--journal FILE] [--resume] [--retries N]
 //          [--fault SPEC]
 //
@@ -39,9 +37,6 @@ enum class Solver {
 
 enum class Order { kCorenessDegree, kPeeling };
 
-/// Subproblem-splitting mode (lazymc solver only); mirrors mc::SplitMode.
-enum class Split { kAuto, kOn, kOff };
-
 /// SIMD kernel tier for the word-parallel kernels (lazymc solver only):
 /// auto picks the best tier the build and CPU support; the rest force one
 /// for A/B runs and fail when unavailable.
@@ -59,12 +54,8 @@ struct Options {
   NeighborhoodRep rep = NeighborhoodRep::kAuto;
   std::size_t bitset_budget_mb = 64;  // 0 disables bitset rows
   bool pre_extraction_density = false;
-  Split split = Split::kAuto;
-  std::size_t split_depth = 2;       // 0 disables splitting
-  std::size_t split_min_cands = 128;
-  std::size_t split_min_work = 0;    // 0 = count rule, >0 = work estimate
   Kernels kernels = Kernels::kAuto;
-  std::size_t threads = 0;  // 0 = hardware default
+  std::size_t threads = 0;  // 0 = hardware default; <= kMaxThreadCount
   double time_limit_seconds = std::numeric_limits<double>::infinity();
   bool json = false;
   /// Fault-injection specs (one per --fault flag), applied in order after

@@ -59,20 +59,15 @@ void render_text(const RunReport& r, std::ostream& out) {
       << " pass3=" << s.pass_filter3 << " solved-mc=" << s.solved_mc
       << " solved-vc=" << s.solved_vc << " vc-fallbacks=" << s.vc_fallbacks
       << " retired-chunks=" << s.retired_chunks << "\n";
-  out << "split:    tasks=" << s.split_tasks
-      << " retired-subtasks=" << s.retired_subtasks
-      << " max-depth=" << s.max_split_depth
-      << " work-rejected=" << s.split_work_rejected << "\n";
   if (s.time_to_first_solution > 0) {
     out << "anytime:  first-solution=" << s.time_to_first_solution
         << "s improvements=" << s.improvements.size()
         << " (last at " << s.improvements.back().seconds << "s)\n";
   }
   const auto& lg = lz.lazy_graph;
-  if (lg.bitset_degraded + s.degraded_wordsets + s.degraded_splits > 0) {
+  if (lg.bitset_degraded + s.degraded_wordsets > 0) {
     out << "degraded: bitset-rows=" << lg.bitset_degraded
         << " wordsets=" << s.degraded_wordsets
-        << " splits=" << s.degraded_splits
         << " (recovered allocation failures)\n";
   }
   out << "          mc-nodes=" << s.mc_nodes << " vc-nodes=" << s.vc_nodes
@@ -139,10 +134,6 @@ void render_json(const RunReport& r, std::ostream& out) {
     w.field("solved_vc", s.solved_vc);
     w.field("vc_fallbacks", s.vc_fallbacks);
     w.field("retired_chunks", s.retired_chunks);
-    w.field("split_tasks", s.split_tasks);
-    w.field("retired_subtasks", s.retired_subtasks);
-    w.field("max_split_depth", s.max_split_depth);
-    w.field("split_work_rejected", s.split_work_rejected);
     w.field("time_to_first_solution", s.time_to_first_solution);
     w.open_array("improvements");
     for (const auto& imp : s.improvements) {
@@ -183,7 +174,6 @@ void render_json(const RunReport& r, std::ostream& out) {
     w.open("degradations");
     w.field("bitset_rows", g.bitset_degraded);
     w.field("wordsets", s.degraded_wordsets);
-    w.field("splits", s.degraded_splits);
     w.close();
   }
   if (!r.fault_sites.empty()) {

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "daemon/server.hpp"
+#include "support/count_arg.hpp"
 #include "support/error.hpp"
 #include "support/faultinject.hpp"
 
@@ -33,8 +34,10 @@ void print_usage(std::ostream& out) {
       "                         recovered\n"
       "  --journal PATH         request journal (durable one-line JSON per\n"
       "                         completed request; SIGHUP re-opens it)\n"
-      "  --threads N            solver pool threads (default: hardware)\n"
-      "  --executors N          concurrent running solves (default 2)\n"
+      "  --threads N            solver pool threads, at most 1024\n"
+      "                         (default: hardware)\n"
+      "  --executors N          concurrent running solves, at most 1024\n"
+      "                         (default 2)\n"
       "  --max-queue N          admitted-but-waiting bound before requests\n"
       "                         are shed with \"overloaded\" (default 16)\n"
       "  --max-connections N    concurrent client connections (default 32)\n"
@@ -66,19 +69,6 @@ double parse_seconds(const std::string& flag, const std::string& value) {
   }
 }
 
-std::size_t parse_count(const std::string& flag, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const long parsed = std::stol(value, &pos);
-    if (pos != value.size() || parsed < 0) fail(flag + " needs a non-negative integer, got '" + value + "'");
-    return static_cast<std::size_t>(parsed);
-  } catch (const Error&) {
-    throw;
-  } catch (...) {
-    fail(flag + " needs a non-negative integer, got '" + value + "'");
-  }
-}
-
 int daemon_main(int argc, char** argv) {
   ServerConfig config;
   for (int i = 1; i < argc; ++i) {
@@ -97,13 +87,13 @@ int daemon_main(int argc, char** argv) {
     } else if (arg == "--journal") {
       config.journal_path = value();
     } else if (arg == "--threads") {
-      config.threads = parse_count(arg, value());
+      config.threads = parse_count(arg, value(), kMaxThreadCount);
     } else if (arg == "--executors") {
-      config.executors = parse_count(arg, value());
+      config.executors = parse_count(arg, value(), kMaxThreadCount);
     } else if (arg == "--max-queue") {
-      config.max_queue = parse_count(arg, value());
+      config.max_queue = parse_count(arg, value(), kMaxCount);
     } else if (arg == "--max-connections") {
-      config.max_connections = parse_count(arg, value());
+      config.max_connections = parse_count(arg, value(), kMaxCount);
     } else if (arg == "--default-time-limit") {
       config.default_time_limit = parse_seconds(arg, value());
     } else if (arg == "--max-time-limit") {

@@ -12,34 +12,17 @@ class Searcher {
 
   BBResult run() {
     const std::size_t n = g_.size();
-    prepare(n);
-    DynamicBitset& p = scratch_.root;
-    p.reinit(n);
-    for (std::size_t v = 0; v < n; ++v) p.set(v);
-    expand(p, 0);
-    return finish();
-  }
-
-  BBResult run_rooted(std::span<const VertexId> prefix,
-                      const DynamicBitset& candidates) {
-    prepare(g_.size());
-    scratch_.current.assign(prefix.begin(), prefix.end());
-    scratch_.root = candidates;
-    expand(scratch_.root, 0);
-    return finish();
-  }
-
- private:
-  void prepare(std::size_t n) {
     // Depth never exceeds n + 1, so pre-sizing keeps frame references
     // stable across the recursion (and allocation-free once the pool's
     // high-water mark covers n).
     if (scratch_.frames.size() < n + 1) scratch_.frames.resize(n + 1);
     scratch_.best.clear();
     scratch_.current.clear();
-  }
+    DynamicBitset& p = scratch_.root;
+    p.reinit(n);
+    for (std::size_t v = 0; v < n; ++v) p.set(v);
+    expand(p, 0);
 
-  BBResult finish() {
     BBResult out;
     if (!scratch_.best.empty()) {
       out.clique.assign(scratch_.best.begin(), scratch_.best.end());
@@ -49,6 +32,7 @@ class Searcher {
     return out;
   }
 
+ private:
   VertexId bound() const {
     VertexId b = best_size_;
     if (opt_.live_bound) {
@@ -88,12 +72,7 @@ class Searcher {
       if (potential <= bound()) return;
       current.push_back(v);
       f.next.assign_and(f.rest, g_.adj[v]);
-      // Root branches may be handed off as stealable tasks instead of
-      // recursing; an accepted frame is executed (or retired) elsewhere.
-      if (!(depth == 0 && opt_.split &&
-            opt_.split->offer(current, f.next, potential))) {
-        expand(f.next, depth + 1);
-      }
+      expand(f.next, depth + 1);
       current.pop_back();
       f.rest.reset(v);
     }
@@ -119,14 +98,6 @@ BBResult solve_mc_dense(const DenseSubgraph& g, const BBOptions& options,
 BBResult solve_mc_dense(const DenseSubgraph& g, const BBOptions& options) {
   MCScratch scratch;
   return solve_mc_dense(g, options, scratch);
-}
-
-BBResult solve_mc_dense_rooted(const DenseSubgraph& g,
-                               std::span<const VertexId> prefix,
-                               const DynamicBitset& candidates,
-                               const BBOptions& options, MCScratch& scratch) {
-  Searcher searcher(g, options, scratch);
-  return searcher.run_rooted(prefix, candidates);
 }
 
 }  // namespace lazymc::mc

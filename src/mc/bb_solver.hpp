@@ -4,25 +4,12 @@
 // (paper Section IV-E): candidates are greedily colored at each node and
 // expanded in reverse color order, pruning when |R| + color <= best.
 // The solver reads an optional external incumbent size so concurrently
-// discovered cliques shrink this search too.
-//
-// Task decomposition: the recursion is no longer forced to stay on one
-// thread.  A caller may install a BBSplitHook; the solver then *offers*
-// every root branch — the frame (R = current prefix, P = candidate set)
-// that reverse-color-order expansion would recurse into — to the hook
-// before descending.  A hook that accepts the frame owns it (typically
-// copying it into a SubproblemTask on a shared WorkQueue, see
-// mc/neighbor_search.hpp); the solver skips the recursion and moves to
-// the next branch.  Rejected frames fall back to the pooled recursion
-// unchanged, so a null hook reproduces the classic solver exactly.
-// `solve_mc_dense_rooted` is the matching re-entry point: it resumes the
-// search from an explicit frame, which is how claimed tasks execute on
-// whichever thread stole them.
+// discovered cliques shrink this search too.  Each solve runs on the
+// calling thread.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "graph/subgraph.hpp"
@@ -52,31 +39,11 @@ struct MCScratch {
 
 struct BBResult {
   /// Largest clique found with size > lower_bound, in *local* subgraph
-  /// ids; empty when none exceeds the bound.  In rooted calls the clique
-  /// includes the prefix.  When a split hook accepted frames, cliques
-  /// inside those frames are the hook's responsibility and do not appear
-  /// here.
+  /// ids; empty when none exceeds the bound.
   std::vector<VertexId> clique;
   /// Search-tree nodes expanded (work metric for Figs. 6/7).
   std::uint64_t nodes = 0;
   bool timed_out = false;
-};
-
-/// Receives root-level frames the solver is willing to hand off instead of
-/// recursing into them.  Implementations decide per frame (e.g. only
-/// frames with enough candidates to be worth a queue round-trip).
-class BBSplitHook {
- public:
-  virtual ~BBSplitHook() = default;
-  /// Offered before each root-branch recursion.  `prefix` is R (the branch
-  /// vertex last), `candidates` is P, and `potential` is the coloring
-  /// upper bound on any clique in this frame's subtree (|R| + color, local
-  /// ids — i.e. the same quantity the solver prunes against).  Return
-  /// true to take ownership (the solver skips the subtree); false to let
-  /// the solver recurse inline.  Both spans/bitsets are only valid during
-  /// the call — take copies.
-  virtual bool offer(std::span<const VertexId> prefix,
-                     const DynamicBitset& candidates, VertexId potential) = 0;
 };
 
 struct BBOptions {
@@ -91,9 +58,6 @@ struct BBOptions {
   VertexId live_bound_offset = 0;
   /// Cooperative timeout; may be null.
   const SolveControl* control = nullptr;
-  /// When non-null, root-level branch frames are offered here before the
-  /// solver recurses into them (see the header comment).
-  BBSplitHook* split = nullptr;
 };
 
 /// Exact maximum clique of `g` subject to the options above.
@@ -103,14 +67,5 @@ BBResult solve_mc_dense(const DenseSubgraph& g, const BBOptions& options);
 /// lives in (and is recycled through) `scratch`.
 BBResult solve_mc_dense(const DenseSubgraph& g, const BBOptions& options,
                         MCScratch& scratch);
-
-/// Re-entry point for an explicit frame: expands `candidates` with
-/// `prefix` already committed to R.  Returned cliques include the prefix.
-/// Used by the task engine to execute claimed SubproblemTasks; with
-/// options.split set the frame may split again (nested task generations).
-BBResult solve_mc_dense_rooted(const DenseSubgraph& g,
-                               std::span<const VertexId> prefix,
-                               const DynamicBitset& candidates,
-                               const BBOptions& options, MCScratch& scratch);
 
 }  // namespace lazymc::mc

@@ -65,8 +65,8 @@ LazyMCResult lazy_mc(const Graph& g, const LazyMCConfig& config) {
   Incumbent incumbent;
 #if LAZYMC_CHECKED_ENABLED
   // End-to-end invariant: every incumbent any thread publishes — from the
-  // heuristics, the dense B&B, the VC route, or a split subproblem task —
-  // must be an actual clique of the input graph.
+  // heuristics, the dense B&B or the VC route — must be an actual clique
+  // of the input graph.
   incumbent.set_verifier(
       [&g](std::span<const VertexId> clique) { return is_clique(g, clique); });
 #endif
@@ -162,10 +162,6 @@ LazyMCResult lazy_mc(const Graph& g, const LazyMCConfig& config) {
     n.color_prune = config.color_prune;
     n.vc_node_budget_per_vertex = config.vc_node_budget_per_vertex;
     n.pre_extraction_density = config.pre_extraction_density;
-    n.split_mode = config.split_mode;
-    n.split_min_cands = config.split_min_cands;
-    n.split_depth = config.split_depth;
-    n.split_min_work = config.split_min_work;
     n.intersect = policy;
     n.control = &control;
     systematic_search(lazy, incumbent, n, stats);
@@ -178,7 +174,7 @@ LazyMCResult lazy_mc(const Graph& g, const LazyMCConfig& config) {
   result.timed_out = control.cancelled();
 
   SearchStatsSnapshot& out = result.search;
-#define LAZYMC_COPY(name, merge) out.name = stats.name.load();
+#define LAZYMC_COPY(name) out.name = stats.name.load();
   LAZYMC_SEARCH_COUNTERS(LAZYMC_COPY)
 #undef LAZYMC_COPY
 #define LAZYMC_COPY(name) out.kernel_##name = stats.kernels.name.load();

@@ -92,16 +92,10 @@ struct LazyMCConfig {
   /// Route the MC-vs-VC choice on filter 3's pre-extraction edge estimate
   /// instead of the extracted subgraph's exact density (paper ordering).
   bool pre_extraction_density = false;
-  /// Subproblem decomposition of oversized B&B roots onto the shared work
-  /// queue; see NeighborSearchOptions::{split_mode,split_min_cands,
-  /// split_depth}.
+  // Ignored; kept only because lmcbench/main.cpp reads it.
   SplitMode split_mode = SplitMode::kAuto;
   VertexId split_min_cands = 128;
   unsigned split_depth = 2;
-  /// Split-work estimation: when > 0, frames are accepted on the work
-  /// estimate candidates x subproblem density (>= this value) instead of
-  /// the raw candidate count; 0 keeps the count-only rule.  See
-  /// NeighborSearchOptions::split_min_work.
   std::uint64_t split_min_work = 0;
   /// Forces the SIMD kernel tier (scalar/avx2/avx512) for every word
   /// kernel during this solve; nullopt = auto (best tier the build and
@@ -153,7 +147,7 @@ struct PhaseTimes {
 /// counter under its own name, each kernel count as kernel_<name>, each
 /// timer as <phase>_seconds.
 struct SearchStatsSnapshot {
-#define LAZYMC_FIELD(name, merge) std::uint64_t name = 0;
+#define LAZYMC_FIELD(name) std::uint64_t name = 0;
   LAZYMC_SEARCH_COUNTERS(LAZYMC_FIELD)
 #undef LAZYMC_FIELD
 #define LAZYMC_FIELD(name) std::uint64_t kernel_##name = 0;

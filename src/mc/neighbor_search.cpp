@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <utility>
-#include <variant>
 
 #include "graph/subgraph.hpp"
 #include "support/faultinject.hpp"
@@ -156,134 +155,11 @@ struct LevelChunk {
   VertexId coreness = 0;
 };
 
-/// BBSplitHook that carves accepted frames into SubproblemTasks for a
-/// SubproblemSink.  Probe-root mode materializes the SharedSubproblem
-/// (one subgraph copy + publish maps) lazily on the first accepted offer;
-/// task mode re-splits against the already-shared subproblem.  Not
-/// thread-safe — one instance per solve, on the solving thread's stack.
-class SplitHook final : public BBSplitHook {
- public:
-  /// Probe-root mode: `sub` is the pooled extraction for relabelled
-  /// vertex `head` (must outlive the solve).
-  SplitHook(SubproblemSink* sink, const NeighborSearchOptions& options,
-            SearchTally& tally, const LazyGraph& h, VertexId head,
-            const DenseSubgraph& sub)
-      : sink_(sink), options_(options), tally_(tally), h_(&h), head_(head),
-        sub_(&sub), density_(sub.density()) {}
-
-  /// Task mode: re-splitting a claimed task of generation `parent_depth`.
-  SplitHook(SubproblemSink* sink, const NeighborSearchOptions& options,
-            SearchTally& tally,
-            std::shared_ptr<const SharedSubproblem> shared,
-            std::uint32_t parent_depth)
-      : sink_(sink), options_(options), tally_(tally),
-        density_(shared->graph.density()), shared_(std::move(shared)),
-        parent_depth_(parent_depth) {}
-
-  bool offer(std::span<const VertexId> prefix,
-             const DynamicBitset& candidates, VertexId potential) override {
-    // Sticky acceptance: branches arrive biggest-first (reverse color
-    // order), so the first branch decides whether this root is worth
-    // decomposing.  Once it is, *every* remaining branch becomes a task —
-    // solving the small tail inline here would run it against the weak
-    // pre-split bound, whereas as queued tasks the big frames complete
-    // first and the claim-time incumbent check retires the tail for the
-    // cost of one comparison.  The cap is a runaway guard only.
-    if (degraded_) return false;
-    if (!sticky_ && !frame_accepted(candidates.count())) return false;
-    if (accepts_left_ == 0) return false;
-    try {
-      LAZYMC_FAULT_BAD_ALLOC("task.materialize");
-      if (!shared_) materialize();
-      SubproblemTask task;
-      task.shared = shared_;
-      task.prefix.assign(prefix.begin(), prefix.end());
-      task.candidates = candidates;
-      task.upper_bound = potential + 1;  // + the head vertex
-      task.depth = parent_depth_ + 1;
-      buffer_.push_back(std::move(task));
-    } catch (const std::bad_alloc&) {
-      // Declining the offer keeps the B&B correct — the solver recurses
-      // into the frame inline; we just lose the steal.  Stop offering for
-      // this solve so a solver that already split keeps its frames local.
-      degraded_ = true;
-      ++tally_.degraded_splits;
-      return false;
-    }
-    sticky_ = true;
-    --accepts_left_;
-    ++tally_.split_tasks;
-    tally_.max_split_depth =
-        std::max<std::uint64_t>(tally_.max_split_depth, parent_depth_ + 1);
-    return true;
-  }
-
-  /// Hands the buffered tasks to the sink, smallest frame first — the
-  /// sink front-pushes, so the shard ends up claiming biggest-first,
-  /// preserving the solver's reverse-color-order pruning discipline.
-  /// Call once the solve that produced the frames has returned.
-  void flush() {
-    for (std::size_t i = buffer_.size(); i-- > 0;) {
-      sink_->submit(std::move(buffer_[i]));
-    }
-    buffer_.clear();
-  }
-
- private:
-  /// Split-work estimation: with split_min_work set, gate on candidates x
-  /// subproblem density (the branching mass the B&B faces) rather than
-  /// the raw count; a frame big enough for the old count rule that the
-  /// estimate rejects is counted, so sweeps can see the gate working.
-  bool frame_accepted(std::size_t cands) {
-    if (options_.split_min_work == 0) {
-      return cands >= options_.split_min_cands;
-    }
-    const bool accept =
-        static_cast<double>(cands) * density_ >=
-        static_cast<double>(options_.split_min_work);
-    if (!accept && cands >= options_.split_min_cands) {
-      ++tally_.split_work_rejected;
-    }
-    return accept;
-  }
-
-  void materialize() {
-    const std::size_t n = sub_->size();
-    const auto& new_to_orig = h_->order().new_to_orig;
-    auto sp = std::make_shared<SharedSubproblem>();
-    sp->graph.vertices = sub_->vertices;
-    // The pooled extraction may hold stale rows past n; copy only [0, n).
-    sp->graph.adj.assign(sub_->adj.begin(),
-                         sub_->adj.begin() + static_cast<std::ptrdiff_t>(n));
-    sp->graph.num_edges = sub_->num_edges;
-    sp->orig_of_local.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      sp->orig_of_local[i] = new_to_orig[sub_->vertices[i]];
-    }
-    sp->head_orig = new_to_orig[head_];
-    shared_ = std::move(sp);
-  }
-
-  SubproblemSink* sink_;
-  const NeighborSearchOptions& options_;
-  SearchTally& tally_;
-  const LazyGraph* h_ = nullptr;
-  VertexId head_ = 0;
-  const DenseSubgraph* sub_ = nullptr;
-  double density_ = 0;  // of the (shared) subproblem, for the work estimate
-  std::shared_ptr<const SharedSubproblem> shared_;
-  std::uint32_t parent_depth_ = 0;
-  bool sticky_ = false;
-  bool degraded_ = false;  // a materialization failed; solve inline
-  std::size_t accepts_left_ = 4096;
-  std::vector<SubproblemTask> buffer_;
-};
-
 }  // namespace
 
 void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
                      const NeighborSearchOptions& options, SearchTally& tally,
-                     SearchScratch& scratch, SubproblemSink* sink) {
+                     SearchScratch& scratch) {
   WallTimer timer;
   ++tally.evaluated;
 
@@ -441,73 +317,12 @@ void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
     // vertex contributes 1, so the local bound is the incumbent minus 1.
     bb.live_bound = &incumbent.size_atomic();
     bb.live_bound_offset = 1;
-    SplitHook hook(sink, options, tally, h, v, sub);
-    // Root frames can hold at most sub.size() candidates, so when even
-    // that fails the active acceptance rule no offer could succeed and
-    // the hook is not installed at all.
-    const bool any_frame_may_split =
-        options.split_min_work > 0
-            ? static_cast<double>(sub.size()) * sub.density() >=
-                  static_cast<double>(options.split_min_work)
-            : sub.size() >= options.split_min_cands;
-    const bool split_wanted = sink != nullptr &&
-                              options.split_mode != SplitMode::kOff &&
-                              options.split_depth > 0;
-    if (split_wanted && any_frame_may_split) {
-      bb.split = &hook;
-    } else if (split_wanted && options.split_min_work > 0 &&
-               sub.size() >= options.split_min_cands) {
-      // The count rule would have engaged the hook; the estimate said the
-      // whole subproblem is too sparse to be worth carving.
-      ++tally.split_work_rejected;
-    }
     BBResult r = solve_mc_dense(sub, bb, scratch.mc);
-    hook.flush();
     tally.mc_ns += to_ns(timer.lap());
     tally.mc_nodes += r.nodes;
     ++tally.solved_mc;
     if (!r.clique.empty()) publish(v, r.clique, sub.vertices);
   }
-}
-
-bool run_subproblem_task(const SubproblemTask& task, Incumbent& incumbent,
-                         const NeighborSearchOptions& options,
-                         SearchTally& tally, SearchScratch& scratch,
-                         SubproblemSink* sink) {
-  // Claim-time incumbent re-check: the coloring bound recorded at split
-  // time caps anything this frame can produce, so a bound raised anywhere
-  // since then retires the task without coloring a single node.
-  if (task.upper_bound <= incumbent.size()) {
-    ++tally.retired_subtasks;
-    return false;
-  }
-  WallTimer timer;
-  const VertexId inc = incumbent.size();
-  BBOptions bb;
-  bb.lower_bound = inc > 0 ? inc - 1 : 0;
-  bb.live_bound = &incumbent.size_atomic();
-  bb.live_bound_offset = 1;
-  bb.control = options.control;
-  SplitHook hook(sink, options, tally, task.shared, task.depth);
-  if (sink != nullptr && options.split_mode != SplitMode::kOff &&
-      task.depth < options.split_depth) {
-    bb.split = &hook;
-  }
-  BBResult r = solve_mc_dense_rooted(task.shared->graph, task.prefix,
-                                     task.candidates, bb, scratch.mc);
-  hook.flush();
-  tally.mc_ns += to_ns(timer.elapsed());
-  tally.mc_nodes += r.nodes;
-  if (!r.clique.empty()) {
-    std::vector<VertexId>& orig = scratch.clique;
-    orig.clear();
-    orig.push_back(task.shared->head_orig);
-    for (VertexId u : r.clique) {
-      orig.push_back(task.shared->orig_of_local[u]);
-    }
-    incumbent.offer(orig);
-  }
-  return true;
 }
 
 namespace {
@@ -525,56 +340,12 @@ NeighborSearchOptions counting_into(const NeighborSearchOptions& options,
 
 void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
                      const NeighborSearchOptions& options, SearchStats& stats,
-                     SearchScratch& scratch, SubproblemSink* sink) {
+                     SearchScratch& scratch) {
   SearchTally tally;
   FlushOnExit flush_guard({&tally, 1}, &stats, options.intersect.counters);
   neighbor_search(h, v, incumbent, counting_into(options, tally), tally,
-                  scratch, sink);
+                  scratch);
 }
-
-bool run_subproblem_task(const SubproblemTask& task, Incumbent& incumbent,
-                         const NeighborSearchOptions& options,
-                         SearchStats& stats, SearchScratch& scratch,
-                         SubproblemSink* sink) {
-  SearchTally tally;
-  FlushOnExit flush_guard({&tally, 1}, &stats, options.intersect.counters);
-  return run_subproblem_task(task, incumbent, counting_into(options, tally),
-                             tally, scratch, sink);
-}
-
-namespace {
-
-/// A unit of the unified drain: either a probe chunk or a stealable B&B
-/// frame, coexisting in the one sharded queue.
-using WorkItem = std::variant<LevelChunk, SubproblemTask>;
-
-/// Routes carved tasks onto the executing participant's shard of the
-/// shared queue, counting them into the TaskGroup *before* they become
-/// visible (see TaskGroup's contract).
-class QueueSink final : public SubproblemSink {
- public:
-  void init(WorkQueue<WorkItem>* queue, TaskGroup* group,
-            std::size_t shard) {
-    queue_ = queue;
-    group_ = group;
-    shard_ = shard;
-  }
-  void submit(SubproblemTask task) override {
-    group_->add(1);
-    // Front of the shard: tasks are depth-first work — claiming them
-    // before older probe chunks reproduces the sequential search order
-    // (the giant subproblem's result prunes the breadth that follows),
-    // while thieves still steal the cheap chunks off the back.
-    queue_->push_front(shard_, WorkItem(std::move(task)));
-  }
-
- private:
-  WorkQueue<WorkItem>* queue_ = nullptr;
-  TaskGroup* group_ = nullptr;
-  std::size_t shard_ = 0;
-};
-
-}  // namespace
 
 void systematic_search(LazyGraph& h, Incumbent& incumbent,
                        const NeighborSearchOptions& options,
@@ -638,14 +409,10 @@ void systematic_search(LazyGraph& h, Incumbent& incumbent,
   }
 
   // Deal round-robin so each shard holds a descending-priority run and
-  // the first pops everywhere are probes / high-coreness chunks.  Every
-  // initial chunk is counted into the task group before it is pushed;
-  // subproblem tasks spawned mid-drain join the same accounting.
-  WorkQueue<WorkItem> queue(participants);
-  TaskGroup group;
-  group.add(worklist.size());
+  // the first pops everywhere are probes / high-coreness chunks.
+  WorkQueue<LevelChunk> queue(participants);
   for (std::size_t p = 0; p < participants; ++p) {
-    std::vector<WorkItem> batch;
+    std::vector<LevelChunk> batch;
     batch.reserve(worklist.size() / participants + 1);
     for (std::size_t i = p; i < worklist.size(); i += participants) {
       batch.push_back(worklist[i]);
@@ -653,21 +420,7 @@ void systematic_search(LazyGraph& h, Incumbent& incumbent,
     queue.push_batch(p, batch.begin(), batch.end());
   }
 
-  // Subproblem splitting: kAuto only pays the task overhead when there is
-  // someone to steal (kOn forces the queue path even single-threaded, so
-  // determinism tests cover it).
-  const bool split_enabled =
-      options.split_depth > 0 &&
-      (options.split_mode == SplitMode::kOn ||
-       (options.split_mode == SplitMode::kAuto && participants > 1));
-  std::vector<QueueSink> sinks(participants);
-  for (std::size_t p = 0; p < participants; ++p) {
-    sinks[p].init(&queue, &group, p);
-  }
-
   // ---- drain: no barriers, incumbent re-checked at claim time ----------
-  // Probe chunks and subproblem tasks interleave in one loop; the drain
-  // ends when the TaskGroup says everything ever enqueued completed.
   // Each participant counts into its own SearchTally through its own copy
   // of the options (the policy's tally); the guard flushes them all into
   // the caller's counters once the drain is over, however it ends.
@@ -681,39 +434,30 @@ void systematic_search(LazyGraph& h, Incumbent& incumbent,
   FlushOnExit flush_guard(tallies, &stats, options.intersect.counters);
   try {
     drain_queue(
-      thread_pool(), queue, group,
-      [&](std::size_t p, WorkItem& item) {
+      thread_pool(), queue,
+      [&](std::size_t p, const LevelChunk& c) {
         LAZYMC_FAULT_THROW("worker.exec");
-        SearchScratch& mine = scratch[p];
         SearchTally& tally = tallies[p];
-        SubproblemSink* sink = split_enabled ? &sinks[p] : nullptr;
-        if (LevelChunk* c = std::get_if<LevelChunk>(&item)) {
-          const VertexId bound = incumbent.size();
-          if (c->coreness < bound) {
-            ++tally.retired_chunks;
-            return;
+        if (c.coreness < incumbent.size()) {
+          ++tally.retired_chunks;
+          return;
+        }
+        for (VertexId v = c.begin; v < c.end; ++v) {
+          if (options.control && options.control->cancelled()) break;
+          if (h.coreness(v) >= incumbent.size()) {
+            neighbor_search(h, v, incumbent, counted[p], tally, scratch[p]);
           }
-          for (VertexId v = c->begin; v < c->end; ++v) {
-            if (options.control && options.control->cancelled()) break;
-            if (h.coreness(v) >= incumbent.size()) {
-              neighbor_search(h, v, incumbent, counted[p], tally, mine, sink);
-            }
-          }
-        } else {
-          run_subproblem_task(std::get<SubproblemTask>(item), incumbent,
-                              counted[p], tally, mine, sink);
         }
       },
       [&] { return options.control && options.control->cancelled(); });
   } catch (...) {
     // A worker exception (injected or real) must not strand the rest of
     // the pool: cancelling the shared control makes every cooperative
-    // check — and drain_queue's own stop predicate — wind down, the
-    // TaskGroup abort path drains the queue, and only then does the
-    // error resurface to the caller (the CLI reports it structured).
-    // All per-solve state (scratch arenas, queue, sinks) unwinds here,
-    // so the pool and a fresh solve are immediately usable again; the
-    // tallies are flushed on the way out, so the counts survive too.
+    // check — and drain_queue's own stop predicate — wind down, and only
+    // then does the error resurface to the caller (the CLI reports it
+    // structured).  All per-solve state (scratch arenas, queue) unwinds
+    // here, so the pool and a fresh solve are immediately usable again;
+    // the tallies are flushed on the way out, so the counts survive too.
     if (options.control) options.control->cancel();
     throw;
   }

@@ -27,25 +27,12 @@
 // allocation-free, and a SearchTally of plain counters, so the filters'
 // per-intersection counts never touch a shared cache line.
 //
-// Two-level drain (subproblem splitting): on zero-gap instances the tail
-// of the search degenerates to a few enormous surviving neighborhoods,
-// each previously solved by a single thread inside the recursive B&B
-// while the rest of the pool idled.  When a surviving subproblem's root
-// frame is large enough (options.split_min_cands, mode split_mode), its
-// root branches are carved into SubproblemTasks — each owning a copied
-// candidate bitset plus a shared handle on the extracted DenseSubgraph —
-// and pushed onto the *same* WorkQueue that feeds probe chunks, so any
-// participant can steal them.  Claimed tasks re-check the incumbent
-// against their coloring upper bound first and are retired wholesale when
-// stale (stats.retired_subtasks); live tasks resume the B&B from their
-// explicit frame on the *executing* thread's scratch arena and may split
-// again up to options.split_depth generations.  A TaskGroup tracks
-// completion, since tasks appearing mid-drain make queue emptiness
-// meaningless as a termination signal.
+// Nothing is pushed while the drain runs: each surviving neighborhood is
+// solved to completion by the participant that probed it (Table III: the
+// survivors are few and small), so the drain ends when the queue is empty.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "lazygraph/lazy_graph.hpp"
@@ -79,52 +66,8 @@ struct SearchScratch {
   vc::VcScratch vc;               // complement pool for the k-VC route
 };
 
-/// When the task engine may decompose a surviving B&B root onto the
-/// shared work queue.
-enum class SplitMode {
-  /// Split when the pool has more than one participant and the frame
-  /// clears split_min_cands (default).
-  kAuto,
-  /// Split whenever the frame clears split_min_cands, even single-threaded
-  /// (tasks still flow through the queue — used by determinism tests).
-  kOn,
-  /// Never split; every subproblem solves inside its probe's recursion.
-  kOff,
-};
-
-/// The immutable part of a decomposed subproblem, shared by every task
-/// carved from it (and from their re-splits): the extracted dense
-/// subgraph plus everything needed to publish an improving clique without
-/// touching the spawning thread again.
-struct SharedSubproblem {
-  DenseSubgraph graph;                  // owned copy (scratch.sub is pooled)
-  std::vector<VertexId> orig_of_local;  // local id -> original vertex id
-  VertexId head_orig = 0;  // the probe vertex; member of every clique here
-};
-
-/// One stealable branch-and-bound frame: a prefix R already committed and
-/// the candidate set P to expand under it.  Owns its bitset (copied at
-/// split time) so execution is independent of the spawning thread's
-/// arena; the subgraph is shared.
-struct SubproblemTask {
-  std::shared_ptr<const SharedSubproblem> shared;
-  std::vector<VertexId> prefix;  // local ids, branch vertex last
-  DynamicBitset candidates;      // P for this frame
-  /// Coloring upper bound on |{head} ∪ R ∪ clique(P)| — the task cannot
-  /// improve an incumbent at or above this; checked again at claim time.
-  VertexId upper_bound = 0;
-  /// Split generation (1 = carved from a probe's root, 2 = from a task).
-  std::uint32_t depth = 1;
-};
-
-/// Where carved tasks go.  The systematic-search runtime wires one sink
-/// per participant onto its shard of the shared WorkQueue; tests may
-/// collect tasks instead.
-class SubproblemSink {
- public:
-  virtual ~SubproblemSink() = default;
-  virtual void submit(SubproblemTask task) = 0;
-};
+/// Ignored; kept only because lmcbench/main.cpp reads it.
+enum class SplitMode { kAuto, kOn, kOff };
 
 struct NeighborSearchOptions {
   /// Density above which subproblems go to k-VC.  The paper quotes 10%
@@ -158,24 +101,10 @@ struct NeighborSearchOptions {
   /// and keeps the phi scale meaningful; this option exists to reproduce
   /// the paper's ordering (estimate first, extraction after).
   bool pre_extraction_density = false;
-  /// Subproblem decomposition onto the shared work queue (see the header
-  /// comment).  kOff keeps every B&B on its probing thread.
+  // Ignored; kept only because lmcbench/main.cpp reads it.
   SplitMode split_mode = SplitMode::kAuto;
-  /// Minimum candidate-set size for a root branch to be worth a queue
-  /// round-trip (frame copy + possible steal).  Frames below it recurse
-  /// in the pooled solver as before.
   VertexId split_min_cands = 128;
-  /// Split-work estimation (ROADMAP item): when > 0, frames are accepted
-  /// on the estimate |candidates| x subproblem-density >= split_min_work
-  /// instead of the raw count rule above — a sparse 200-candidate frame
-  /// collapses in a few nodes and is not worth carving, while a dense
-  /// 150-candidate frame is genuinely exponential.  The estimate is the
-  /// expected in-frame degree mass, i.e. the branching factor the B&B
-  /// will actually face.  0 keeps the count-only rule; frames that pass
-  /// the count rule but fail the estimate bump stats.split_work_rejected.
   std::uint64_t split_min_work = 0;
-  /// Maximum split generations: 1 = only probe roots split, 2 = tasks may
-  /// split once more, ... 0 disables splitting entirely.
   unsigned split_depth = 2;
   IntersectPolicy intersect;
   const SolveControl* control = nullptr;
@@ -185,19 +114,17 @@ struct NeighborSearchOptions {
 /// offers any improving clique (original ids) to the incumbent.  All
 /// intermediate state lives in `scratch` and the search counts go to
 /// `tally` (one of each per thread); kernel counts go wherever
-/// `options.intersect` points them.  When `sink` is non-null and options
-/// allow, oversized B&B roots are decomposed into SubproblemTasks
-/// submitted there instead of being solved inline.
+/// `options.intersect` points them.
 void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
                      const NeighborSearchOptions& options, SearchTally& tally,
-                     SearchScratch& scratch, SubproblemSink* sink = nullptr);
+                     SearchScratch& scratch);
 
 /// The same probe counted into shared totals: a private tally is flushed
 /// into `stats`, and its kernel counts into `options.intersect.counters`,
 /// as the call returns.  For one-off probes and tests; allocation-free.
 void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
                      const NeighborSearchOptions& options, SearchStats& stats,
-                     SearchScratch& scratch, SubproblemSink* sink = nullptr);
+                     SearchScratch& scratch);
 
 /// Convenience overload with a throwaway scratch (tests, one-off probes).
 inline void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
@@ -206,23 +133,6 @@ inline void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
   SearchScratch scratch;
   neighbor_search(h, v, incumbent, options, stats, scratch);
 }
-
-/// Executes one claimed SubproblemTask on the executing thread's scratch:
-/// re-checks the incumbent against the task's coloring bound (a stale
-/// task is retired without being solved — returns false), then resumes
-/// the B&B from the explicit frame, publishing any improving clique.
-/// `sink` (optional) receives re-split child tasks while
-/// task.depth < options.split_depth.
-bool run_subproblem_task(const SubproblemTask& task, Incumbent& incumbent,
-                         const NeighborSearchOptions& options,
-                         SearchTally& tally, SearchScratch& scratch,
-                         SubproblemSink* sink = nullptr);
-
-/// The same task counted into shared totals (see neighbor_search).
-bool run_subproblem_task(const SubproblemTask& task, Incumbent& incumbent,
-                         const NeighborSearchOptions& options,
-                         SearchStats& stats, SearchScratch& scratch,
-                         SubproblemSink* sink = nullptr);
 
 namespace detail {
 

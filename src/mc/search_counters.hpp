@@ -43,40 +43,30 @@ namespace lazymc::mc {
   X(array_gallop)                 \
   X(run_and)
 
-/// Systematic-search counters (Table III, Figs. 3 and 6) as
-/// X(name, merge): `sum` adds the workers' blocks, `max` keeps the largest.
+/// Systematic-search counters (Table III, Figs. 3 and 6), summed over the
+/// workers' blocks.
 #define LAZYMC_SEARCH_COUNTERS(X)                                            \
   /* Funnel counts (Table III): neighborhoods surviving each stage. */       \
-  X(evaluated, sum)     /* NeighborSearch calls */                           \
-  X(pass_filter1, sum)  /* after coreness filter */                          \
-  X(pass_filter2, sum)  /* after 1st degree filter */                        \
-  X(pass_filter3, sum)  /* after 2nd degree filter */                        \
+  X(evaluated)     /* NeighborSearch calls */                                \
+  X(pass_filter1)  /* after coreness filter */                               \
+  X(pass_filter2)  /* after 1st degree filter */                             \
+  X(pass_filter3)  /* after 2nd degree filter */                             \
   /* Algorithmic choice (Fig. 3). */                                         \
-  X(solved_mc, sum)                                                          \
-  X(solved_vc, sum)                                                          \
+  X(solved_mc)                                                               \
+  X(solved_vc)                                                               \
   /* k-VC probes abandoned on node budget and re-solved as MC. */            \
-  X(vc_fallbacks, sum)                                                       \
+  X(vc_fallbacks)                                                            \
   /* Worklist chunks retired unvisited because the incumbent had grown */    \
   /* past their coreness by claim time (incumbent broadcast at work). */     \
-  X(retired_chunks, sum)                                                     \
-  /* Subproblem decomposition: B&B root frames carved onto the work */       \
-  /* queue, tasks retired at claim time because the incumbent outgrew */     \
-  /* their coloring bound, and the deepest split generation reached. */      \
-  X(split_tasks, sum)                                                        \
-  X(retired_subtasks, sum)                                                   \
-  X(max_split_depth, max)                                                    \
-  /* Frames big enough for the raw count rule (split_min_cands) that the */  \
-  /* work estimate (candidates x density, split_min_work) rejected. */       \
-  X(split_work_rejected, sum)                                                \
-  /* Graceful degradation: each count is one recovered allocation */         \
-  /* failure.  SparseWordSet builds that failed (the filter round ran on */  \
-  /* scalar kernels), and subproblem decompositions that failed to */        \
-  /* materialize (the B&B solved the frame inline instead). */               \
-  X(degraded_wordsets, sum)                                                  \
-  X(degraded_splits, sum)                                                    \
+  X(retired_chunks)                                                          \
+  /* Always 0.  Ignored; kept only because lmcbench/main.cpp reads it. */    \
+  X(split_tasks)                                                             \
+  /* Graceful degradation: SparseWordSet builds that failed on an */         \
+  /* allocation (the filter round ran on scalar kernels). */                 \
+  X(degraded_wordsets)                                                       \
   /* Branch-and-bound and k-VC node counts (Fig. 6). */                      \
-  X(mc_nodes, sum)                                                           \
-  X(vc_nodes, sum)
+  X(mc_nodes)                                                                \
+  X(vc_nodes)
 
 /// Work split (Fig. 3): X(phase) declares `phase_ns` and the accessor
 /// `phase_seconds()`.
@@ -126,7 +116,7 @@ using KernelTally = BasicKernelCounters<std::uint64_t>;
 /// aligned, so per-worker blocks in an array never share a line.
 template <class Count>
 struct alignas(64) BasicSearchStats {
-#define LAZYMC_FIELD(name, merge) Count name{0};
+#define LAZYMC_FIELD(name) Count name{0};
   LAZYMC_SEARCH_COUNTERS(LAZYMC_FIELD)
 #undef LAZYMC_FIELD
   // Where the adaptive dispatcher ran each intersection.  The solve wires
@@ -158,12 +148,6 @@ namespace detail {
 inline void merge_sum(std::atomic<std::uint64_t>& into, std::uint64_t v) {
   if (v != 0) into.fetch_add(v, std::memory_order_relaxed);
 }
-inline void merge_max(std::atomic<std::uint64_t>& into, std::uint64_t v) {
-  std::uint64_t cur = into.load(std::memory_order_relaxed);
-  while (cur < v &&
-         !into.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
 }  // namespace detail
 
 /// Adds a worker's kernel counts into `into` (no-op when null).
@@ -184,7 +168,7 @@ inline void flush(const SearchTally& from, SearchStats* into,
                   KernelCounters* kernels) {
   flush(from.kernels, kernels);
   if (into == nullptr) return;
-#define LAZYMC_FLUSH(name, merge) detail::merge_##merge(into->name, from.name);
+#define LAZYMC_FLUSH(name) detail::merge_sum(into->name, from.name);
   LAZYMC_SEARCH_COUNTERS(LAZYMC_FLUSH)
 #undef LAZYMC_FLUSH
 #define LAZYMC_FLUSH(phase) \

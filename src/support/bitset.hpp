@@ -3,10 +3,9 @@
 // solvers are small (bounded by coreness), so a flat 64-bit-word bitset with
 // popcount-based intersection is the fastest representation.
 //
-// Word storage is 64-byte aligned (simd::AlignedWords), so every row —
-// including the trimmed DenseSubgraph copies inside SharedSubproblem
-// tasks — starts on a cache-line boundary like the lazy-graph row arena;
-// the bulk word loops (count/count_and/and_with/...) route through the
+// Word storage is 64-byte aligned (simd::AlignedWords), so every row
+// starts on a cache-line boundary like the lazy-graph row arena; the bulk
+// word loops (count/count_and/and_with/...) route through the
 // runtime-dispatched wordops tier (scalar/AVX2/AVX-512) above a small-n
 // inline path.
 #pragma once

@@ -16,11 +16,9 @@
 //  * `WorkQueue<T>` is a sharded multi-producer multi-consumer queue
 //    (per-shard locked rings, batch push, steal-half) for irregular work
 //    that does not fit a flat loop — e.g. the systematic-search worklist.
-//  * `TaskGroup` + `drain_queue` extend the WorkQueue drain to *nested*
-//    work: consumers may push new items while draining (e.g. a giant
-//    branch-and-bound subproblem splitting itself into stealable tasks),
-//    and the drain terminates only when every item ever added — not just
-//    the initial batch — has been completed.
+//  * `drain_queue` has every participant pop or steal from a WorkQueue
+//    filled before the drain starts; nothing is pushed while it runs, so
+//    an empty queue means every item has been claimed.
 //
 // Nested-parallelism rule: a `parallel_for` / `parallel_invoke_all` issued
 // from inside a worker of the same pool runs the whole range inline on the
@@ -32,18 +30,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
 #include <memory>
 #include <thread>
-
-#include "support/faultinject.hpp"
 #include <type_traits>
 #include <vector>
 
-#include "support/check.hpp"
+#include "support/faultinject.hpp"
 #include "support/mutex.hpp"
 #include "support/spinlock.hpp"
 #include "support/thread_annotations.hpp"
@@ -316,9 +311,9 @@ T parallel_reduce(std::size_t begin, std::size_t end, T identity, Body&& body,
 /// with one shard per participant the common pop is uncontended.
 ///
 /// `size()` counts queued items only — an item being executed by a
-/// consumer is no longer in the queue.  When producers have finished
-/// pushing, `pop` returning false means the queue is globally empty, which
-/// is the termination condition for drain loops.
+/// consumer is no longer in the queue, and an item moved by a steal is
+/// counted once throughout.  When producers have finished pushing,
+/// `empty()` is the termination condition for drain loops.
 template <typename T>
 class WorkQueue {
  public:
@@ -334,25 +329,6 @@ class WorkQueue {
     {
       SpinLockGuard guard(s.lock);
       s.items.push_back(std::move(item));
-    }
-    size_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Prepends one item to `shard` (highest priority: the owner's next pop
-  /// claims it before anything older).  Used for depth-first work spawned
-  /// mid-drain — e.g. subproblem tasks, which should run before the
-  /// breadth of remaining probe chunks so their results prune it.  The
-  /// consumed-prefix slot before `head` is reused when available, so
-  /// steady-state front-pushes into an active shard do not shift the ring.
-  void push_front(std::size_t shard, T item) {
-    Shard& s = shard_at(shard);
-    {
-      SpinLockGuard guard(s.lock);
-      if (s.head > 0) {
-        s.items[--s.head] = std::move(item);
-      } else {
-        s.items.insert(s.items.begin(), std::move(item));
-      }
     }
     size_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -466,95 +442,37 @@ class WorkQueue {
   std::atomic<std::size_t> size_{0};
 };
 
-/// Completion tracking for nested task groups draining through a WorkQueue.
+/// Drains `queue` with every pool participant until it is empty.  The
+/// queue must be filled before the call: `process(participant, item)` may
+/// not push, so an empty queue means every item has been claimed.
 ///
-/// `pop` returning false only proves the queue is *currently* empty; when
-/// consumers may push new work while draining (subproblem splitting), that
-/// is not a termination signal — another consumer might be about to push.
-/// The group counts outstanding items instead: producers `add()` *before*
-/// pushing (so an item is never visible in the queue without being
-/// counted), consumers `complete()` after fully processing one (including
-/// pushing any children, which were add()ed first).  `done()` therefore
-/// means: every item ever added has been completed, and no live item can
-/// spawn more.
-class TaskGroup {
- public:
-  void add(std::size_t n = 1) {
-    pending_.fetch_add(static_cast<std::ptrdiff_t>(n),
-                       std::memory_order_relaxed);
-  }
-  void complete() {
-    [[maybe_unused]] const std::ptrdiff_t prev =
-        pending_.fetch_sub(1, std::memory_order_release);
-    LAZYMC_ASSERT(prev > 0,
-                  "TaskGroup::complete() without a matching add() — "
-                  "drain accounting out of balance");
-  }
-  bool done() const {
-    return pending_.load(std::memory_order_acquire) == 0;
-  }
-  std::size_t pending() const {
-    return static_cast<std::size_t>(
-        pending_.load(std::memory_order_relaxed));
-  }
-
- private:
-  std::atomic<std::ptrdiff_t> pending_{0};
-};
-
-/// Drains `queue` with every pool participant until `group.done()` — the
-/// two-level drain loop shared by probe chunks and subproblem tasks.
-///
-/// `process(participant, item)` may push new items (after group.add());
-/// the helper calls group.complete() for it.  `stop()` is polled each
-/// iteration by every participant; when it returns true all participants
-/// abandon the drain regardless of pending work (cooperative
-/// cancellation — pending counts are not repaired, the group is dead).
-/// Participants that find the queue momentarily empty back off
-/// exponentially (yield, then micro-sleeps) so waiters do not starve the
-/// workers still producing — important when the pool is oversubscribed.
+/// `stop()` is polled each iteration by every participant; when it
+/// returns true all participants abandon the drain, leaving the remaining
+/// items queued (cooperative cancellation).  An exception in `process`
+/// stops the other participants at their next claim and then propagates
+/// through the pool (first one wins, as with parallel_for).
 template <typename T, typename Process, typename Stop>
-void drain_queue(ThreadPool& pool, WorkQueue<T>& queue, TaskGroup& group,
-                 Process&& process, Stop&& stop) {
-  // An exception in `process` leaves the group permanently non-done; the
-  // abort flag gets the other participants out before the error
-  // propagates through the pool (first one wins, as with parallel_for).
+void drain_queue(ThreadPool& pool, WorkQueue<T>& queue, Process&& process,
+                 Stop&& stop) {
   std::atomic<bool> aborted{false};
   pool.parallel_invoke_all([&](std::size_t p) {
     T item;
-    unsigned idle_spins = 0;
-    while (!group.done()) {
+    while (!queue.empty()) {
       if (aborted.load(std::memory_order_relaxed) || stop()) break;
-      if (queue.pop(p, item)) {
-        idle_spins = 0;
-        // Injected scheduling stall (fault builds only): models a worker
-        // descheduled between claiming an item and processing it, which
-        // the completion accounting must tolerate without losing work.
-        LAZYMC_FAULT_STALL("worker.stall", 2);
-        try {
-          process(p, item);
-        } catch (...) {
-          aborted.store(true, std::memory_order_relaxed);
-          group.complete();
-          throw;
-        }
-        group.complete();
-      } else if (++idle_spins < 64) {
-        std::this_thread::yield();
-      } else {
-        // Capped exponential backoff: 2us doubling to ~1ms.
-        const unsigned shift = std::min(idle_spins - 64, 9u);
-        std::this_thread::sleep_for(std::chrono::microseconds(2u << shift));
+      // A pop can miss only while a steal is moving items between shards;
+      // the loop then retries.
+      if (!queue.pop(p, item)) continue;
+      // Injected scheduling stall (fault builds only): models a worker
+      // descheduled between claiming an item and processing it.
+      LAZYMC_FAULT_STALL("worker.stall", 2);
+      try {
+        process(p, item);
+      } catch (...) {
+        aborted.store(true, std::memory_order_relaxed);
+        throw;
       }
     }
   });
-  // Balance invariant at drain exit: when the group reports done (every
-  // add() matched by a complete()), nothing may be left in the queue —
-  // an uncounted push would strand work.  A stop()-cancelled drain exits
-  // with the group legitimately non-done, so the check is conditional.
-  LAZYMC_ASSERT(!group.done() || queue.empty(),
-                "drain_queue exit: TaskGroup is done but items remain "
-                "queued (an item was pushed without TaskGroup::add)");
 }
 
 }  // namespace lazymc

@@ -155,9 +155,8 @@ TEST(DynamicBitset, EqualityComparesContent) {
 }
 
 TEST(DynamicBitset, WordStorageIsCacheLineAligned) {
-  // Satellite of the SIMD engine: every row — including the trimmed
-  // DenseSubgraph copies inside SharedSubproblem tasks — starts on a
-  // 64-byte boundary, matching the lazy-graph slab arena.
+  // Satellite of the SIMD engine: every row starts on a 64-byte
+  // boundary, matching the lazy-graph slab arena.
   for (std::size_t bits : {1u, 64u, 100u, 1000u}) {
     DynamicBitset b(bits);
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.data()) % 64, 0u) << bits;

@@ -16,7 +16,6 @@
 #include "mc/incumbent.hpp"
 #include "support/bitset.hpp"
 #include "support/check.hpp"
-#include "support/parallel.hpp"
 
 namespace lazymc {
 
@@ -72,14 +71,6 @@ TEST(CheckedSparseWordSetDeathTest, MismatchedArrayLengthsAbort) {
   SparseWordSet set = make_set();
   SparseWordSetTestAccess::drop_entry(set);
   EXPECT_DEATH(set.verify(), "parallel-array lengths");
-}
-
-TEST(CheckedTaskGroupDeathTest, UnbalancedCompleteAborts) {
-  LAZYMC_SKIP_UNLESS_CHECKED();
-  TaskGroup group;
-  group.add();
-  group.complete();
-  EXPECT_DEATH(group.complete(), "without a matching add");
 }
 
 TEST(CheckedIncumbentDeathTest, NonCliqueIncumbentAborts) {

@@ -272,7 +272,7 @@ TEST(WorkerCounters, OneThreadTotalsEqualASequentialLoop) {
   const mc::SearchStats& b = looped.stats;
   // The loop has no worklist chunks to retire; a retired chunk's vertices
   // all fail the per-vertex coreness check, so nothing else differs.
-#define LAZYMC_EXPECT_SAME(name, merge)                       \
+#define LAZYMC_EXPECT_SAME(name)                              \
   if (std::string_view(#name) != "retired_chunks") {          \
     EXPECT_EQ(a.name.load(), b.name.load()) << #name;         \
   }

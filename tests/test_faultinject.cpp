@@ -155,13 +155,10 @@ TEST_F(FaultInject, MisspelledSiteShowsUpArmedWithZeroHits) {
 // --- graceful degradation at the solver sites ---------------------------
 
 // A config that exercises the representation-heavy paths: zone bitset
-// rows, sparse word sets, and subproblem splitting.
+// rows and sparse word sets.
 mc::LazyMCConfig stress_config() {
   mc::LazyMCConfig c;
   c.neighborhood_rep = NeighborhoodRep::kBitset;
-  c.split_mode = mc::SplitMode::kOn;
-  c.split_min_cands = 1;
-  c.split_depth = 3;
   return c;
 }
 
@@ -219,26 +216,6 @@ TEST_F(FaultInject, WordSetFaultsFallBackToScalarKernels) {
   }
 }
 
-TEST_F(FaultInject, TaskMaterializationFaultFallsBackToInlineSolve) {
-  if (!faults::enabled()) GTEST_SKIP() << "needs -DLAZYMC_FAULTS=ON";
-  const std::uint64_t seed = find_systematic_seed();
-  ASSERT_NE(seed, 0u) << "no instance reached the systematic phase";
-  set_num_threads(4);
-  Graph g = gen::gnp(70, 0.18, seed);
-  const auto expected = baselines::max_clique_reference(g).size();
-
-  faults::reset();  // the seed probe advanced the hit counters
-  faults::configure("task.materialize=nth:1");
-  auto r = mc::lazy_mc(g, stress_config());
-  EXPECT_EQ(r.omega, expected);
-  EXPECT_TRUE(is_clique(g, r.clique));
-  auto sites = sites_by_name();
-  if (sites.at("task.materialize").hits > 0) {
-    EXPECT_GE(sites.at("task.materialize").fires, 1u);
-    EXPECT_GT(r.search.degraded_splits, 0u);
-  }
-}
-
 TEST_F(FaultInject, WorkerExceptionCancelsCleanlyAndPoolSurvives) {
   if (!faults::enabled()) GTEST_SKIP() << "needs -DLAZYMC_FAULTS=ON";
   const std::uint64_t seed = find_systematic_seed();
@@ -293,7 +270,7 @@ TEST_F(FaultInject, EveryRegisteredSiteFiresAcrossTheMatrix) {
   faults::reset();  // the seed probe advanced the hit counters
   faults::configure(
       "slab.alloc=nth:1,bitset.row=every:2,wordset.build=every:2,"
-      "task.materialize=nth:1,worker.stall=nth:1");
+      "worker.stall=nth:1");
   (void)mc::lazy_mc(dense, stress_config());
   (void)mc::lazy_mc(g, stress_config());
   // worker.exec was already polled by the solves above, so nth:1 would
@@ -306,8 +283,7 @@ TEST_F(FaultInject, EveryRegisteredSiteFiresAcrossTheMatrix) {
 
   auto sites = sites_by_name();
   for (const char* name : {"slab.alloc", "bitset.row", "wordset.build",
-                           "task.materialize", "worker.exec",
-                           "worker.stall"}) {
+                           "worker.exec", "worker.stall"}) {
     ASSERT_TRUE(sites.count(name)) << name << " never interned";
     EXPECT_GE(sites.at(name).fires, 1u) << name << " never fired";
   }

@@ -192,84 +192,67 @@ TEST(WorkQueue, AbandonedDrainLeavesQueueConsistent) {
   }
 }
 
-TEST(TaskGroup, CountsNestedWork) {
-  TaskGroup group;
-  EXPECT_TRUE(group.done());
-  group.add(3);
-  EXPECT_FALSE(group.done());
-  EXPECT_EQ(group.pending(), 3u);
-  group.add();  // a nested child appears mid-drain
-  group.complete();
-  group.complete();
-  group.complete();
-  EXPECT_FALSE(group.done());
-  group.complete();
-  EXPECT_TRUE(group.done());
-}
-
-TEST(DrainQueue, NestedPushesCompleteBeforeDrainEnds) {
-  // Each seed item spawns a chain of children; queue emptiness is not a
-  // termination signal (a chain's next link appears only when its parent
-  // is processed), so only the TaskGroup accounting can end the drain.
+TEST(DrainQueue, EveryItemProcessedExactlyOnceWhileStealing) {
+  // All items start in one shard, so the other participants get work only
+  // by stealing; the drain must still hand out each item exactly once and
+  // end only when nothing is left.
   ThreadPool pool(4);
-  const std::size_t shards = pool.num_threads();
-  WorkQueue<int> q(shards);
-  TaskGroup group;
-  const int kSeeds = 16, kChain = 5;
-  group.add(kSeeds);
-  for (int i = 0; i < kSeeds; ++i) q.push(i % shards, kChain - 1);
-  std::atomic<int> processed{0};
+  ASSERT_EQ(pool.num_threads(), 4u);
+  WorkQueue<int> q(pool.num_threads());
+  const int kItems = 2000;
+  std::vector<int> items(kItems);
+  std::iota(items.begin(), items.end(), 0);
+  q.push_batch(0, items.begin(), items.end());
+  std::vector<std::atomic<int>> seen(kItems);
+  std::vector<std::atomic<int>> per_participant(pool.num_threads());
   drain_queue(
-      pool, q, group,
+      pool, q,
       [&](std::size_t p, int& item) {
-        processed.fetch_add(1);
-        if (item > 0) {
-          group.add();
-          q.push(p, item - 1);
-        }
+        seen[static_cast<std::size_t>(item)].fetch_add(1);
+        per_participant[p].fetch_add(1);
       },
       [] { return false; });
-  EXPECT_EQ(processed.load(), kSeeds * kChain);
-  EXPECT_TRUE(group.done());
+  for (int i = 0; i < kItems; ++i) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(i)].load(), 1) << "item " << i;
+  }
+  int total = 0;
+  for (const auto& n : per_participant) total += n.load();
+  EXPECT_EQ(total, kItems);
   EXPECT_TRUE(q.empty());
 }
 
 TEST(DrainQueue, StopPredicateAbandonsPendingWork) {
   ThreadPool pool(4);
   WorkQueue<int> q(pool.num_threads());
-  TaskGroup group;
-  group.add(50);
   for (int i = 0; i < 50; ++i) q.push(0, i);
   std::atomic<int> processed{0};
   std::atomic<bool> stop{false};
   drain_queue(
-      pool, q, group,
+      pool, q,
       [&](std::size_t, int&) {
         processed.fetch_add(1);
         stop.store(true);  // cancel after the first few items
       },
       [&] { return stop.load(); });
-  // Everyone bailed: work remains both in the queue and in the group.
+  // Everyone bailed: the unclaimed items are still queued.
   EXPECT_LT(processed.load(), 50);
-  EXPECT_FALSE(group.done());
+  EXPECT_EQ(q.size(), static_cast<std::size_t>(50 - processed.load()));
 }
 
 TEST(DrainQueue, ExceptionInProcessReleasesAllParticipants) {
   ThreadPool pool(4);
   WorkQueue<int> q(pool.num_threads());
-  TaskGroup group;
-  group.add(200);
   for (int i = 0; i < 200; ++i) q.push(i % pool.num_threads(), i);
   EXPECT_THROW(
       drain_queue(
-          pool, q, group,
+          pool, q,
           [&](std::size_t, int& item) {
             if (item == 7) throw std::runtime_error("boom");
           },
           [] { return false; }),
       std::runtime_error);
-  // The point is that this returns at all (no participant hangs on the
-  // permanently non-done group).
+  // The point is that this returns at all (no participant hangs after
+  // the throwing one left).
 }
 
 TEST(WorkQueue, ConcurrentPushPopStealStress) {
