@@ -28,7 +28,6 @@
 #include "lazygraph/lazy_graph.hpp"
 #include "support/parallel.hpp"
 #include "support/random.hpp"
-#include "support/simd.hpp"
 #include "support/timer.hpp"
 
 namespace lazymc {
@@ -356,28 +355,6 @@ double time_ns_per_op(const std::function<void()>& fn) {
   return best * 1e9;
 }
 
-/// Times one word-parallel kernel call under each supported SIMD tier
-/// (forcing and restoring the global dispatch); unsupported tiers stay 0.
-void time_word_kernel_tiers(const SparseWordSet& aw, const BitsetRow& row,
-                            std::int64_t theta, bool expected,
-                            const char* scenario,
-                            double (&tier_ns)[simd::kNumTiers]) {
-  for (std::size_t t = 0; t < simd::kNumTiers; ++t) {
-    const simd::Tier tier = static_cast<simd::Tier>(t);
-    if (!simd::tier_supported(tier)) continue;
-    if (!simd::force_tier(tier)) continue;
-    if (intersect_size_gt_bool(aw, row, theta) != expected) {
-      std::fprintf(stderr, "shootout: %s tier disagreement on %s\n",
-                   simd::tier_name(tier), scenario);
-      std::exit(1);
-    }
-    tier_ns[t] = time_ns_per_op([&] {
-      benchmark::DoNotOptimize(intersect_size_gt_bool(aw, row, theta));
-    });
-  }
-  simd::reset_tier();
-}
-
 void run_intersect_shootout() {
   struct Scenario {
     const char* name;
@@ -403,9 +380,7 @@ void run_intersect_shootout() {
   bench::Table table("intersect-shootout",
                      {"scenario", "|A|", "|B|", "universe", "theta", "result",
                       "hash-serial ns", "hash-batched ns", "bitset-scalar ns",
-                      "bitset-avx2 ns", "bitset-avx512 ns", "merge ns",
-                      "bitset/hash", "avx2/scalar", "avx512/scalar",
-                      "batch/serial"});
+                      "merge ns", "bitset/hash", "batch/serial"});
   for (const Scenario& s : scenarios) {
     auto a = random_sorted(s.na, 91, s.universe);
     auto b = random_sorted(s.nb, 92, s.universe);
@@ -435,17 +410,9 @@ void run_intersect_shootout() {
       benchmark::DoNotOptimize(
           intersect_size_gt_bool_prefetch(as, hs, s.theta));
     });
-    // The word-parallel kernel once per compiled-and-supported SIMD tier
-    // (forced dispatch, identical answers re-verified per tier).
-    double tier_ns[simd::kNumTiers] = {0, 0, 0};
-    time_word_kernel_tiers(aw, row, s.theta, expected, s.name, tier_ns);
-    const double scalar_ns = tier_ns[0];
-    const double avx2_ns = tier_ns[1];
-    const double avx512_ns = tier_ns[2];
-    double best_bitset_ns = scalar_ns;
-    for (double t : tier_ns) {
-      if (t > 0) best_bitset_ns = std::min(best_bitset_ns, t);
-    }
+    double bitset_ns = time_ns_per_op([&] {
+      benchmark::DoNotOptimize(intersect_size_gt_bool(aw, row, s.theta));
+    });
     double merge_ns = time_ns_per_op([&] {
       benchmark::DoNotOptimize(intersect_sorted_size_gt_bool(as, b, s.theta));
     });
@@ -453,12 +420,8 @@ void run_intersect_shootout() {
         {s.name, std::to_string(a.size()), std::to_string(b.size()),
          std::to_string(s.universe), std::to_string(s.theta),
          expected ? "true" : "false", bench::fmt(hash_ns, 1),
-         bench::fmt(batch_ns, 1), bench::fmt(scalar_ns, 1),
-         avx2_ns > 0 ? bench::fmt(avx2_ns, 1) : "n/a",
-         avx512_ns > 0 ? bench::fmt(avx512_ns, 1) : "n/a",
-         bench::fmt(merge_ns, 1), bench::fmt(hash_ns / best_bitset_ns, 2),
-         avx2_ns > 0 ? bench::fmt(scalar_ns / avx2_ns, 2) : "n/a",
-         avx512_ns > 0 ? bench::fmt(scalar_ns / avx512_ns, 2) : "n/a",
+         bench::fmt(batch_ns, 1), bench::fmt(bitset_ns, 1),
+         bench::fmt(merge_ns, 1), bench::fmt(hash_ns / bitset_ns, 2),
          bench::fmt(hash_ns / batch_ns, 2)});
   }
   table.print();

@@ -140,11 +140,6 @@ expect("${fail_out}" "\"error\":" "bad instance reported as an error object")
 expect("${fail_out}" "\"error_kind\":\"input\"" "error object carries its kind")
 expect("${fail_out}" "\"attempts\":1" "error object counts attempts")
 
-# 6. The scalar kernel tier can always be forced; the report names it.
-run_lazymc(kern_out --graph "${clq}" --kernels scalar --json)
-expect("${kern_out}" "\"omega\":4" "kernels-scalar omega")
-expect("${kern_out}" "\"tier\":\"scalar\"" "forced tier surfaced in report")
-
 # --- exit-code contract (documented in --help and the README) -----------
 
 function(expect_exit expected what)
@@ -158,7 +153,7 @@ function(expect_exit expected what)
   set(last_out "${output}" PARENT_SCOPE)
 endfunction()
 
-# 7. 0 = solved; 2 = timed out (best-so-far is still verified); 3 = input
+# 6. 0 = solved; 2 = timed out (best-so-far is still verified); 3 = input
 # error (unreadable graph, bad flag).
 expect_exit(0 "solved exit code" --graph "${clq}")
 expect_exit(2 "timed-out exit code"
@@ -170,7 +165,7 @@ expect_exit(3 "bad-flag exit code" --graph "${clq}" --no-such-flag)
 expect_exit(3 "removed --rep hybrid" --graph "${clq}" --rep hybrid)
 expect_exit(3 "bad-manifest exit code" --manifest /nonexistent.manifest)
 
-# 8. Counts from the command line are parsed strictly, and thread and
+# 7. Counts from the command line are parsed strictly, and thread and
 # executor counts are capped, before any pool or broker exists.  Every
 # call below also omits a required argument, so a parser that let the
 # count through would still stop before spawning anything (and fail the
@@ -203,7 +198,7 @@ if(LAZYMCD_BIN)
   endforeach()
 endif()
 
-# 9. Crash-safe batch: a journaled sweep records completed instances; a
+# 8. Crash-safe batch: a journaled sweep records completed instances; a
 # --resume re-run skips them (solving only what is missing) and exits 0.
 set(journal "${WORK_DIR}/smoke_journal.jsonl")
 file(REMOVE "${journal}")
@@ -235,7 +230,7 @@ expect("${journal_text}" "smoke_k4" "resumed sweep journaled the file spec")
 # --resume without --journal is an input error.
 expect_exit(3 "resume-without-journal exit code" --graph "${clq}" --resume)
 
-# 10. SIGINT during a long solve: the driver reports best-so-far with
+# 9. SIGINT during a long solve: the driver reports best-so-far with
 # "interrupted": true and exits with the documented code (6).  MCE on the
 # medium gene network reliably runs far longer than the kill delay.
 if(UNIX)
@@ -252,5 +247,27 @@ kill -INT $pid; wait $pid; exit $?"
   expect("${int_out}" "\"interrupted\":true" "interrupt flagged in report")
   expect("${int_out}" "\"omega\":[1-9]" "interrupted solve kept best-so-far")
 endif()
+
+# 10. The reference solver stops on the same signal and honours
+# --time-limit; its dense B&B over the medium worm network runs longer
+# than either.
+if(UNIX)
+  execute_process(
+      COMMAND sh -c "'${LAZYMC_BIN}' --solver reference \
+--graph gen:WormNet:medium --json > '${WORK_DIR}/ref_interrupt.json' & \
+pid=$!; sleep 1; kill -INT $pid; wait $pid; exit $?"
+      RESULT_VARIABLE ref_int_status)
+  if(NOT ref_int_status EQUAL 6)
+    message(FATAL_ERROR "interrupted reference solve: expected exit 6, got "
+                        "${ref_int_status}")
+  endif()
+  file(READ "${WORK_DIR}/ref_interrupt.json" ref_int_out)
+  expect("${ref_int_out}" "\"interrupted\":true"
+         "reference interrupt flagged in report")
+endif()
+expect_exit(2 "reference timed-out exit code" --solver reference
+            --graph gen:WormNet:medium --time-limit 0.5 --json)
+expect("${last_out}" "\"timed_out\":true" "reference timeout flagged")
+expect("${last_out}" "\"verification\":\"ok\"" "reference witness verified")
 
 message(STATUS "cli_smoke passed")

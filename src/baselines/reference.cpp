@@ -8,14 +8,19 @@
 
 namespace lazymc::baselines {
 
-std::vector<VertexId> max_clique_reference(const Graph& g) {
+std::vector<VertexId> max_clique_reference(const Graph& g,
+                                           const SolveControl* control,
+                                           bool* timed_out) {
+  if (timed_out) *timed_out = false;
   const VertexId n = g.num_vertices();
   if (n == 0) return {};
   std::vector<VertexId> all(n);
   for (VertexId v = 0; v < n; ++v) all[v] = v;
   DenseSubgraph sub = induce_dense(g, all);
   mc::BBOptions opt;  // lower_bound 0: always finds the maximum
+  opt.control = control;
   mc::BBResult r = mc::solve_mc_dense(sub, opt);
+  if (timed_out) *timed_out = r.timed_out;
   std::vector<VertexId> out;
   out.reserve(r.clique.size());
   for (VertexId local : r.clique) out.push_back(sub.vertices[local]);

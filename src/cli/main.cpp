@@ -48,7 +48,6 @@
 #include "support/json.hpp"
 #include "support/parallel.hpp"
 #include "support/random.hpp"
-#include "support/simd.hpp"
 #include "support/timer.hpp"
 
 namespace lazymc::cli {
@@ -127,14 +126,6 @@ void solve_into(const Options& options, RunReport& report,
       config.neighborhood_rep = options.rep;
       config.bitset_budget_bytes = options.bitset_budget_mb << 20;
       config.pre_extraction_density = options.pre_extraction_density;
-      switch (options.kernels) {
-        case Kernels::kAuto: break;  // leave the dispatcher on best-tier
-        case Kernels::kScalar: config.kernel_tier = simd::Tier::kScalar;
-          break;
-        case Kernels::kAvx2: config.kernel_tier = simd::Tier::kAvx2; break;
-        case Kernels::kAvx512: config.kernel_tier = simd::Tier::kAvx512;
-          break;
-      }
       config.time_limit_seconds = options.time_limit_seconds;
       report.lazymc = mc::lazy_mc(g, config);
       report.has_lazymc = true;
@@ -175,7 +166,9 @@ void solve_into(const Options& options, RunReport& report,
       return;
     }
     case Solver::kReference: {
-      report.clique = baselines::max_clique_reference(g);
+      SolveControl control(options.time_limit_seconds);
+      report.clique =
+          baselines::max_clique_reference(g, &control, &report.timed_out);
       report.omega = static_cast<VertexId>(report.clique.size());
       return;
     }

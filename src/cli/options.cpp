@@ -39,15 +39,6 @@ NeighborhoodRep parse_rep(const std::string& name) {
        std::string(kNeighborhoodRepNames) + ")");
 }
 
-Kernels parse_kernels(const std::string& name) {
-  if (name == "auto") return Kernels::kAuto;
-  if (name == "scalar") return Kernels::kScalar;
-  if (name == "avx2") return Kernels::kAvx2;
-  if (name == "avx512") return Kernels::kAvx512;
-  fail("unknown kernel tier '" + name +
-       "' (expected auto|scalar|avx2|avx512)");
-}
-
 }  // namespace
 
 std::string usage() {
@@ -88,10 +79,6 @@ std::string usage() {
       "  --pre-density        route the MC-vs-VC solver choice on the\n"
       "                       filter-3 edge estimate instead of the\n"
       "                       extracted subgraph's exact density\n"
-      "  --kernels TIER       SIMD tier for the word-parallel kernels:\n"
-      "                       auto (default; best of build + CPU) |\n"
-      "                       scalar | avx2 | avx512 (forced tiers fail\n"
-      "                       when not compiled in / CPU-supported)\n"
       "  --json               emit the result as JSON on stdout\n"
       "                       (implied by batch mode)\n"
       "  --journal FILE       batch mode: append one JSON line per\n"
@@ -162,8 +149,6 @@ Options parse_options(int argc, char** argv, bool& wants_help) {
       options.bitset_budget_mb = parse_count(arg, value(i, arg), kMaxCount);
     } else if (arg == "--pre-density") {
       options.pre_extraction_density = true;
-    } else if (arg == "--kernels") {
-      options.kernels = parse_kernels(value(i, arg));
     } else if (arg == "--threads") {
       options.threads = parse_count(arg, value(i, arg), kMaxThreadCount);
     } else if (arg == "--time-limit") {

@@ -5,9 +5,8 @@
 //          [--solver NAME] [--threads N] [--time-limit SECONDS]
 //          [--order coreness|peeling]
 //          [--rep auto|hash|sorted|bitset] [--bitset-budget-mb N]
-//          [--pre-density] [--kernels auto|scalar|avx2|avx512]
-//          [--json] [--journal FILE] [--resume] [--retries N]
-//          [--fault SPEC]
+//          [--pre-density] [--json] [--journal FILE] [--resume]
+//          [--retries N] [--fault SPEC]
 //
 // `--graph` may repeat and `--manifest` names a file with one graph spec
 // per line; with more than one instance the driver runs them all in
@@ -37,11 +36,6 @@ enum class Solver {
 
 enum class Order { kCorenessDegree, kPeeling };
 
-/// SIMD kernel tier for the word-parallel kernels (lazymc solver only):
-/// auto picks the best tier the build and CPU support; the rest force one
-/// for A/B runs and fail when unavailable.
-enum class Kernels { kAuto, kScalar, kAvx2, kAvx512 };
-
 struct Options {
   /// One entry per --graph flag (file path or "gen:name[:scale]").
   std::vector<std::string> graph_specs;
@@ -54,7 +48,6 @@ struct Options {
   NeighborhoodRep rep = NeighborhoodRep::kAuto;
   std::size_t bitset_budget_mb = 64;  // 0 disables bitset rows
   bool pre_extraction_density = false;
-  Kernels kernels = Kernels::kAuto;
   std::size_t threads = 0;  // 0 = hardware default; <= kMaxThreadCount
   double time_limit_seconds = std::numeric_limits<double>::infinity();
   bool json = false;

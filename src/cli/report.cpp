@@ -78,10 +78,6 @@ void render_text(const RunReport& r, std::ostream& out) {
       << " hash-batched=" << s.kernel_hash_batched
       << " bitset-probe=" << s.kernel_bitset_probe
       << " bitset-word=" << s.kernel_bitset_word << "\n";
-  out << "          simd-tier=" << s.simd_tier
-      << " word-scalar=" << s.kernel_word_scalar
-      << " word-avx2=" << s.kernel_word_avx2
-      << " word-avx512=" << s.kernel_word_avx512 << "\n";
   const auto& g = lz.lazy_graph;
   out << "lazygraph: hash-built=" << g.hash_built
       << " sorted-built=" << g.sorted_built
@@ -152,10 +148,6 @@ void render_json(const RunReport& r, std::ostream& out) {
 #define LAZYMC_FIELD(name) w.field(#name, s.kernel_##name);
     LAZYMC_KERNEL_COUNTERS(LAZYMC_FIELD)
 #undef LAZYMC_FIELD
-    w.field("tier", s.simd_tier);
-    w.field("word_scalar", s.kernel_word_scalar);
-    w.field("word_avx2", s.kernel_word_avx2);
-    w.field("word_avx512", s.kernel_word_avx512);
     w.close();
     w.close();
     const auto& g = lz.lazy_graph;

@@ -18,15 +18,13 @@ void DenseSubgraph::complement_into(DenseSubgraph& out) const {
   const std::size_t n = size();
   out.reset_pooled(n);
   out.vertices.assign(vertices.begin(), vertices.end());
-  // Word-wise NOT of each row (dispatched to the active SIMD tier),
-  // masking the diagonal and the tail bits beyond n; the edge count falls
-  // out of popcounts (degree sum / 2).
+  // Word-wise NOT of each row, masking the diagonal and the tail bits
+  // beyond n; the edge count falls out of popcounts (degree sum / 2).
   std::size_t degree_sum = 0;
   const std::size_t words = (n + 63) / 64;
-  const wordops::Table& ops = wordops::active();
   for (std::size_t i = 0; i < n; ++i) {
     DynamicBitset& row = out.adj[i];
-    ops.not_into(row.data(), adj[i].data(), words);
+    wordops::not_into(row.data(), adj[i].data(), words);
     row.reset(i);
     if (n % 64 != 0) {
       row.word(words - 1) &= (~0ULL) >> (64 - n % 64);

@@ -28,7 +28,7 @@
 #include "graph/graph.hpp"
 #include "support/check.hpp"
 #include "support/faultinject.hpp"
-#include "support/simd.hpp"
+#include "support/aligned.hpp"
 
 namespace lazymc {
 
@@ -79,17 +79,17 @@ struct PrebuiltRows {
 /// Rebuilt per filter round from scratch storage; building is O(|A|) and
 /// allocation-free once the arrays reach their high-water capacity.
 ///
-/// Stored structure-of-arrays (parallel `indices` / `bits` runs) so the
-/// SIMD kernel tiers can load a block of word indices and a block of bit
-/// masks with two straight vector loads, then gather the matching row
-/// words; entry k pairs indices()[k] with bits()[k].
+/// Stored structure-of-arrays (parallel `indices` / `bits` runs); entry k
+/// pairs indices()[k] with bits()[k], and the kernels read the row word
+/// at indices()[k].
 class SparseWordSet {
  public:
   /// Rebuilds from `sorted` (ascending, unique, every element >=
   /// zone_begin and inside the zone).
   void build(std::span<const VertexId> sorted, VertexId zone_begin) {
     // Models the arrays' growth to high-water capacity failing; callers
-    // degrade to scalar kernels for the round (see neighbor_search.cpp).
+    // fall back to per-element probes for the round (see
+    // neighbor_search.cpp).
     LAZYMC_FAULT_BAD_ALLOC("wordset.build");
     indices_.clear();
     bits_.clear();
@@ -175,7 +175,7 @@ class SparseWordSet {
   friend struct SparseWordSetTestAccess;
 
   std::vector<std::uint32_t> indices_;
-  simd::AlignedWords bits_;
+  AlignedWords bits_;
   std::vector<std::uint32_t> prefix_;
   std::size_t count_ = 0;
   VertexId zone_begin_ = 0;

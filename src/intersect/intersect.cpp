@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "intersect/wp_kernels.hpp"
 
 namespace lazymc {
 
@@ -171,48 +170,101 @@ std::size_t intersect_sorted_size(std::span<const VertexId> a,
 
 // ---- word-parallel kernels (SparseWordSet x BitsetRow) --------------------
 //
-// The kernel bodies live in intersect/wp_kernels.hpp, instantiated once
-// per SIMD tier; the public functions below route through the tier table
-// selected by simd::current_tier() (see support/simd.hpp for the
-// compile-guard / CPUID / --kernels interplay).  Every tier returns
-// bit-identical results; the tiers differ only in how many zone words
-// each budget check covers.
+// One AND + popcount per occupied word of A.  A's cumulative word
+// popcounts (SparseWordSet::prefix) turn the miss-budget update
+// h -= popcount(a) - popcount(a&b) into the equivalent test
+// hits + (|A| - prefix) <= θ, so the A side is never counted here.
 
-namespace wp {
+namespace {
 
-const Table& scalar_table() {
-  static constexpr Table table = make_table<ScalarOps>(simd::Tier::kScalar);
-  return table;
+/// Appends the set bits of `word` (zone word `index`) to `out` as
+/// relabelled vertex ids.
+inline std::size_t extract_word(std::uint64_t word, std::uint32_t index,
+                                VertexId base, VertexId* out) {
+  std::size_t written = 0;
+  const VertexId word_base = base + (static_cast<VertexId>(index) << 6);
+  while (word) {
+    out[written++] =
+        word_base + static_cast<unsigned>(std::countr_zero(word));
+    word &= word - 1;
+  }
+  return written;
 }
 
-const Table& active_table() {
-  return simd::pick_table(scalar_table(), avx2_table(), avx512_table());
-}
-
-}  // namespace wp
+}  // namespace
 
 int intersect_gt(const SparseWordSet& a, const BitsetRow& b, VertexId* out,
                  std::int64_t theta) {
-  return wp::active_table().gt(a, b, out, theta);
+  const std::int64_t n = static_cast<std::int64_t>(a.count());
+  const std::int64_t m = static_cast<std::int64_t>(b.size());
+  if (n <= theta || m <= theta) return kTooSmall;
+  const std::uint32_t* idx = a.indices().data();
+  const std::uint64_t* bits = a.bits().data();
+  const std::uint32_t* prefix = a.prefix().data();
+  std::int64_t hits = 0;
+  std::size_t written = 0;
+  for (std::size_t k = 0; k < a.num_entries(); ++k) {
+    const std::uint64_t both = bits[k] & b.words[idx[k]];
+    hits += std::popcount(both);
+    written += extract_word(both, idx[k], b.zone_begin, out + written);
+    if (hits + (n - prefix[k + 1]) <= theta) return kTooSmall;
+  }
+  return static_cast<int>(written);
 }
 
 int intersect_size_gt_val(const SparseWordSet& a, const BitsetRow& b,
                           std::int64_t theta) {
-  return wp::active_table().size_gt_val(a, b, theta);
+  const std::int64_t n = static_cast<std::int64_t>(a.count());
+  const std::int64_t m = static_cast<std::int64_t>(b.size());
+  if (n <= theta || m <= theta) return kTooSmall;
+  const std::uint32_t* idx = a.indices().data();
+  const std::uint64_t* bits = a.bits().data();
+  const std::uint32_t* prefix = a.prefix().data();
+  std::int64_t hits = 0;
+  for (std::size_t k = 0; k < a.num_entries(); ++k) {
+    hits += std::popcount(bits[k] & b.words[idx[k]]);
+    if (hits + (n - prefix[k + 1]) <= theta) return kTooSmall;
+  }
+  return static_cast<int>(hits);
 }
 
 bool intersect_size_gt_bool(const SparseWordSet& a, const BitsetRow& b,
                             std::int64_t theta, bool enable_second_exit) {
-  return wp::active_table().size_gt_bool(a, b, theta, enable_second_exit);
+  const std::int64_t n = static_cast<std::int64_t>(a.count());
+  const std::int64_t m = static_cast<std::int64_t>(b.size());
+  if (n <= theta || m <= theta) return false;
+  const std::uint32_t* idx = a.indices().data();
+  const std::uint64_t* bits = a.bits().data();
+  const std::uint32_t* prefix = a.prefix().data();
+  std::int64_t hits = 0;
+  for (std::size_t k = 0; k < a.num_entries(); ++k) {
+    hits += std::popcount(bits[k] & b.words[idx[k]]);
+    if (hits + (n - prefix[k + 1]) <= theta) return false;  // exit 1
+    if (enable_second_exit && hits > theta) return true;    // exit 2
+  }
+  return hits > theta;
 }
 
 std::size_t intersect_size(const SparseWordSet& a, const BitsetRow& b) {
-  return wp::active_table().size(a, b);
+  const std::uint32_t* idx = a.indices().data();
+  const std::uint64_t* bits = a.bits().data();
+  std::size_t hits = 0;
+  for (std::size_t k = 0; k < a.num_entries(); ++k) {
+    hits += static_cast<std::size_t>(std::popcount(bits[k] & b.words[idx[k]]));
+  }
+  return hits;
 }
 
 std::size_t intersect_words(const SparseWordSet& a, const BitsetRow& b,
                             VertexId* out) {
-  return wp::active_table().words(a, b, out);
+  const std::uint32_t* idx = a.indices().data();
+  const std::uint64_t* bits = a.bits().data();
+  std::size_t written = 0;
+  for (std::size_t k = 0; k < a.num_entries(); ++k) {
+    written += extract_word(bits[k] & b.words[idx[k]], idx[k], b.zone_begin,
+                            out + written);
+  }
+  return written;
 }
 
 // ---- prefetched batch probing into a HopscotchSet -------------------------

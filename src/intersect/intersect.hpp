@@ -190,8 +190,8 @@ std::size_t intersect_sorted_size(std::span<const VertexId> a,
 // --------------------------------------------------------------------------
 // Word-parallel kernels: SparseWordSet A against a BitsetRow B.  Same
 // contracts as the scalar variants above, with the miss-budget / success
-// exits checked once per 64-bit word (one AND + two popcounts per word)
-// instead of once per element.
+// exits checked once per 64-bit word (one AND + popcount per occupied
+// word of A) instead of once per element.
 
 /// Word-parallel intersect-gt: writes A ∩ B (ascending relabelled ids) to
 /// `out`, returns its size when > theta, else kTooSmall.

@@ -149,8 +149,8 @@ void LazyGraph::build_bitset(VertexId v) {
     stat_bitset_degraded_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  // Rows are carved at a 64-byte stride from 64-byte-aligned slabs; the
-  // SIMD tiers' aligned loads rely on this.
+  // Rows are carved at a 64-byte stride from 64-byte-aligned slabs, so
+  // each starts on a cache line.
   LAZYMC_ASSERT(reinterpret_cast<std::uintptr_t>(row) % 64 == 0,
                 "bitset row is not 64-byte aligned");
   std::fill(row, row + row_words_, 0);
@@ -245,7 +245,7 @@ bool LazyGraph::adopt_prebuilt_rows(const PrebuiltRows& rows, bool hybrid) {
       (static_cast<std::size_t>(rows.zone_bits) + 63) / 64;
   if (rows.stride_words < words || rows.stride_words % 8 != 0 ||
       reinterpret_cast<std::uintptr_t>(rows.words) % 64 != 0) {
-    return false;  // the SIMD tiers' aligned loads would be illegal
+    return false;  // not the store's row layout
   }
   // Zone-coverage check: every vertex with coreness >= the incumbent must
   // be *inside* the stored zone.  Stored rows may cover extra low-coreness

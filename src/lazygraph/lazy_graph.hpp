@@ -300,11 +300,11 @@ class LazyGraph {
   // row builds touch the allocator ~once per slab rather than per row.
   // Slabs are 64-byte aligned and rows are carved at a 64-byte stride
   // (row_stride_words_, row_words_ rounded up to 8), so every row starts
-  // on a cache-line boundary and aligned SIMD loads stay legal.  Rows
+  // on a cache-line boundary, as in the store's row section.  Rows
   // live as long as the graph; nothing is freed individually.
   std::size_t row_stride_words_ = 0;
   SpinLock arena_lock_;
-  std::vector<simd::AlignedWords> row_slabs_ LAZYMC_GUARDED_BY(arena_lock_);
+  std::vector<AlignedWords> row_slabs_ LAZYMC_GUARDED_BY(arena_lock_);
   std::uint64_t* slab_cursor_ LAZYMC_GUARDED_BY(arena_lock_) = nullptr;
   std::size_t slab_words_left_ LAZYMC_GUARDED_BY(arena_lock_) = 0;
   // Slab size, a multiple of the row stride.

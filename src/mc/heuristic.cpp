@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 
+#include "support/aligned.hpp"
 #include "support/parallel.hpp"
 #include "support/wordops.hpp"
 
@@ -19,8 +20,8 @@ constexpr std::uint16_t kNoPos = 0xFFFF;
 /// One participant's scratch, reused across seeds.
 struct GreedyScratch {
   std::vector<std::uint16_t> pos;  // global id -> position in C, or kNoPos
-  simd::AlignedWords rows;         // |C| rows, one bit per position in C
-  simd::AlignedWords live;         // positions still in C
+  AlignedWords rows;               // |C| rows, one bit per position in C
+  AlignedWords live;               // positions still in C
   std::vector<VertexId> row_deg;   // popcount of each row
   std::vector<VertexId> next;
 };
@@ -100,7 +101,6 @@ void bitset_greedy(const Graph& g, std::span<const VertexId> candidates,
   s.live.assign(words, ~0ULL);
   if (m % 64 != 0) s.live[words - 1] = (1ULL << (m % 64)) - 1;
   std::uint64_t* live = s.live.data();
-  const wordops::Table& ops = wordops::active();
   // Live positions sit in words [lo, hi); |live| = live_count.
   std::size_t lo = 0, hi = words;
   std::int64_t live_count = static_cast<std::int64_t>(m);
@@ -114,7 +114,7 @@ void bitset_greedy(const Graph& g, std::span<const VertexId> candidates,
         const std::size_t i =
             w * 64 + static_cast<std::size_t>(__builtin_ctzll(bits));
         if (static_cast<std::int64_t>(s.row_deg[i]) <= best_deg) continue;
-        const auto d = static_cast<std::int64_t>(ops.popcount_and(
+        const auto d = static_cast<std::int64_t>(wordops::popcount_and(
             s.rows.data() + i * words + lo, live + lo, hi - lo));
         if (d > best_deg) {
           best_deg = d;
@@ -124,7 +124,7 @@ void bitset_greedy(const Graph& g, std::span<const VertexId> candidates,
       }
     }
     clique.push_back(candidates[best]);
-    ops.and_assign(live + lo, s.rows.data() + best * words + lo, hi - lo);
+    wordops::and_assign(live + lo, s.rows.data() + best * words + lo, hi - lo);
     live_count = best_deg;
     while (lo < hi && live[lo] == 0) ++lo;
     while (hi > lo && live[hi - 1] == 0) --hi;

@@ -36,7 +36,6 @@
 #include "intersect/intersect.hpp"
 #include "lazygraph/lazy_graph.hpp"
 #include "mc/search_counters.hpp"
-#include "support/simd.hpp"
 
 namespace lazymc::mc {
 
@@ -99,7 +98,7 @@ struct IntersectPolicy {
     if (b.has_bitset()) {
       const BitsetRow& row = b.bitset();
       if (a_words && a_words->zone_begin() == row.zone_begin) {
-        bump_word();
+        bump(Kernel::bitset_word);
         if (!early_exits) {
           return static_cast<std::int64_t>(intersect_size(*a_words, row)) >
                  theta;
@@ -140,7 +139,7 @@ struct IntersectPolicy {
     if (b.has_bitset()) {
       const BitsetRow& row = b.bitset();
       if (a_words && a_words->zone_begin() == row.zone_begin) {
-        bump_word();
+        bump(Kernel::bitset_word);
         if (!early_exits) {
           int n = static_cast<int>(intersect_size(*a_words, row));
           return n > theta ? n : kTooSmall;
@@ -181,7 +180,7 @@ struct IntersectPolicy {
     if (b.has_bitset()) {
       const BitsetRow& row = b.bitset();
       if (a_words && a_words->zone_begin() == row.zone_begin) {
-        bump_word();
+        bump(Kernel::bitset_word);
         if (!early_exits) {
           int n = static_cast<int>(intersect_words(*a_words, row, out));
           return n > theta ? n : kTooSmall;
@@ -229,17 +228,6 @@ struct IntersectPolicy {
       ++(*tally)[k];
     } else if (counters) {
       (*counters)[k].fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  /// bitset-word calls also record the SIMD tier that will run them.
-  void bump_word() const {
-    const auto t = static_cast<std::size_t>(simd::current_tier());
-    if (tally) {
-      ++tally->bitset_word;
-      ++tally->word_tier[t];
-    } else if (counters) {
-      counters->bitset_word.fetch_add(1, std::memory_order_relaxed);
-      counters->word_tier[t].fetch_add(1, std::memory_order_relaxed);
     }
   }
 };

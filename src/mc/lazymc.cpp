@@ -1,7 +1,6 @@
 #include "mc/lazymc.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "kcore/kcore.hpp"
 #include "kcore/order.hpp"
@@ -11,47 +10,8 @@
 
 namespace lazymc::mc {
 
-namespace {
-
-/// Forces the SIMD tier for the duration of one solve, restoring the
-/// previous dispatch state (forced or auto) on exit — so a forced
-/// baseline run does not silently leak its tier into a later auto run.
-/// The underlying knob is process-global (see LazyMCConfig::kernel_tier:
-/// concurrent solves must agree on it), so this is a plain save/restore,
-/// not a reentrant stack.
-class ScopedKernelTier {
- public:
-  explicit ScopedKernelTier(std::optional<simd::Tier> tier)
-      : previous_(simd::forced_tier()), engaged_(tier.has_value()) {
-    if (engaged_ && !simd::force_tier(*tier)) {
-      throw std::runtime_error(
-          std::string("kernel tier '") + simd::tier_name(*tier) +
-          "' is not available (not compiled in, or unsupported by this CPU)");
-    }
-  }
-  ~ScopedKernelTier() {
-    if (!engaged_) return;
-    if (previous_) {
-      simd::force_tier(*previous_);
-    } else {
-      simd::reset_tier();
-    }
-  }
-
- private:
-  std::optional<simd::Tier> previous_;
-  bool engaged_;
-};
-
-}  // namespace
-
 LazyMCResult lazy_mc(const Graph& g, const LazyMCConfig& config) {
   LazyMCResult result;
-  // Forced kernel tier (--kernels); applied before the empty-graph
-  // shortcut so a bad request fails loudly either way, and restored when
-  // the solve returns.
-  ScopedKernelTier tier_guard(config.kernel_tier);
-  result.search.simd_tier = simd::tier_name(simd::current_tier());
   if (g.num_vertices() == 0) return result;
 
   // Per-request isolation: a caller-owned control (daemon request) wins
@@ -183,12 +143,6 @@ LazyMCResult lazy_mc(const Graph& g, const LazyMCConfig& config) {
 #define LAZYMC_COPY(phase) out.phase##_seconds = stats.phase##_seconds();
   LAZYMC_SEARCH_TIMERS(LAZYMC_COPY)
 #undef LAZYMC_COPY
-  const auto word_calls = [&](simd::Tier t) {
-    return stats.kernels.word_tier[static_cast<std::size_t>(t)].load();
-  };
-  out.kernel_word_scalar = word_calls(simd::Tier::kScalar);
-  out.kernel_word_avx2 = word_calls(simd::Tier::kAvx2);
-  out.kernel_word_avx512 = word_calls(simd::Tier::kAvx512);
   out.improvements = incumbent.history();
   out.time_to_first_solution =
       out.improvements.empty() ? 0.0 : out.improvements.front().seconds;

@@ -14,8 +14,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -23,7 +21,6 @@
 #include "mc/neighbor_search.hpp"
 #include "mc/search_counters.hpp"
 #include "support/control.hpp"
-#include "support/simd.hpp"
 
 namespace lazymc::mc {
 
@@ -97,17 +94,6 @@ struct LazyMCConfig {
   VertexId split_min_cands = 128;
   unsigned split_depth = 2;
   std::uint64_t split_min_work = 0;
-  /// Forces the SIMD kernel tier (scalar/avx2/avx512) for every word
-  /// kernel during this solve; nullopt = auto (best tier the build and
-  /// CPU support, or whatever simd::force_tier the caller set).  Forcing
-  /// an unavailable tier makes lazy_mc throw.  The force is applied
-  /// process-wide for the duration of the solve (necessarily so: all of
-  /// the solve's pool workers must dispatch on the same tier) and the
-  /// previous state is restored on return.  Corollary: concurrent
-  /// lazy_mc calls must agree on kernel_tier (or leave it unset) —
-  /// overlapping solves forcing different tiers corrupt each other's
-  /// dispatch and the save/restore ordering.
-  std::optional<simd::Tier> kernel_tier;
   /// Wall-clock limit in seconds (Table II uses 1800 in the paper).
   double time_limit_seconds = std::numeric_limits<double>::infinity();
   /// Caller-owned request control.  When set, the solve observes *this*
@@ -153,12 +139,6 @@ struct SearchStatsSnapshot {
 #define LAZYMC_FIELD(name) std::uint64_t kernel_##name = 0;
   LAZYMC_KERNEL_COUNTERS(LAZYMC_FIELD)
 #undef LAZYMC_FIELD
-  // bitset-word calls split by executing SIMD tier, plus the tier the
-  // dispatcher had selected when the solve ran ("scalar"/"avx2"/"avx512").
-  std::uint64_t kernel_word_scalar = 0;
-  std::uint64_t kernel_word_avx2 = 0;
-  std::uint64_t kernel_word_avx512 = 0;
-  std::string simd_tier;
 #define LAZYMC_FIELD(phase) double phase##_seconds = 0;
   LAZYMC_SEARCH_TIMERS(LAZYMC_FIELD)
 #undef LAZYMC_FIELD

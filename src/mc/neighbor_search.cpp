@@ -102,7 +102,6 @@ void induce_from_lazy(LazyGraph& h, const std::vector<VertexId>& members,
   }
 
   const VertexId zone_begin = h.zone_begin();
-  const wordops::Table& ops = wordops::active();
   const std::span<const std::uint32_t> idx = scratch.a_words.indices();
   const std::span<const std::uint64_t> bits = scratch.a_words.bits();
   const std::span<const std::uint32_t> prefix = scratch.a_words.prefix();
@@ -124,7 +123,7 @@ void induce_from_lazy(LazyGraph& h, const std::vector<VertexId>& members,
       degree_sum += row.count();
       continue;
     }
-    ops.gather_and(hit, bits.data(), idx.data(), view.bitset().words, cnt);
+    wordops::gather_and(hit, bits.data(), idx.data(), view.bitset().words, cnt);
     // No self-loop, even from a store row that carries its own bit.
     while (prefix[self_entry + 1] <= i) ++self_entry;
     hit[self_entry] &= ~(1ULL << ((members[i] - zone_begin) & 63));
@@ -192,8 +191,8 @@ void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
   // The word form of n_set feeds the bitset kernels whenever a candidate's
   // membership view carries a bitset row (n_set ⊆ zone: every survivor of
   // filter 1 has coreness >= bound >= the bound when rows were enabled).
-  // A failed word-form build degrades the round to scalar kernels (the
-  // word set is an accelerator; membership views answer without it).
+  // A failed word-form build degrades the round to per-element probes
+  // (the word set is an accelerator; membership views answer without it).
   bool zone_kernels = h.bitset_enabled();
   auto build_words = [&](std::span<const VertexId> span)
       -> const SparseWordSet* {

@@ -57,7 +57,7 @@ struct SearchScratch {
   std::vector<VertexId> kept;     // filter output, swapped with n_set
   std::vector<VertexId> clique;   // publish staging (original ids)
   SparseWordSet a_words;          // word form of n_set for bitset kernels
-  simd::AlignedWords and_words;   // induce_from_lazy's hit words, one
+  AlignedWords and_words;   // induce_from_lazy's hit words, one
                                   // per occupied word of a_words
   DenseSubgraph sub;              // pooled induced subgraph
   DynamicBitset all;              // full candidate set for color_prune

@@ -24,8 +24,6 @@
 #include <cstdint>
 #include <span>
 
-#include "support/simd.hpp"
-
 namespace lazymc::mc {
 
 /// Where the adaptive dispatcher ran each intersection (one count per
@@ -62,7 +60,7 @@ namespace lazymc::mc {
   /* Always 0.  Ignored; kept only because lmcbench/main.cpp reads it. */    \
   X(split_tasks)                                                             \
   /* Graceful degradation: SparseWordSet builds that failed on an */         \
-  /* allocation (the filter round ran on scalar kernels). */                 \
+  /* allocation (the filter round probed element by element instead). */     \
   X(degraded_wordsets)                                                       \
   /* Branch-and-bound and k-VC node counts (Fig. 6). */                      \
   X(mc_nodes)                                                                \
@@ -87,15 +85,11 @@ inline std::uint64_t counter_value(const std::atomic<std::uint64_t>& c) {
 inline std::uint64_t counter_value(std::uint64_t c) { return c; }
 
 /// One count per kernel, as relaxed atomics or as plain words.
-/// `word_tier[t]` splits bitset_word by the SIMD tier (scalar/avx2/avx512)
-/// that executed the call, so forced-tier A/B runs and the reports can
-/// show which kernel generation did the work.
 template <class Count>
 struct BasicKernelCounters {
 #define LAZYMC_FIELD(name) Count name{0};
   LAZYMC_KERNEL_COUNTERS(LAZYMC_FIELD)
 #undef LAZYMC_FIELD
-  Count word_tier[simd::kNumTiers]{};
 
   Count& operator[](Kernel k) {
     switch (k) {
@@ -156,9 +150,6 @@ inline void flush(const KernelTally& from, KernelCounters* into) {
 #define LAZYMC_FLUSH(name) detail::merge_sum(into->name, from.name);
   LAZYMC_KERNEL_COUNTERS(LAZYMC_FLUSH)
 #undef LAZYMC_FLUSH
-  for (std::size_t t = 0; t < simd::kNumTiers; ++t) {
-    detail::merge_sum(into->word_tier[t], from.word_tier[t]);
-  }
 }
 
 /// Adds a worker's search counters into `into` and its kernel counts into

@@ -4,9 +4,9 @@
 // optionally the degeneracy-order permutation, the coreness array, and
 // prebuilt 64-byte-aligned packed bitset zone rows) laid out so that a
 // single mmap makes them directly consumable — startup is O(page-fault)
-// instead of O(parse), and the SIMD word kernels are legal straight off
-// the page cache because every rows section starts on a 64-byte file
-// offset at a 64-byte row stride.
+// instead of O(parse), and the word kernels read the rows straight off
+// the page cache; every rows section starts on a 64-byte file offset at
+// a 64-byte row stride, the same layout as the rows LazyGraph builds.
 //
 // Layout (all integers little-endian; the reader refuses to open the
 // format on a big-endian host rather than byte-swap):

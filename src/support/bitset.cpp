@@ -5,70 +5,33 @@
 #include "support/wordops.hpp"
 
 namespace lazymc {
-namespace {
-
-// Below this many words the dispatched call (atomic tier load + indirect
-// call) costs more than it saves; the dense B&B rows that dominate these
-// ops are often 1-4 words.  The inline loops are bit-identical to the
-// scalar tier, so forced-tier A/B runs still agree exactly.
-constexpr std::size_t kInlineWords = 8;
-
-}  // namespace
 
 std::size_t DynamicBitset::count() const {
-  if (words_.size() < kInlineWords) {
-    std::size_t c = 0;
-    for (std::uint64_t w : words_) {
-      c += static_cast<std::size_t>(__builtin_popcountll(w));
-    }
-    return c;
-  }
-  return wordops::active().popcount(words_.data(), words_.size());
+  return wordops::popcount(words_.data(), words_.size());
 }
 
 std::size_t DynamicBitset::count_and(const DynamicBitset& other) const {
-  std::size_t n = std::min(words_.size(), other.words_.size());
-  if (n < kInlineWords) {
-    std::size_t c = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      c += static_cast<std::size_t>(
-          __builtin_popcountll(words_[i] & other.words_[i]));
-    }
-    return c;
-  }
-  return wordops::active().popcount_and(words_.data(), other.words_.data(), n);
+  const std::size_t n = std::min(words_.size(), other.words_.size());
+  return wordops::popcount_and(words_.data(), other.words_.data(), n);
 }
 
 void DynamicBitset::and_with(const DynamicBitset& other) {
-  std::size_t n = std::min(words_.size(), other.words_.size());
-  if (n < kInlineWords) {
-    for (std::size_t i = 0; i < n; ++i) words_[i] &= other.words_[i];
-  } else {
-    wordops::active().and_assign(words_.data(), other.words_.data(), n);
-  }
+  const std::size_t n = std::min(words_.size(), other.words_.size());
+  wordops::and_assign(words_.data(), other.words_.data(), n);
   for (std::size_t i = n; i < words_.size(); ++i) words_[i] = 0;
 }
 
 void DynamicBitset::assign_and(const DynamicBitset& a, const DynamicBitset& b) {
   bits_ = a.bits_;
   words_.resize(a.words_.size());
-  std::size_t n = std::min(a.words_.size(), b.words_.size());
-  if (n < kInlineWords) {
-    for (std::size_t i = 0; i < n; ++i) words_[i] = a.words_[i] & b.words_[i];
-  } else {
-    wordops::active().and_into(words_.data(), a.words_.data(), b.words_.data(),
-                               n);
-  }
+  const std::size_t n = std::min(a.words_.size(), b.words_.size());
+  wordops::and_into(words_.data(), a.words_.data(), b.words_.data(), n);
   for (std::size_t i = n; i < words_.size(); ++i) words_[i] = 0;
 }
 
 void DynamicBitset::and_not_with(const DynamicBitset& other) {
-  std::size_t n = std::min(words_.size(), other.words_.size());
-  if (n < kInlineWords) {
-    for (std::size_t i = 0; i < n; ++i) words_[i] &= ~other.words_[i];
-  } else {
-    wordops::active().and_not_assign(words_.data(), other.words_.data(), n);
-  }
+  const std::size_t n = std::min(words_.size(), other.words_.size());
+  wordops::and_not_assign(words_.data(), other.words_.data(), n);
 }
 
 std::size_t DynamicBitset::find_first() const {

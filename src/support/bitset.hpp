@@ -3,19 +3,17 @@
 // solvers are small (bounded by coreness), so a flat 64-bit-word bitset with
 // popcount-based intersection is the fastest representation.
 //
-// Word storage is 64-byte aligned (simd::AlignedWords), so every row
-// starts on a cache-line boundary like the lazy-graph row arena; the bulk
-// word loops (count/count_and/and_with/...) route through the
-// runtime-dispatched wordops tier (scalar/AVX2/AVX-512) above a small-n
-// inline path.
+// Word storage is 64-byte aligned (AlignedWords), so every row starts on
+// a cache-line boundary like the lazy-graph row arena; the bulk word ops
+// (count/count_and/and_with/...) are the support/wordops.hpp loops.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
+#include "support/aligned.hpp"
 #include "support/check.hpp"
-#include "support/simd.hpp"
 
 namespace lazymc {
 
@@ -99,7 +97,7 @@ class DynamicBitset {
 
  private:
   std::size_t bits_ = 0;
-  simd::AlignedWords words_;
+  AlignedWords words_;
 };
 
 }  // namespace lazymc

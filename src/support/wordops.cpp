@@ -9,49 +9,6 @@
 namespace lazymc::wordops {
 namespace {
 
-std::size_t sc_popcount(const std::uint64_t* src, std::size_t n) {
-  std::size_t c = 0;
-  for (std::size_t i = 0; i < n; ++i) c += std::popcount(src[i]);
-  return c;
-}
-
-std::size_t sc_popcount_and(const std::uint64_t* a, const std::uint64_t* b,
-                            std::size_t n) {
-  std::size_t c = 0;
-  for (std::size_t i = 0; i < n; ++i) c += std::popcount(a[i] & b[i]);
-  return c;
-}
-
-void sc_and_assign(std::uint64_t* dst, const std::uint64_t* src,
-                   std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] &= src[i];
-}
-
-void sc_and_not_assign(std::uint64_t* dst, const std::uint64_t* src,
-                       std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] &= ~src[i];
-}
-
-void sc_and_into(std::uint64_t* dst, const std::uint64_t* a,
-                 const std::uint64_t* b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = a[i] & b[i];
-}
-
-void sc_not_into(std::uint64_t* dst, const std::uint64_t* src,
-                 std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = ~src[i];
-}
-
-void sc_gather_and(std::uint64_t* dst, const std::uint64_t* bits,
-                   const std::uint32_t* idx, const std::uint64_t* table,
-                   std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = bits[i] & table[idx[i]];
-}
-
-constexpr Table kScalar{simd::Tier::kScalar, sc_popcount,  sc_popcount_and,
-                        sc_and_assign,       sc_and_not_assign,
-                        sc_and_into,         sc_not_into,  sc_gather_and};
-
 /// ORs compressed word `c` into the bit array `dst` at bit offset `off`.
 /// The word may straddle two dst words; a word-aligned offset has no high
 /// part (and a shift by 64 would be undefined).
@@ -142,12 +99,6 @@ std::size_t compress_or(std::uint64_t* dst, const std::uint64_t* hit,
                         const std::uint32_t* offset, std::size_t n) {
   static const CompressFn fn = pick_compress();
   return fn(dst, hit, mask, offset, n);
-}
-
-const Table& scalar_table() { return kScalar; }
-
-const Table& active() {
-  return simd::pick_table(kScalar, avx2_table(), avx512_table());
 }
 
 }  // namespace lazymc::wordops

@@ -45,8 +45,8 @@ class Searcher {
 
  private:
   /// Removes v from alive and decrements its alive neighbors' degrees.
-  /// The row & alive AND runs through the dispatched word kernels into a
-  /// pooled bitset; only the per-neighbor decrement stays bit-serial.
+  /// The row & alive AND runs word by word into a pooled bitset; only
+  /// the per-neighbor decrement stays bit-serial.
   void remove_vertex(DynamicBitset& alive, std::vector<VertexId>& deg,
                      std::size_t v) const {
     alive.reset(v);

@@ -49,7 +49,7 @@ void* operator new[](std::size_t size) { return ::operator new(size); }
 
 // The aligned overloads matter now: DynamicBitset words, SparseWordSet
 // bits, and the lazy-graph row slabs allocate through
-// simd::AlignedAllocator (64-byte alignment), which lands here rather
+// AlignedAllocator (64-byte alignment), which lands here rather
 // than in the plain overload — without these the steady-state invariant
 // would silently stop covering the hottest structures.
 void* operator new(std::size_t size, std::align_val_t align) {

@@ -9,7 +9,6 @@
 
 #include "support/bitset.hpp"
 #include "support/random.hpp"
-#include "support/simd.hpp"
 #include "support/wordops.hpp"
 
 namespace lazymc {
@@ -155,54 +154,53 @@ TEST(DynamicBitset, EqualityComparesContent) {
 }
 
 TEST(DynamicBitset, WordStorageIsCacheLineAligned) {
-  // Satellite of the SIMD engine: every row starts on a 64-byte
-  // boundary, matching the lazy-graph slab arena.
+  // Every row starts on a 64-byte boundary, matching the lazy-graph
+  // slab arena.
   for (std::size_t bits : {1u, 64u, 100u, 1000u}) {
     DynamicBitset b(bits);
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.data()) % 64, 0u) << bits;
   }
 }
 
-// The bulk word ops route through the runtime-dispatched SIMD tier; every
-// supported tier must agree bit-for-bit with a naive model, across sizes
-// straddling the inline-path cutoff and the AVX2/AVX-512 vector widths.
-TEST(DynamicBitset, BulkOpsAgreeAcrossSimdTiers) {
-  for (std::size_t t = 0; t < simd::kNumTiers; ++t) {
-    const simd::Tier tier = static_cast<simd::Tier>(t);
-    if (!simd::tier_supported(tier)) continue;
-    ASSERT_TRUE(simd::force_tier(tier));
-    Rng rng(77 + t);
-    for (std::size_t bits : {1u, 63u, 64u, 65u, 255u, 256u, 257u, 511u,
-                             512u, 513u, 1000u}) {
-      DynamicBitset a(bits), b(bits);
-      std::set<std::size_t> in_a, in_b;
-      for (std::size_t i = 0; i < bits; ++i) {
-        if (rng.next_below(2)) { a.set(i); in_a.insert(i); }
-        if (rng.next_below(2)) { b.set(i); in_b.insert(i); }
-      }
-      EXPECT_EQ(a.count(), in_a.size()) << simd::tier_name(tier);
-      std::set<std::size_t> both;
-      for (std::size_t i : in_a) {
-        if (in_b.count(i)) both.insert(i);
-      }
-      EXPECT_EQ(a.count_and(b), both.size());
-
-      DynamicBitset and_dst;
-      and_dst.assign_and(a, b);
-      DynamicBitset and_with_dst = a;
-      and_with_dst.and_with(b);
-      DynamicBitset and_not_dst = a;
-      and_not_dst.and_not_with(b);
-      for (std::size_t i = 0; i < bits; ++i) {
-        EXPECT_EQ(and_dst.test(i), both.count(i) > 0);
-        EXPECT_EQ(and_with_dst.test(i), both.count(i) > 0);
-        EXPECT_EQ(and_not_dst.test(i), in_a.count(i) > 0 && !in_b.count(i));
-      }
+// The bulk word ops must agree bit-for-bit with a naive model at every
+// size, from empty through 80 words, with whole-word and partial tails.
+TEST(DynamicBitset, BulkOpsAgreeWithNaiveModel) {
+  Rng rng(77);
+  // 0, 1, 3, 4, 5, 15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64, 65, 79
+  // and 80 full words, plus partial last words around 1, 4 and 8 words.
+  for (std::size_t bits :
+       {0u,    1u,    63u,   64u,   65u,   192u,  255u,  256u,  257u,
+        320u,  511u,  512u,  513u,  960u,  1000u, 1024u, 1088u, 1984u,
+        2048u, 2112u, 3008u, 3072u, 3136u, 4032u, 4096u, 4160u, 5056u,
+        5120u}) {
+    DynamicBitset a(bits), b(bits);
+    std::set<std::size_t> in_a, in_b;
+    for (std::size_t i = 0; i < bits; ++i) {
+      // Word 3 is saturated in both operands.
+      const bool full = i / 64 == 3;
+      if (full || rng.next_below(2)) { a.set(i); in_a.insert(i); }
+      if (full || rng.next_below(2)) { b.set(i); in_b.insert(i); }
     }
-    simd::reset_tier();
+    EXPECT_EQ(a.count(), in_a.size()) << bits;
+    std::set<std::size_t> both;
+    for (std::size_t i : in_a) {
+      if (in_b.count(i)) both.insert(i);
+    }
+    EXPECT_EQ(a.count_and(b), both.size()) << bits;
+
+    DynamicBitset and_dst;
+    and_dst.assign_and(a, b);
+    DynamicBitset and_with_dst = a;
+    and_with_dst.and_with(b);
+    DynamicBitset and_not_dst = a;
+    and_not_dst.and_not_with(b);
+    for (std::size_t i = 0; i < bits; ++i) {
+      EXPECT_EQ(and_dst.test(i), both.count(i) > 0);
+      EXPECT_EQ(and_with_dst.test(i), both.count(i) > 0);
+      EXPECT_EQ(and_not_dst.test(i), in_a.count(i) > 0 && !in_b.count(i));
+    }
   }
 }
-
 
 // ---- parallel bit extract (wordops::pext_* / compress_or) -----------------
 

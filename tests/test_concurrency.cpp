@@ -206,8 +206,7 @@ TEST(ConcurrencyStress, CancellationDuringParallelSearchUnwinds) {
 // present on the cancel and exception paths.
 
 /// A lazy graph over `g` in (coreness, degree) order with bitset rows over
-/// the whole graph, so the filters run the word kernels whose calls the
-/// tier counters split.
+/// the whole graph, so the filters run the word kernels.
 struct CountedSearch {
   explicit CountedSearch(const Graph& g)
       : core(kcore::coreness(g)),
@@ -227,12 +226,6 @@ struct CountedSearch {
 
 Graph counter_graph() {
   return gen::plant_clique(gen::gnp(400, 0.08, 411), 16, 412);
-}
-
-std::uint64_t word_tier_sum(const mc::KernelCounters& k) {
-  std::uint64_t sum = 0;
-  for (const auto& calls : k.word_tier) sum += calls.load();
-  return sum;
 }
 
 TEST(WorkerCounters, OneThreadTotalsEqualASequentialLoop) {
@@ -282,9 +275,6 @@ TEST(WorkerCounters, OneThreadTotalsEqualASequentialLoop) {
   EXPECT_EQ(a.kernels.name.load(), b.kernels.name.load()) << #name;
   LAZYMC_KERNEL_COUNTERS(LAZYMC_EXPECT_SAME)
 #undef LAZYMC_EXPECT_SAME
-  for (std::size_t t = 0; t < simd::kNumTiers; ++t) {
-    EXPECT_EQ(a.kernels.word_tier[t].load(), b.kernels.word_tier[t].load());
-  }
   EXPECT_EQ(b.retired_chunks.load(), 0u);
   // The comparison is not vacuous: the search ran the word kernels.
   EXPECT_GT(a.evaluated.load(), 0u);
@@ -304,7 +294,6 @@ TEST(WorkerCounters, FourThreadTotalsKeepTheirInvariants) {
   EXPECT_LE(s.pass_filter1.load(), s.evaluated.load());
   EXPECT_LE(s.evaluated.load(), g.num_vertices());
   EXPECT_GT(s.kernels.bitset_word.load(), 0u);
-  EXPECT_EQ(word_tier_sum(s.kernels), s.kernels.bitset_word.load());
   EXPECT_EQ(f.incumbent.size(), baselines::max_clique_reference(g).size());
 
   // The full pipeline also counts the coreness heuristic's intersections.
@@ -312,9 +301,6 @@ TEST(WorkerCounters, FourThreadTotalsKeepTheirInvariants) {
   EXPECT_LE(r.search.pass_filter3, r.search.pass_filter2);
   EXPECT_LE(r.search.pass_filter2, r.search.pass_filter1);
   EXPECT_LE(r.search.pass_filter1, r.search.evaluated);
-  EXPECT_EQ(r.search.kernel_word_scalar + r.search.kernel_word_avx2 +
-                r.search.kernel_word_avx512,
-            r.search.kernel_bitset_word);
   set_num_threads(0);
 }
 
@@ -331,7 +317,6 @@ TEST(WorkerCounters, TimedOutSearchStillReportsItsCounts) {
   EXPECT_TRUE(control.cancelled());
   EXPECT_GT(f.stats.evaluated.load(), 0u);
   EXPECT_LE(f.stats.pass_filter1.load(), f.stats.evaluated.load());
-  EXPECT_EQ(word_tier_sum(f.stats.kernels), f.stats.kernels.bitset_word.load());
   set_num_threads(0);
 }
 

@@ -4,11 +4,9 @@
 // combination is checked against intersect_reference, including θ = -1,
 // θ >= min(|A|,|B|), empty sides, and word-boundary sizes (63/64/65).
 //
-// The forced-tier suites re-run the word-parallel kernels under every
-// SIMD tier the build + CPU support (scalar is always one of them),
-// asserting bit-identical results at the vector-width boundaries
-// (255/256/257 and 511/512/513 bits) and at budget-exit positions that
-// fall *inside* an AVX2/AVX-512 block.
+// Two suites pin the word-parallel kernels on multi-word rows: results
+// at 255/256/257 and 511/512/513 zone bits, and the miss-budget exit
+// tripping at every word of a 16-word A.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,19 +17,9 @@
 #include "lazygraph/lazy_graph.hpp"
 #include "mc/intersect_policy.hpp"
 #include "support/random.hpp"
-#include "support/simd.hpp"
 
 namespace lazymc {
 namespace {
-
-/// RAII tier forcing; restores auto dispatch on scope exit.
-struct ForcedTier {
-  explicit ForcedTier(simd::Tier t) { ok = simd::force_tier(t); }
-  ~ForcedTier() { simd::reset_tier(); }
-  bool ok = false;
-};
-
-using simd::supported_tiers;
 
 /// Owning helper: packs `elements` (ids >= zone_begin) into row words.
 struct OwnedRow {
@@ -162,52 +150,45 @@ TEST(BitsetKernels, EmptySides) {
   EXPECT_EQ(intersect_gt(aw, empty_b.row, out.data(), -1), 0);
 }
 
-// Every supported SIMD tier must return bit-identical results to the
-// reference at the vector-width boundaries: 255/256/257 bits straddle an
-// AVX2 block (4 x 64) and 511/512/513 an AVX-512 one (8 x 64), so block
-// loops, masked/scalar tails, and the per-block budget checks all get
-// exercised on either side of a full vector.
-TEST(BitsetKernelTiers, AllTiersMatchReferenceAtVectorBoundaries) {
-  for (simd::Tier tier : supported_tiers()) {
-    ForcedTier forced(tier);
-    ASSERT_TRUE(forced.ok) << simd::tier_name(tier);
-    Rng rng(1000 + static_cast<std::uint64_t>(tier));
-    for (VertexId zone_begin : {VertexId{0}, VertexId{7}}) {
-      for (VertexId zone_bits :
-           {VertexId{255}, VertexId{256}, VertexId{257}, VertexId{511},
-            VertexId{512}, VertexId{513}}) {
-        for (int round = 0; round < 25; ++round) {
-          auto a = random_zone_set(rng, 160, zone_begin, zone_bits);
-          auto b = random_zone_set(rng, 160, zone_begin, zone_bits);
-          SparseWordSet aw;
-          aw.build({a.data(), a.size()}, zone_begin);
-          OwnedRow owned(b, zone_begin, zone_bits);
-          const BitsetRow& row = owned.row;
-          const auto expected = intersect_reference(a, b);
-          const std::int64_t truth =
-              static_cast<std::int64_t>(expected.size());
-          EXPECT_EQ(intersect_size(aw, row), expected.size());
-          std::vector<VertexId> out(a.size() + 1);
-          EXPECT_EQ(intersect_words(aw, row, out.data()), expected.size());
+// The kernels must match the reference on rows of 4, 5, 8 and 9 words,
+// with partially filled last words on either side of a full one, for
+// every θ from -1 past min(|A|, |B|).
+TEST(BitsetKernels, MatchReferenceOnMultiWordRows) {
+  Rng rng(1000);
+  for (VertexId zone_begin : {VertexId{0}, VertexId{7}}) {
+    for (VertexId zone_bits :
+         {VertexId{255}, VertexId{256}, VertexId{257}, VertexId{511},
+          VertexId{512}, VertexId{513}}) {
+      for (int round = 0; round < 25; ++round) {
+        auto a = random_zone_set(rng, 160, zone_begin, zone_bits);
+        auto b = random_zone_set(rng, 160, zone_begin, zone_bits);
+        SparseWordSet aw;
+        aw.build({a.data(), a.size()}, zone_begin);
+        OwnedRow owned(b, zone_begin, zone_bits);
+        const BitsetRow& row = owned.row;
+        const auto expected = intersect_reference(a, b);
+        const std::int64_t truth =
+            static_cast<std::int64_t>(expected.size());
+        EXPECT_EQ(intersect_size(aw, row), expected.size());
+        std::vector<VertexId> out(a.size() + 1);
+        EXPECT_EQ(intersect_words(aw, row, out.data()), expected.size());
 
-          const std::int64_t max_theta =
-              static_cast<std::int64_t>(std::min(a.size(), b.size()) + 2);
-          for (std::int64_t theta = -1; theta <= max_theta; ++theta) {
-            const bool above = truth > theta;
-            EXPECT_EQ(intersect_size_gt_bool(aw, row, theta, true), above)
-                << simd::tier_name(tier) << " bits=" << zone_bits
-                << " theta=" << theta;
-            EXPECT_EQ(intersect_size_gt_bool(aw, row, theta, false), above);
-            EXPECT_EQ(intersect_size_gt_val(aw, row, theta),
-                      above ? static_cast<int>(truth) : kTooSmall);
-            int g = intersect_gt(aw, row, out.data(), theta);
-            if (above) {
-              ASSERT_EQ(g, static_cast<int>(truth));
-              EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
-                                     out.begin()));
-            } else {
-              EXPECT_EQ(g, kTooSmall);
-            }
+        const std::int64_t max_theta =
+            static_cast<std::int64_t>(std::min(a.size(), b.size()) + 2);
+        for (std::int64_t theta = -1; theta <= max_theta; ++theta) {
+          const bool above = truth > theta;
+          EXPECT_EQ(intersect_size_gt_bool(aw, row, theta, true), above)
+              << "bits=" << zone_bits << " theta=" << theta;
+          EXPECT_EQ(intersect_size_gt_bool(aw, row, theta, false), above);
+          EXPECT_EQ(intersect_size_gt_val(aw, row, theta),
+                    above ? static_cast<int>(truth) : kTooSmall);
+          int g = intersect_gt(aw, row, out.data(), theta);
+          if (above) {
+            ASSERT_EQ(g, static_cast<int>(truth));
+            EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
+                                   out.begin()));
+          } else {
+            EXPECT_EQ(g, kTooSmall);
           }
         }
       }
@@ -215,14 +196,12 @@ TEST(BitsetKernelTiers, AllTiersMatchReferenceAtVectorBoundaries) {
   }
 }
 
-// Budget exits that trip *inside* a vector block: A occupies 16 full
-// words (1024 elements), B keeps only words [0, keep) of A, so the miss
-// budget h = |A| - θ runs dry at a controlled word position — including
-// positions in the middle of an AVX2 (4-word) or AVX-512 (8-word) block.
-// Tiers check the budget once per block, which by the monotonicity
-// argument in wp_kernels.hpp must never change the verdict; this test
-// pins that on every supported tier, θ regime, and exit word.
-TEST(BitsetKernelTiers, BudgetExitInsideVectorBlock) {
+// Budget exits at a controlled word: A occupies 16 full words (1024
+// elements), B keeps only words [0, keep) of A, so the miss budget
+// h = |A| - θ runs dry at a chosen word position.  The verdict must not
+// depend on where the exit fires; this test pins that for every θ regime
+// and exit word.
+TEST(BitsetKernels, BudgetExitAtEveryWord) {
   constexpr VertexId kZoneBits = 1024;  // 16 words, all occupied by A
   std::vector<VertexId> a(kZoneBits);
   for (VertexId v = 0; v < kZoneBits; ++v) a[v] = v;
@@ -230,36 +209,31 @@ TEST(BitsetKernelTiers, BudgetExitInsideVectorBlock) {
   aw.build({a.data(), a.size()}, 0);
   ASSERT_EQ(aw.num_entries(), 16u);
 
-  for (simd::Tier tier : supported_tiers()) {
-    ForcedTier forced(tier);
-    ASSERT_TRUE(forced.ok);
-    for (std::size_t keep = 0; keep <= 16; ++keep) {
-      std::vector<VertexId> b;
-      for (VertexId v = 0; v < static_cast<VertexId>(keep * 64); ++v) {
-        b.push_back(v);
-      }
-      OwnedRow owned(b, 0, kZoneBits);
-      const std::int64_t truth = static_cast<std::int64_t>(b.size());
-      // Thetas chosen so the failure exit fires after ~1, ~keep/2, ~keep
-      // and ~16 words — i.e. at every alignment within a block.
-      for (std::int64_t theta :
-           {std::int64_t{-1}, std::int64_t{0}, truth - 65, truth - 1, truth,
-            truth + 1, truth + 63, std::int64_t{1023}}) {
-        const bool above = truth > theta;
-        EXPECT_EQ(intersect_size_gt_bool(aw, owned.row, theta, true), above)
-            << simd::tier_name(tier) << " keep=" << keep
-            << " theta=" << theta;
-        EXPECT_EQ(intersect_size_gt_bool(aw, owned.row, theta, false), above);
-        EXPECT_EQ(intersect_size_gt_val(aw, owned.row, theta),
-                  above ? static_cast<int>(truth) : kTooSmall);
-        std::vector<VertexId> out(a.size() + 1);
-        int g = intersect_gt(aw, owned.row, out.data(), theta);
-        if (above) {
-          ASSERT_EQ(g, static_cast<int>(truth));
-          EXPECT_TRUE(std::equal(b.begin(), b.end(), out.begin()));
-        } else {
-          EXPECT_EQ(g, kTooSmall);
-        }
+  for (std::size_t keep = 0; keep <= 16; ++keep) {
+    std::vector<VertexId> b;
+    for (VertexId v = 0; v < static_cast<VertexId>(keep * 64); ++v) {
+      b.push_back(v);
+    }
+    OwnedRow owned(b, 0, kZoneBits);
+    const std::int64_t truth = static_cast<std::int64_t>(b.size());
+    // Thetas chosen so the failure exit fires after ~1, ~keep/2, ~keep
+    // and ~16 words.
+    for (std::int64_t theta :
+         {std::int64_t{-1}, std::int64_t{0}, truth - 65, truth - 1, truth,
+          truth + 1, truth + 63, std::int64_t{1023}}) {
+      const bool above = truth > theta;
+      EXPECT_EQ(intersect_size_gt_bool(aw, owned.row, theta, true), above)
+          << "keep=" << keep << " theta=" << theta;
+      EXPECT_EQ(intersect_size_gt_bool(aw, owned.row, theta, false), above);
+      EXPECT_EQ(intersect_size_gt_val(aw, owned.row, theta),
+                above ? static_cast<int>(truth) : kTooSmall);
+      std::vector<VertexId> out(a.size() + 1);
+      int g = intersect_gt(aw, owned.row, out.data(), theta);
+      if (above) {
+        ASSERT_EQ(g, static_cast<int>(truth));
+        EXPECT_TRUE(std::equal(b.begin(), b.end(), out.begin()));
+      } else {
+        EXPECT_EQ(g, kTooSmall);
       }
     }
   }

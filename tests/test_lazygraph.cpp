@@ -108,7 +108,7 @@ void expect_right_neighbors_match(const LazyGraph& lazy, const Fixture& f,
 /// carries its own bit and, past the zone's end, set padding bits; both
 /// must be ignored.
 struct StoreRows {
-  simd::AlignedWords words;
+  AlignedWords words;
   std::vector<std::uint32_t> counts;
   PrebuiltRows rows;
 

@@ -372,7 +372,7 @@ TEST(InduceFromLazy, AdoptedRowsWithTheirOwnBitKeepNoSelfLoops) {
   ExtractFixture f(gen::gnp(150, 0.3, 48));
   const VertexId n = f.g.num_vertices();
   const std::size_t stride = ((n + 63) / 64 + 7) / 8 * 8;
-  simd::AlignedWords words(n * stride, 0);
+  AlignedWords words(n * stride, 0);
   std::vector<std::uint32_t> counts(n, 0);
   for (VertexId v = 0; v < n; ++v) {
     std::uint64_t* row = words.data() + v * stride;
