@@ -5,10 +5,12 @@
 // work-queue drain used by systematic_search).
 //
 // Beyond the google-benchmark registrations, `--shootout` runs the
-// intersection-kernel shoot-out (scalar hash vs prefetched batch hash vs
+// intersection-kernel shoot-out (serial hash vs prefetched batch hash vs
 // word-parallel bitset vs sorted merge, across densities and θ) as an
 // ASCII table, exported to JSON with `--json=PATH` like every other bench
-// binary (schema "lazymc-bench-tables/1").
+// binary (schema "lazymc-bench-tables/1").  It first checks all six
+// dispatcher kernels against intersect_reference and exits 1 on any
+// disagreement.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -16,6 +18,7 @@
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
@@ -88,8 +91,8 @@ void BM_IntersectHash(benchmark::State& state) {
   for (VertexId x : b) bs.insert(x);
   std::vector<VertexId> out(a.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        intersect_hash(std::span<const VertexId>(a), bs, out.data()));
+    benchmark::DoNotOptimize(probe_scan<Query::gt, Exits::none>(
+        std::span<const VertexId>(a), bs, out.data(), -1));
   }
 }
 BENCHMARK(BM_IntersectHash)->Arg(256)->Arg(4096);
@@ -102,8 +105,8 @@ void BM_SizeGtValEarlyExit(benchmark::State& state) {
   HopscotchSet bs(b.size());
   for (VertexId x : b) bs.insert(x);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        intersect_size_gt_val(std::span<const VertexId>(a), bs, 60));
+    benchmark::DoNotOptimize(probe_scan<Query::size_gt_val>(
+        std::span<const VertexId>(a), bs, nullptr, 60));
   }
 }
 BENCHMARK(BM_SizeGtValEarlyExit);
@@ -115,8 +118,8 @@ void BM_SizeGtValNoExit(benchmark::State& state) {
   for (VertexId x : b) bs.insert(x);
   for (auto _ : state) {
     // Exact count then compare: the "no early exit" configuration.
-    benchmark::DoNotOptimize(
-        intersect_size(std::span<const VertexId>(a), bs) > 60u);
+    benchmark::DoNotOptimize(probe_scan<Query::size_gt_val, Exits::none>(
+        std::span<const VertexId>(a), bs, nullptr, 60));
   }
 }
 BENCHMARK(BM_SizeGtValNoExit);
@@ -128,8 +131,8 @@ void BM_SizeGtBoolSecondExit(benchmark::State& state) {
   HopscotchSet bs(a.size());
   for (VertexId x : a) bs.insert(x);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        intersect_size_gt_bool(std::span<const VertexId>(a), bs, 32, true));
+    benchmark::DoNotOptimize(probe_scan<Query::size_gt_bool>(
+        std::span<const VertexId>(a), bs, nullptr, 32));
   }
 }
 BENCHMARK(BM_SizeGtBoolSecondExit);
@@ -140,7 +143,8 @@ void BM_SizeGtBoolNoSecondExit(benchmark::State& state) {
   for (VertexId x : a) bs.insert(x);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        intersect_size_gt_bool(std::span<const VertexId>(a), bs, 32, false));
+        probe_scan<Query::size_gt_bool, Exits::no_second>(
+            std::span<const VertexId>(a), bs, nullptr, 32));
   }
 }
 BENCHMARK(BM_SizeGtBoolNoSecondExit);
@@ -288,8 +292,8 @@ void BM_HashProbeSerial(benchmark::State& state) {
   auto a = random_sorted(16384, 42, n * 8);
   for (auto _ : state) {
     // theta < 0: the miss budget never trips, so the whole array probes.
-    benchmark::DoNotOptimize(
-        intersect_size_gt_val(std::span<const VertexId>(a), bs, -1));
+    benchmark::DoNotOptimize(probe_scan<Query::size_gt_val>(
+        std::span<const VertexId>(a), bs, nullptr, -1));
   }
 }
 BENCHMARK(BM_HashProbeSerial)->Arg(16384)->Arg(262144)->Arg(1 << 21);
@@ -301,8 +305,9 @@ void BM_HashProbeBatched(benchmark::State& state) {
   for (VertexId x : b) bs.insert(x);
   auto a = random_sorted(16384, 42, n * 8);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(intersect_size_gt_val_prefetch(
-        std::span<const VertexId>(a), bs, -1));
+    benchmark::DoNotOptimize(
+        probe_scan<Query::size_gt_val, Exits::all, HopscotchSet, ProbeRing>(
+            std::span<const VertexId>(a), bs, nullptr, -1));
   }
 }
 BENCHMARK(BM_HashProbeBatched)->Arg(16384)->Arg(262144)->Arg(1 << 21);
@@ -321,7 +326,8 @@ void BM_IntersectBitsetWord(benchmark::State& state) {
   // theta must stay below |A| or the size guard short-circuits the kernel;
   // 512 mirrors the shoot-out's dense scenarios (exits mid-scan).
   for (auto _ : state) {
-    benchmark::DoNotOptimize(intersect_size_gt_val(aw, row, 512));
+    benchmark::DoNotOptimize(
+        word_scan<Query::size_gt_val>(aw, row, nullptr, 512));
   }
 }
 BENCHMARK(BM_IntersectBitsetWord);
@@ -394,28 +400,43 @@ void run_intersect_shootout() {
     BitsetRow row{words.data(), 0, s.universe,
                   static_cast<std::uint32_t>(b.size())};
     std::span<const VertexId> as(a);
+    const SortedLookup look(b);
 
-    const bool expected = intersect_size_gt_bool(as, hs, s.theta);
-    if (intersect_size_gt_bool_prefetch(as, hs, s.theta) != expected ||
-        intersect_size_gt_bool(aw, row, s.theta) != expected ||
-        intersect_sorted_size_gt_bool(as, b, s.theta) != expected) {
-      std::fprintf(stderr, "shootout: kernel disagreement on %s\n", s.name);
-      std::exit(1);
+    // The dispatcher's six kernels, each one of the three scans.  The
+    // first four are timed below, in this order.
+    constexpr Query kBool = Query::size_gt_bool;
+    const std::pair<const char*, std::function<bool()>> kernels[] = {
+        {"hash", [&] { return probe_scan<kBool>(as, hs, nullptr, s.theta); }},
+        {"hash-batched",
+         [&] {
+           return probe_scan<kBool, Exits::all, HopscotchSet, ProbeRing>(
+               as, hs, nullptr, s.theta);
+         }},
+        {"bitset-word",
+         [&] { return word_scan<kBool>(aw, row, nullptr, s.theta); }},
+        {"merge", [&] { return merge_scan<kBool>(as, b, nullptr, s.theta); }},
+        {"bitset-probe",
+         [&] { return probe_scan<kBool>(as, row, nullptr, s.theta); }},
+        {"gallop",
+         [&] { return probe_scan<kBool>(as, look, nullptr, s.theta); }},
+    };
+    const bool expected =
+        static_cast<std::int64_t>(intersect_reference(a, b).size()) > s.theta;
+    for (const auto& [kernel, run] : kernels) {
+      if (run() != expected) {
+        std::fprintf(stderr, "shootout: %s disagrees with the reference "
+                     "on %s\n", kernel, s.name);
+        std::exit(1);
+      }
     }
-
-    double hash_ns = time_ns_per_op([&] {
-      benchmark::DoNotOptimize(intersect_size_gt_bool(as, hs, s.theta));
-    });
-    double batch_ns = time_ns_per_op([&] {
-      benchmark::DoNotOptimize(
-          intersect_size_gt_bool_prefetch(as, hs, s.theta));
-    });
-    double bitset_ns = time_ns_per_op([&] {
-      benchmark::DoNotOptimize(intersect_size_gt_bool(aw, row, s.theta));
-    });
-    double merge_ns = time_ns_per_op([&] {
-      benchmark::DoNotOptimize(intersect_sorted_size_gt_bool(as, b, s.theta));
-    });
+    const auto time_kernel = [&](std::size_t k) {
+      return time_ns_per_op(
+          [&] { benchmark::DoNotOptimize(kernels[k].second()); });
+    };
+    const double hash_ns = time_kernel(0);
+    const double batch_ns = time_kernel(1);
+    const double bitset_ns = time_kernel(2);
+    const double merge_ns = time_kernel(3);
     table.add_row(
         {s.name, std::to_string(a.size()), std::to_string(b.size()),
          std::to_string(s.universe), std::to_string(s.theta),

@@ -64,9 +64,8 @@ std::string usage() {
       "                       domega-ls, mcbrb, pmc, reference, mce\n"
       "  --threads N          worker threads, at most 1024 (default:\n"
       "                       hardware)\n"
-      "  --time-limit SECONDS wall-clock limit (default: none; the\n"
-      "                       reference solver does not support limits\n"
-      "                       and ignores this)\n"
+      "  --time-limit SECONDS wall-clock limit, honoured by every solver\n"
+      "                       (default: none; see exit code 2)\n"
       "  --order KIND         lazymc vertex order: coreness (default) |\n"
       "                       peeling; other solvers use their own order\n"
       "  --rep KIND           lazymc neighborhood representation built on\n"

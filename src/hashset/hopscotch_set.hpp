@@ -59,8 +59,8 @@ class HopscotchSet {
   }
 
   /// Requests the home bucket's bitmask and slot cache lines ahead of a
-  /// future contains_at(home, v) — the batch-probe kernels
-  /// (intersect_*_prefetch) issue this kProbeLookahead iterations early so
+  /// future contains_at(home, v) — the batch-probe kernel (ProbeRing in
+  /// intersect/intersect.hpp) issues this kProbeLookahead iterations early so
   /// consecutive probe misses overlap in the memory system.
   void prefetch_home(std::size_t home) const {
     if (buckets_.empty()) return;

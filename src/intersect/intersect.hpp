@@ -1,30 +1,45 @@
-// Set intersection kernels, including the paper's early-exit operations
-// (Section IV-B, Algorithms 3 and 4).
+// Set intersection with the paper's early exits (Section IV-B,
+// Algorithms 3 and 4): one budgeted scan per representation of B.
 //
-// MC search asks three kinds of questions about |A ∩ B|:
-//   intersect_gt            — give me the exact result set, but only if it
-//                             is larger than θ (heuristic search);
-//   intersect_size_gt_val   — give me the exact size if it is larger than
-//                             θ (argmax-degree scans, filter 3);
-//   intersect_size_gt_bool  — just tell me whether it exceeds θ
-//                             (filter 2), with a *second* early exit that
-//                             answers true as soon as enough elements have
-//                             been found (the paper's key addition).
+// MC search asks three kinds of questions about |A ∩ B| (Query):
+//   gt            — give me the exact result set, but only if it is larger
+//                   than θ (intersect-gt, Algorithm 3; heuristic search);
+//   size_gt_val   — give me the exact size if it is larger than θ
+//                   (argmax-degree scans, filter 3);
+//   size_gt_bool  — just tell me whether it exceeds θ
+//                   (intersect-size-gt-bool, Algorithm 4; filter 2).
 //
-// A is always a materialized array; B is anything with a contains()-style
-// membership test (hopscotch hash set, bitset row, or a sorted array via
-// SortedLookup).  All functions are branch-light, allocation-free and
-// thread-safe (read-only on inputs).
+// Every scan keeps a miss budget h = |A| - θ and answers "too small" as
+// soon as it runs out (the first exit).  The boolean query also answers
+// true as soon as θ+1 elements have been found (the second exit, the
+// paper's key addition).  Exits selects which exits a scan takes, for the
+// Fig. 5 ablation: all, no_second, or none (scan to the end and compare
+// the exact count afterwards).
+//
+// A is always a sorted array (or its word form); the scans differ in how
+// they find A's elements in B:
+//   probe_scan  — one membership test per element of A against any
+//                 MembershipSet: plain contains() (hopscotch hash set,
+//                 bitset row, or a sorted array via SortedLookup), or the
+//                 prefetching ProbeRing into a hopscotch set;
+//   merge_scan  — a linear merge of two sorted arrays, with a miss budget
+//                 on each side;
+//   word_scan   — a SparseWordSet A against a BitsetRow B, one AND +
+//                 popcount per occupied word of A, with the budget checked
+//                 once per word.
+// mc::IntersectPolicy picks the scan for each call.  All scans are
+// allocation-free and thread-safe (read-only on inputs).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "graph/graph.hpp"
 #include "hashset/hopscotch_set.hpp"
 #include "intersect/bitset_row.hpp"
-#include "support/bitset.hpp"
 
 namespace lazymc {
 
@@ -49,197 +64,168 @@ class SortedLookup {
 /// Return code of early-exit intersections when the threshold was not met.
 inline constexpr int kTooSmall = -1;
 
-// --------------------------------------------------------------------------
-// Exact intersections (no early exit) — used where full results are needed
-// and in tests as the reference.
+/// How far ahead of the probe loop ProbeRing prefetches home buckets.
+inline constexpr std::size_t kProbeLookahead = 8;
+/// Minimum |A| for the prefetched batch probe; below it the lookahead is
+/// noise.
+inline constexpr std::size_t kBatchMin = 2 * kProbeLookahead;
+/// Sorted-B shape switch: binary-search probes of A into B when
+/// |B| >= kGallopRatio * |A|, else a linear merge.
+inline constexpr std::size_t kGallopRatio = 32;
 
-/// Sorted-array merge intersection.  Returns the number of elements
-/// written to `out` (out must have room for min(|a|,|b|)).
-std::size_t intersect_sorted(std::span<const VertexId> a,
-                             std::span<const VertexId> b,
-                             VertexId* out);
+/// The question a scan answers about |A ∩ B| and θ.
+enum class Query { gt, size_gt_val, size_gt_bool };
 
-/// As above, appending to a vector.
-std::vector<VertexId> intersect_sorted(std::span<const VertexId> a,
-                                       std::span<const VertexId> b);
+/// Which early exits a scan takes (the Fig. 5 ablation).  Only the
+/// boolean query has a second exit, so no_second exists only for it.
+enum class Exits { all, no_second, none };
 
-/// Galloping (binary-search) intersection for skewed sizes |a| << |b|.
-std::size_t intersect_gallop(std::span<const VertexId> a,
-                             std::span<const VertexId> b,
-                             VertexId* out);
+/// The (Query, Exits) pairs a scan is built for.
+template <Query Q, Exits E>
+concept ScanExits = E != Exits::no_second || Q == Query::size_gt_bool;
 
-/// Hash-probe intersection: |a| probes into b.
-template <MembershipSet SetB>
-std::size_t intersect_hash(std::span<const VertexId> a, const SetB& b,
-                           VertexId* out) {
-  std::size_t n = 0;
-  for (VertexId x : a) {
-    if (b.contains(x)) out[n++] = x;
+/// gt and size_gt_val return the size (or kTooSmall); size_gt_bool a bool.
+template <Query Q>
+using QueryResult = std::conditional_t<Q == Query::size_gt_bool, bool, int>;
+
+/// The "not larger than θ" answer: false, or kTooSmall.
+template <Query Q>
+constexpr QueryResult<Q> too_small() {
+  if constexpr (Q == Query::size_gt_bool) {
+    return false;
+  } else {
+    return kTooSmall;
   }
-  return n;
 }
 
-/// Exact intersection size via hash probes.
-template <MembershipSet SetB>
-std::size_t intersect_size(std::span<const VertexId> a, const SetB& b) {
-  std::size_t n = 0;
-  for (VertexId x : a) n += b.contains(x) ? 1 : 0;
-  return n;
+/// The answer once a scan has counted all `hits`.  For gt, `out` holds
+/// A ∩ B (in A's order) exactly when the answer is not too_small().
+template <Query Q>
+QueryResult<Q> verdict(std::int64_t hits, std::int64_t theta) {
+  if (hits <= theta) return too_small<Q>();
+  if constexpr (Q == Query::size_gt_bool) {
+    return true;
+  } else {
+    return static_cast<int>(hits);
+  }
 }
 
 // --------------------------------------------------------------------------
-// Early-exit intersections (Algorithms 3 and 4).
+// Element probes: how probe_scan tests a[i] against B.  Called with i
+// strictly increasing from 0.
 
-/// intersect-gt (Algorithm 3): writes A ∩ B to `out` and returns its size
-/// if it is strictly larger than θ; returns kTooSmall (with `out` holding
-/// an unspecified partial result) as soon as that becomes impossible.
-/// θ is a signed threshold; θ < 0 degenerates to an exact intersection.
+/// Membership by B.contains(a[i]).
 template <MembershipSet SetB>
-int intersect_gt(std::span<const VertexId> a, const SetB& b, VertexId* out,
-                 std::int64_t theta) {
-  const std::int64_t n = static_cast<std::int64_t>(a.size());
-  const std::int64_t m = static_cast<std::int64_t>(b.size());
-  if (n <= theta || m <= theta) return kTooSmall;
-  // h = number of misses we can still tolerate. Result size must be > θ,
-  // i.e. misses must stay < n - θ.
-  std::int64_t h = n - theta;
-  std::int64_t written = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (!b.contains(a[i])) {
-      if (--h <= 0) return kTooSmall;  // too many misses: exit early
-    } else {
-      out[written++] = a[i];
+class ContainsProbe {
+ public:
+  ContainsProbe(std::span<const VertexId> a, const SetB& b) : a_(a), b_(b) {}
+  bool hit(std::size_t i) const { return b_.contains(a_[i]); }
+
+ private:
+  std::span<const VertexId> a_;
+  const SetB& b_;
+};
+
+/// Membership in a HopscotchSet with prefetched home buckets.  Each key is
+/// hashed exactly once: its home index is computed kProbeLookahead
+/// iterations early, the home cache lines are prefetched, and the index
+/// parks in a small ring until hit() consumes it with contains_at — so
+/// consecutive probe misses overlap in the memory system instead of
+/// serializing on two dependent cache-line loads.
+class ProbeRing {
+ public:
+  ProbeRing(std::span<const VertexId> a, const HopscotchSet& b)
+      : a_(a), b_(b) {
+    const std::size_t lead = std::min(a.size(), kProbeLookahead);
+    for (std::size_t i = 0; i < lead; ++i) {
+      homes_[i] = b.home_of(a[i]);
+      b.prefetch_home(homes_[i]);
     }
   }
-  // h > 0 here; intersection size = written = h + θ  (n - misses).
-  return static_cast<int>(written);
-}
 
-/// intersect-size-gt-val: returns |A ∩ B| if it is strictly larger than θ,
-/// else kTooSmall (early exit).  Unlike the boolean variant it must finish
-/// the scan to report the exact size, so it has only the "failure" exit.
-template <MembershipSet SetB>
-int intersect_size_gt_val(std::span<const VertexId> a, const SetB& b,
-                          std::int64_t theta) {
+  bool hit(std::size_t i) {
+    // Read the parked home before the lookahead store: slot i+lookahead
+    // aliases slot i in the ring.
+    const std::size_t home = homes_[i & (kProbeLookahead - 1)];
+    const std::size_t ahead = i + kProbeLookahead;
+    if (ahead < a_.size()) {
+      const std::size_t next = b_.home_of(a_[ahead]);
+      homes_[ahead & (kProbeLookahead - 1)] = next;
+      b_.prefetch_home(next);
+    }
+    return b_.contains_at(home, a_[i]);
+  }
+
+ private:
+  static_assert((kProbeLookahead & (kProbeLookahead - 1)) == 0,
+                "ring indexing requires a power-of-two lookahead");
+  std::span<const VertexId> a_;
+  const HopscotchSet& b_;
+  std::size_t homes_[kProbeLookahead];
+};
+
+// --------------------------------------------------------------------------
+// The three scans.  `out` (room for |A| elements) is written only by
+// Query::gt and may be null otherwise.  θ is signed; θ < 0 degenerates to
+// an exact intersection.  merge_scan and word_scan are instantiated in
+// intersect.cpp for every ScanExits pair.
+
+/// One membership test per element of A (hash, bitset-probe, gallop and,
+/// with Probe = ProbeRing, hash-batched).
+template <Query Q, Exits E = Exits::all, MembershipSet SetB,
+          typename Probe = ContainsProbe<SetB>>
+  requires ScanExits<Q, E>
+QueryResult<Q> probe_scan(std::span<const VertexId> a, const SetB& b,
+                          VertexId* out, std::int64_t theta) {
   const std::int64_t n = static_cast<std::int64_t>(a.size());
-  const std::int64_t m = static_cast<std::int64_t>(b.size());
-  if (n <= theta || m <= theta) return kTooSmall;
-  std::int64_t h = n - theta;
+  if constexpr (E != Exits::none) {
+    if (n <= theta || static_cast<std::int64_t>(b.size()) <= theta) {
+      return too_small<Q>();
+    }
+  }
+  Probe probe(a, b);
+  [[maybe_unused]] std::int64_t budget = n - theta;  // misses tolerable
   std::int64_t hits = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (!b.contains(a[i])) {
-      if (--h <= 0) return kTooSmall;
-    } else {
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (probe.hit(i)) {
+      if constexpr (Q == Query::gt) out[hits] = a[i];
       ++hits;
+      if constexpr (Q == Query::size_gt_bool && E == Exits::all) {
+        if (hits > theta) return true;  // second exit
+      }
+    } else if constexpr (E != Exits::none) {
+      if (--budget <= 0) return too_small<Q>();  // first exit
     }
   }
-  return static_cast<int>(hits);
+  return verdict<Q>(hits, theta);
 }
 
-/// intersect-size-gt-bool (Algorithm 4): returns |A ∩ B| > θ.  Two early
-/// exits: (false) when too many elements of A missed B, and (true) when
-/// the tolerated-miss budget h exceeds the number of unexamined elements
-/// n-i-1 — even if all remaining probes miss, the answer stays true.
-/// `enable_second_exit` gates the true-exit for the Fig. 5 ablation.
-template <MembershipSet SetB>
-bool intersect_size_gt_bool(std::span<const VertexId> a, const SetB& b,
-                            std::int64_t theta,
-                            bool enable_second_exit = true) {
-  const std::int64_t n = static_cast<std::int64_t>(a.size());
-  const std::int64_t m = static_cast<std::int64_t>(b.size());
-  if (n <= theta || m <= theta) return false;
-  std::int64_t h = n - theta;
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (!b.contains(a[i])) {
-      if (--h <= 0) return false;  // exit 1: cannot reach θ+1 hits
-    } else if (enable_second_exit && h > n - i - 1) {
-      return true;  // exit 2: hits already guaranteed (> θ)
-    }
-  }
-  return h > 0;
-}
-
-// --------------------------------------------------------------------------
-// Early-exit merge intersections for two *sorted* arrays.  Same contracts
-// as the hash-probe variants above; used when neither side has a hash set
-// and both are small (below LazyGraph::kHashDegreeThreshold).
-
-/// Merge-based intersect-gt: exact result in `out` when size > theta,
-/// else kTooSmall.  Exits as soon as the budget of tolerable "skips" on
-/// either side is exhausted.
-int intersect_sorted_gt(std::span<const VertexId> a,
-                        std::span<const VertexId> b, VertexId* out,
-                        std::int64_t theta);
-
-/// Merge-based intersect-size-gt-bool with both early exits.
-bool intersect_sorted_size_gt_bool(std::span<const VertexId> a,
-                                   std::span<const VertexId> b,
-                                   std::int64_t theta,
-                                   bool enable_second_exit = true);
-
-/// Merge-based intersect-size-gt-val: exact |A ∩ B| when > theta, else
-/// kTooSmall; exits as soon as either side's miss budget is exhausted.
-int intersect_sorted_size_gt_val(std::span<const VertexId> a,
-                                 std::span<const VertexId> b,
-                                 std::int64_t theta);
-
-/// Exact merge intersection size (no early exit; "no early exits" policy).
-std::size_t intersect_sorted_size(std::span<const VertexId> a,
-                                  std::span<const VertexId> b);
-
-// --------------------------------------------------------------------------
-// Word-parallel kernels: SparseWordSet A against a BitsetRow B.  Same
-// contracts as the scalar variants above, with the miss-budget / success
-// exits checked once per 64-bit word (one AND + popcount per occupied
-// word of A) instead of once per element.
-
-/// Word-parallel intersect-gt: writes A ∩ B (ascending relabelled ids) to
-/// `out`, returns its size when > theta, else kTooSmall.
-int intersect_gt(const SparseWordSet& a, const BitsetRow& b, VertexId* out,
-                 std::int64_t theta);
-
-/// Word-parallel intersect-size-gt-val.
-int intersect_size_gt_val(const SparseWordSet& a, const BitsetRow& b,
+/// Linear merge of two sorted arrays (merge).  A mismatch costs one
+/// element of the side it skips, so each side has its own miss budget.
+template <Query Q, Exits E = Exits::all>
+  requires ScanExits<Q, E>
+QueryResult<Q> merge_scan(std::span<const VertexId> a,
+                          std::span<const VertexId> b, VertexId* out,
                           std::int64_t theta);
 
-/// Word-parallel intersect-size-gt-bool (both exits, word granularity).
-bool intersect_size_gt_bool(const SparseWordSet& a, const BitsetRow& b,
-                            std::int64_t theta,
-                            bool enable_second_exit = true);
+/// Word scan of A's occupied words against B's row (bitset-word): one
+/// AND + popcount per word, both exits checked once per word.
+template <Query Q, Exits E = Exits::all>
+  requires ScanExits<Q, E>
+QueryResult<Q> word_scan(const SparseWordSet& a, const BitsetRow& b,
+                         VertexId* out, std::int64_t theta);
 
-/// Exact word-parallel size / extraction (the "no early exits" policy).
-std::size_t intersect_size(const SparseWordSet& a, const BitsetRow& b);
-std::size_t intersect_words(const SparseWordSet& a, const BitsetRow& b,
-                            VertexId* out);
+/// Exact sorted-array intersection (the baseline solvers' candidate
+/// update).  Returns the number of elements written to `out` (room for
+/// min(|a|,|b|)).
+inline std::size_t intersect_sorted(std::span<const VertexId> a,
+                                    std::span<const VertexId> b,
+                                    VertexId* out) {
+  return static_cast<std::size_t>(
+      merge_scan<Query::gt, Exits::none>(a, b, out, -1));
+}
 
-// --------------------------------------------------------------------------
-// Prefetched batch probing into a HopscotchSet.  Identical results to the
-// scalar hash kernels; home buckets are software-prefetched
-// kProbeLookahead iterations ahead so consecutive misses overlap in the
-// memory system instead of serializing on two dependent cache-line loads.
-
-/// How far ahead of the probe loop home buckets are prefetched.
-inline constexpr std::size_t kProbeLookahead = 8;
-
-int intersect_gt_prefetch(std::span<const VertexId> a, const HopscotchSet& b,
-                          VertexId* out, std::int64_t theta);
-
-int intersect_size_gt_val_prefetch(std::span<const VertexId> a,
-                                   const HopscotchSet& b, std::int64_t theta);
-
-bool intersect_size_gt_bool_prefetch(std::span<const VertexId> a,
-                                     const HopscotchSet& b, std::int64_t theta,
-                                     bool enable_second_exit = true);
-
-/// Exact batched variants (the "no early exits" policy).
-std::size_t intersect_size_prefetch(std::span<const VertexId> a,
-                                    const HopscotchSet& b);
-std::size_t intersect_hash_prefetch(std::span<const VertexId> a,
-                                    const HopscotchSet& b, VertexId* out);
-
-// --------------------------------------------------------------------------
-// Reference (naive) implementations for property tests.
-
+/// Naive intersection (sort both, set_intersection): the test oracle.
 std::vector<VertexId> intersect_reference(std::span<const VertexId> a,
                                           std::span<const VertexId> b);
 

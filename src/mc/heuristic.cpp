@@ -53,7 +53,8 @@ void sorted_step(const Graph& g, const IntersectPolicy& intersect,
   std::span<const VertexId> cand_span(candidates);
   for (VertexId w : candidates) {
     SortedLookup w_nbrs(g.neighbors(w));
-    int d = intersect.size_gt_val(cand_span, w_nbrs, best_deg);
+    int d = intersect.probe<Query::size_gt_val>(cand_span, w_nbrs, nullptr,
+                                                best_deg);
     if (d != kTooSmall && d > best_deg) {
       best_deg = d;
       best = w;
@@ -66,7 +67,8 @@ void sorted_step(const Graph& g, const IntersectPolicy& intersect,
   clique.push_back(best);
   next.resize(candidates.size());
   SortedLookup best_nbrs(g.neighbors(best));
-  std::size_t kept = intersect_hash(cand_span, best_nbrs, next.data());
+  const int kept = probe_scan<Query::gt, Exits::none>(cand_span, best_nbrs,
+                                                      next.data(), -1);
   candidates.assign(next.begin(), next.begin() + kept);
 }
 

@@ -1,63 +1,16 @@
-// Tests for IntersectPolicy (the Fig. 5 ablation switch) and cross-module
-// consistency checks between MCE and the MC solvers on suite instances.
+// Cross-module consistency checks between MCE and the MC solvers on suite
+// instances, and the report aggregates.  The Fig. 5 ablation toggles are
+// checked with the intersection scans (test_intersect.cpp) and the
+// dispatcher (test_intersect_bitset.cpp).
 #include <gtest/gtest.h>
-
-#include <algorithm>
 
 #include "graph/generators.hpp"
 #include "graph/suite.hpp"
-#include "hashset/hopscotch_set.hpp"
-#include "mc/intersect_policy.hpp"
 #include "mc/lazymc.hpp"
 #include "mce/mce.hpp"
-#include "support/random.hpp"
 
 namespace lazymc {
 namespace {
-
-HopscotchSet make_set(const std::vector<VertexId>& v) {
-  HopscotchSet s(v.size());
-  for (VertexId x : v) s.insert(x);
-  return s;
-}
-
-TEST(IntersectPolicy, DisabledPathMatchesEnabledOnAllThresholds) {
-  mc::IntersectPolicy on{true, true};
-  mc::IntersectPolicy off{false, false};
-  mc::IntersectPolicy no_second{true, false};
-  Rng rng(71);
-  for (int round = 0; round < 150; ++round) {
-    std::vector<VertexId> a, b;
-    for (int i = 0; i < 25; ++i) {
-      a.push_back(static_cast<VertexId>(rng.next_below(40)));
-      b.push_back(static_cast<VertexId>(rng.next_below(40)));
-    }
-    std::sort(a.begin(), a.end());
-    a.erase(std::unique(a.begin(), a.end()), a.end());
-    HopscotchSet bs = make_set(b);
-    std::span<const VertexId> as(a);
-    for (std::int64_t theta = -1; theta <= 10; ++theta) {
-      EXPECT_EQ(on.size_gt_bool(as, bs, theta), off.size_gt_bool(as, bs, theta));
-      EXPECT_EQ(on.size_gt_bool(as, bs, theta),
-                no_second.size_gt_bool(as, bs, theta));
-      int v_on = on.size_gt_val(as, bs, theta);
-      int v_off = off.size_gt_val(as, bs, theta);
-      EXPECT_EQ(v_on, v_off);
-      std::vector<VertexId> out_on(a.size() + 1), out_off(a.size() + 1);
-      int g_on = on.gt(as, bs, out_on.data(), theta);
-      int g_off = off.gt(as, bs, out_off.data(), theta);
-      EXPECT_EQ(g_on == kTooSmall, g_off == kTooSmall);
-      if (g_on != kTooSmall) {
-        EXPECT_EQ(g_on, g_off);
-        out_on.resize(g_on);
-        out_off.resize(g_off);
-        std::sort(out_on.begin(), out_on.end());
-        std::sort(out_off.begin(), out_off.end());
-        EXPECT_EQ(out_on, out_off);
-      }
-    }
-  }
-}
 
 TEST(MceCrossCheck, MaxMaximalEqualsOmegaOnSuiteInstances) {
   for (const char* name : {"CAroad", "dblp", "yahoo", "pokec"}) {

@@ -150,15 +150,18 @@ TEST_P(IntersectPropertyTest, KernelsMatchReference) {
     std::span<const VertexId> as(a);
     for (std::int64_t theta = -2; theta <= 20; ++theta) {
       bool expect = static_cast<std::int64_t>(truth) > theta;
-      EXPECT_EQ(intersect_size_gt_bool(as, bs, theta, true), expect);
-      EXPECT_EQ(intersect_size_gt_bool(as, bs, theta, false), expect);
-      int val = intersect_size_gt_val(as, bs, theta);
+      EXPECT_EQ(probe_scan<Query::size_gt_bool>(as, bs, nullptr, theta),
+                expect);
+      EXPECT_EQ((probe_scan<Query::size_gt_bool, Exits::no_second>(
+                    as, bs, nullptr, theta)),
+                expect);
+      int val = probe_scan<Query::size_gt_val>(as, bs, nullptr, theta);
       EXPECT_EQ(val != kTooSmall, expect);
       if (expect) {
         EXPECT_EQ(val, static_cast<int>(truth));
       }
       std::vector<VertexId> out(a.size() + 1);
-      int gt = intersect_gt(as, bs, out.data(), theta);
+      int gt = probe_scan<Query::gt>(as, bs, out.data(), theta);
       EXPECT_EQ(gt != kTooSmall, expect);
       if (expect) {
         EXPECT_EQ(gt, static_cast<int>(truth));
