@@ -8,11 +8,13 @@
 // intersection-kernel shoot-out (serial hash vs prefetched batch hash vs
 // word-parallel bitset vs sorted merge, across densities and θ) as an
 // ASCII table, exported to JSON with `--json=PATH` like every other bench
-// binary (schema "lazymc-bench-tables/1").  It first checks all six
+// binary (schema "lazymc-bench-tables/1"); each cell is the median of 9
+// interleaved timing rounds.  It first checks all six
 // dispatcher kernels against intersect_reference and exits 1 on any
 // disagreement.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -343,22 +345,30 @@ BENCHMARK(BM_IntersectBitsetWord);
 
 namespace {
 
-double time_ns_per_op(const std::function<void()>& fn) {
-  // Calibrate to ~2ms per measurement, then take the best of 3.
+// Each timed kernel is run for kReps batches of a calibrated call count
+// (~2 ms each), round-robin across the kernels of a row, so a stretch of
+// machine noise hits every kernel alike; a cell is the median batch.
+constexpr std::size_t kReps = 9;
+
+std::size_t calibrate_iters(const std::function<void()>& fn) {
   std::size_t iters = 1;
   for (;;) {
     WallTimer t;
     for (std::size_t i = 0; i < iters; ++i) fn();
-    if (t.elapsed() > 2e-3 || iters > (1u << 24)) break;
+    if (t.elapsed() > 2e-3 || iters > (1u << 24)) return iters;
     iters *= 4;
   }
-  double best = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    WallTimer t;
-    for (std::size_t i = 0; i < iters; ++i) fn();
-    best = std::min(best, t.elapsed() / static_cast<double>(iters));
-  }
-  return best * 1e9;
+}
+
+double batch_ns_per_op(const std::function<void()>& fn, std::size_t iters) {
+  WallTimer t;
+  for (std::size_t i = 0; i < iters; ++i) fn();
+  return t.elapsed() / static_cast<double>(iters) * 1e9;
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 void run_intersect_shootout() {
@@ -386,7 +396,8 @@ void run_intersect_shootout() {
   bench::Table table("intersect-shootout",
                      {"scenario", "|A|", "|B|", "universe", "theta", "result",
                       "hash-serial ns", "hash-batched ns", "bitset-scalar ns",
-                      "merge ns", "bitset/hash", "batch/serial"});
+                      "merge ns", "bitset/hash", "batch/serial",
+                      "batch/serial range"});
   for (const Scenario& s : scenarios) {
     auto a = random_sorted(s.na, 91, s.universe);
     auto b = random_sorted(s.nb, 92, s.universe);
@@ -429,21 +440,38 @@ void run_intersect_shootout() {
         std::exit(1);
       }
     }
-    const auto time_kernel = [&](std::size_t k) {
-      return time_ns_per_op(
-          [&] { benchmark::DoNotOptimize(kernels[k].second()); });
-    };
-    const double hash_ns = time_kernel(0);
-    const double batch_ns = time_kernel(1);
-    const double bitset_ns = time_kernel(2);
-    const double merge_ns = time_kernel(3);
+    // Time the first four kernels.  Serial and batched hash probes run
+    // back to back, in alternating order, so each round gives one
+    // batch/serial ratio; the table prints their median and range.
+    constexpr std::size_t kTimed = 4;
+    std::function<void()> timed[kTimed];
+    std::size_t iters[kTimed];
+    for (std::size_t k = 0; k < kTimed; ++k) {
+      timed[k] = [&, k] { benchmark::DoNotOptimize(kernels[k].second()); };
+      iters[k] = calibrate_iters(timed[k]);
+    }
+    std::vector<double> ns[kTimed];
+    std::vector<double> ratios;
+    for (std::size_t rep = 0; rep < kReps; ++rep) {
+      const std::size_t first = rep % 2;
+      for (std::size_t k : {first, 1 - first, std::size_t{2}, std::size_t{3}}) {
+        ns[k].push_back(batch_ns_per_op(timed[k], iters[k]));
+      }
+      ratios.push_back(ns[0].back() / ns[1].back());
+    }
+    const double hash_ns = median(ns[0]);
+    const double batch_ns = median(ns[1]);
+    const double bitset_ns = median(ns[2]);
+    const double merge_ns = median(ns[3]);
+    const auto [lo, hi] = std::minmax_element(ratios.begin(), ratios.end());
     table.add_row(
         {s.name, std::to_string(a.size()), std::to_string(b.size()),
          std::to_string(s.universe), std::to_string(s.theta),
          expected ? "true" : "false", bench::fmt(hash_ns, 1),
          bench::fmt(batch_ns, 1), bench::fmt(bitset_ns, 1),
          bench::fmt(merge_ns, 1), bench::fmt(hash_ns / bitset_ns, 2),
-         bench::fmt(hash_ns / batch_ns, 2)});
+         bench::fmt(median(ratios), 2),
+         bench::fmt(*lo, 2) + "-" + bench::fmt(*hi, 2)});
   }
   table.print();
 }

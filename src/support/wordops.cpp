@@ -36,9 +36,8 @@ std::size_t compress_or_portable(std::uint64_t* dst, const std::uint64_t* hit,
 
 #if defined(__x86_64__)
 // The same loop as above, spelled out again because _pext_u64 only
-// inlines into a function compiled for BMI2.  popcnt ships on every BMI2
-// CPU; naming it lets the count inline too.
-[[gnu::target("bmi2,popcnt")]] std::size_t compress_or_bmi2(
+// inlines into a function compiled for BMI2.
+[[gnu::target("bmi2")]] std::size_t compress_or_bmi2(
     std::uint64_t* dst, const std::uint64_t* hit, const std::uint64_t* mask,
     const std::uint32_t* offset, std::size_t n) {
   std::size_t total = 0;
@@ -57,9 +56,7 @@ using CompressFn = std::size_t (*)(std::uint64_t*, const std::uint64_t*,
 
 CompressFn pick_compress() {
 #if defined(__x86_64__)
-  if (cpu_has_bmi2() && __builtin_cpu_supports("popcnt")) {
-    return compress_or_bmi2;
-  }
+  if (cpu_has_bmi2()) return compress_or_bmi2;
 #endif
   return compress_or_portable;
 }

@@ -3,9 +3,9 @@
 // The word loops that are not early-exit intersections —
 // DynamicBitset::count/count_and/and_with/..., DenseSubgraph row
 // complements, the degree heuristic's live-set rows, the gathered AND
-// behind induce_from_lazy's rows — are the plain loops below.  Built with
-// -march=native (or -mpopcnt) they compile to hardware POPCNT and let the
-// compiler vectorise what it can.
+// behind induce_from_lazy's rows — are the plain loops below.  The x86-64
+// build adds -mpopcnt, so their popcounts compile to hardware POPCNT;
+// -march=native also lets the compiler vectorise what it can.
 //
 // All functions tolerate unaligned pointers and n == 0; `gather_and` is
 // the only non-contiguous one (indexed reads of `table`, for the sparse
