@@ -42,7 +42,10 @@ void render_text(const RunReport& r, std::ostream& out) {
   // (the heuristic can certify optimality first, leaving degeneracy 0).
   const std::int64_t gap = static_cast<std::int64_t>(lz.degeneracy) + 1 -
                            static_cast<std::int64_t>(lz.omega);
+  const auto& hd = lz.heuristic_degree;
   out << "\nheuristics: degree omega_d=" << lz.heuristic_degree_omega
+      << " (union=" << hd.union_size << " csr-rows=" << hd.csr_rows
+      << " regrown=" << hd.regrown << ")"
       << ", coreness omega_h=" << lz.heuristic_coreness_omega
       << "; degeneracy d=" << lz.degeneracy;
   if (gap >= 0) out << " (clique-core gap " << gap << ")";
@@ -111,6 +114,11 @@ void render_json(const RunReport& r, std::ostream& out) {
     const auto& lz = r.lazymc;
     w.field("heuristic_degree_omega", lz.heuristic_degree_omega);
     w.field("heuristic_coreness_omega", lz.heuristic_coreness_omega);
+    w.open("heuristic_degree");
+    w.field("union_size", lz.heuristic_degree.union_size);
+    w.field("csr_rows", lz.heuristic_degree.csr_rows);
+    w.field("regrown", lz.heuristic_degree.regrown);
+    w.close();
     w.field("degeneracy", lz.degeneracy);
     w.open("phases");
     w.field("degree_heuristic", lz.phases.degree_heuristic);

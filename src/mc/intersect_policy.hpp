@@ -60,6 +60,15 @@ struct IntersectPolicy {
     });
   }
 
+  /// Query Q against a sorted B by binary search (gallop), counted.
+  template <Query Q>
+  QueryResult<Q> gallop(std::span<const VertexId> a,
+                        std::span<const VertexId> b, VertexId* out,
+                        std::int64_t theta) const {
+    bump(Kernel::gallop);
+    return probe<Q>(a, SortedLookup(b), out, theta);
+  }
+
   // ---- adaptive dispatch over a NeighborhoodView --------------------------
   // `a` must be sorted ascending (candidate sets are).  `a_words` is the
   // optional word-packed form of the same A; when present and B has a
@@ -127,8 +136,7 @@ struct IntersectPolicy {
     }
     const std::span<const VertexId> s = b.sorted();
     if (s.size() >= kGallopRatio * std::max<std::size_t>(1, a.size())) {
-      bump(Kernel::gallop);
-      return probe<Q>(a, SortedLookup(s), out, theta);
+      return gallop<Q>(a, s, out, theta);
     }
     bump(Kernel::merge);
     return with_exits<Q>([&]<Exits E>(ExitsTag<E>) {

@@ -43,7 +43,7 @@ LazyMCResult lazy_mc(const Graph& g, const LazyMCConfig& config) {
     h.top_k = config.heuristic_top_k;
     h.intersect = policy;
     h.control = &control;
-    degree_based_heuristic(g, incumbent, h);
+    result.heuristic_degree = degree_based_heuristic(g, incumbent, h);
   }
   result.heuristic_degree_omega = incumbent.size();
   result.phases.degree_heuristic = timer.lap();

@@ -18,6 +18,7 @@
 
 #include "graph/graph.hpp"
 #include "lazygraph/lazy_graph.hpp"
+#include "mc/heuristic.hpp"
 #include "mc/neighbor_search.hpp"
 #include "mc/search_counters.hpp"
 #include "support/control.hpp"
@@ -162,6 +163,8 @@ struct LazyMCResult {
   VertexId heuristic_degree_omega = 0;
   /// Incumbent size after the coreness-based heuristic (Table I's ωh).
   VertexId heuristic_coreness_omega = 0;
+  /// What the degree-based heuristic built and regrew.
+  DegreeHeuristicStats heuristic_degree;
   /// Graph degeneracy (of the lower-bounded core decomposition).
   VertexId degeneracy = 0;
   bool timed_out = false;

@@ -80,11 +80,8 @@ TEST(DegreeHeuristic, FindsPlantedCliqueOnHubSeed) {
   EXPECT_GE(incumbent.size(), 12u);  // near-exact greedy recovery
 }
 
-// Reference for the degree heuristic: seeds in top-degree order, run one
-// after another, each filtered by the incumbent size so far; each step
-// takes the first candidate with the most neighbours among the candidates,
-// counted by binary search.  Returns the clique the incumbent ends with.
-std::vector<VertexId> sorted_degree_greedy(const Graph& g, VertexId top_k) {
+// The top-k vertices by degree, in the order the heuristic seeds them.
+std::vector<VertexId> top_seeds(const Graph& g, VertexId top_k) {
   const VertexId k = std::min(top_k, g.num_vertices());
   std::vector<VertexId> seeds(g.num_vertices());
   for (VertexId v = 0; v < g.num_vertices(); ++v) seeds[v] = v;
@@ -93,10 +90,21 @@ std::vector<VertexId> sorted_degree_greedy(const Graph& g, VertexId top_k) {
                       return g.degree(a) > g.degree(b);
                     });
   seeds.resize(k);
+  return seeds;
+}
+
+// Reference for the degree heuristic: seeds in top-degree order, run one
+// after another, each filtered by the incumbent size so far; each step
+// takes the first candidate with the most neighbours among the candidates,
+// counted by binary search.  Returns the clique the incumbent ends with;
+// `first_size`, when given, receives the size of seed 0's clique.
+std::vector<VertexId> sorted_degree_greedy(const Graph& g, VertexId top_k,
+                                           std::size_t* first_size = nullptr) {
   auto adjacent = [&](VertexId a, VertexId b) {
     auto nbrs = g.neighbors(a);
     return std::binary_search(nbrs.begin(), nbrs.end(), b);
   };
+  const std::vector<VertexId> seeds = top_seeds(g, top_k);
   std::vector<VertexId> best;
   for (VertexId v : seeds) {
     std::vector<VertexId> cand, clique{v};
@@ -117,29 +125,87 @@ std::vector<VertexId> sorted_degree_greedy(const Graph& g, VertexId top_k) {
       clique.push_back(pick);
       std::erase_if(cand, [&](VertexId x) { return !adjacent(pick, x); });
     }
+    if (first_size && v == seeds.front()) *first_size = clique.size();
     if (clique.size() > best.size()) best = clique;
   }
   return best;
 }
 
+// U as the heuristic must plan it: the union of seeds 1..k-1's
+// neighbours of degree >= `bound` (the size of seed 0's clique, grown
+// under an empty incumbent), and whether its rows pay: the matrix's
+// words, one CSR scan per member and one U row per seed candidate, in
+// words and CSR entries, against one CSR scan per seed candidate.
+struct UnionPlan {
+  std::uint64_t members = 0;
+  bool pays = false;
+  // |U| as reported: 0 unless U is within 4096 and pays.
+  std::uint64_t reported() const {
+    return members <= 4096 && pays ? members : 0;
+  }
+};
+
+UnionPlan plan_union(const Graph& g, VertexId top_k, std::size_t bound) {
+  const std::vector<VertexId> seeds = top_seeds(g, top_k);
+  std::vector<VertexId> u;
+  std::uint64_t candidates = 0, seed_scans = 0, union_scans = 0;
+  for (std::size_t i = 1; i < seeds.size(); ++i) {
+    for (VertexId v : g.neighbors(seeds[i])) {
+      if (g.degree(v) < bound) continue;
+      ++candidates;
+      seed_scans += g.degree(v);
+      u.push_back(v);
+    }
+  }
+  std::sort(u.begin(), u.end());
+  u.erase(std::unique(u.begin(), u.end()), u.end());
+  for (VertexId v : u) union_scans += g.degree(v);
+  UnionPlan plan;
+  plan.members = u.size();
+  const std::uint64_t words = (plan.members + 63) / 64;
+  plan.pays =
+      (plan.members + candidates) * words + union_scans < seed_scans;
+  return plan;
+}
+
 // Runs the heuristic at 1 and 4 threads, `repeats` times each, and checks
-// that every run ends with exactly the reference's incumbent.
-void expect_matches_reference(const Graph& g, const std::string& label,
-                              int repeats = 10) {
+// that every run ends with exactly the reference's incumbent and reports
+// the same counts, with |U| as planned.  Returns the counts, and the plan
+// through `plan` when given.
+mc::DegreeHeuristicStats expect_matches_reference(const Graph& g,
+                                                  const std::string& label,
+                                                  int repeats = 10,
+                                                  UnionPlan* plan = nullptr) {
   const mc::HeuristicOptions opt;
-  const std::vector<VertexId> expected = sorted_degree_greedy(g, opt.top_k);
+  std::size_t first_size = 0;
+  const std::vector<VertexId> expected =
+      sorted_degree_greedy(g, opt.top_k, &first_size);
+  const UnionPlan planned = plan_union(g, opt.top_k, first_size);
+  if (plan) *plan = planned;
+  const std::uint64_t union_size = planned.reported();
+  mc::DegreeHeuristicStats first;
+  bool have_first = false;
   for (std::size_t threads : {1, 4}) {
     set_num_threads(threads);
     for (int rep = 0; rep < repeats; ++rep) {
       Incumbent incumbent;
-      mc::degree_based_heuristic(g, incumbent, opt);
-      ASSERT_EQ(incumbent.size(), expected.size())
+      const mc::DegreeHeuristicStats stats =
+          mc::degree_based_heuristic(g, incumbent, opt);
+      EXPECT_EQ(incumbent.size(), expected.size())
           << label << " at " << threads << " thread(s), repeat " << rep;
-      ASSERT_EQ(incumbent.snapshot(), expected)
+      EXPECT_EQ(incumbent.snapshot(), expected)
           << label << " at " << threads << " thread(s), repeat " << rep;
+      if (!have_first) {
+        first = stats;
+        have_first = true;
+      }
+      EXPECT_EQ(stats.union_size, union_size) << label;
+      EXPECT_EQ(stats.csr_rows, first.csr_rows) << label;
+      EXPECT_EQ(stats.regrown, first.regrown) << label;
     }
   }
   set_num_threads(0);
+  return first;
 }
 
 TEST(DegreeHeuristic, MatchesSortedGreedyAtEveryThreadCount) {
@@ -181,6 +247,129 @@ TEST(DegreeHeuristic, HubSeedAboveBitsetCapMatchesReference) {
   mc::degree_based_heuristic(g, incumbent);
   EXPECT_EQ(incumbent.size(), 13u);
   EXPECT_TRUE(is_clique(g, incumbent.snapshot()));
+}
+
+TEST(DegreeHeuristic, HubSeedProbesCountAsGallop) {
+  Graph g = hub_graph();
+  for (std::size_t threads : {1, 4}) {
+    set_num_threads(threads);
+    mc::KernelCounters counters;
+    mc::HeuristicOptions opt;
+    opt.intersect.counters = &counters;
+    Incumbent incumbent;
+    mc::degree_based_heuristic(g, incumbent, opt);
+    EXPECT_GT(counters.gallop.load(), 0u) << threads << " thread(s)";
+    EXPECT_EQ(counters.merge.load() + counters.hash.load() +
+                  counters.hash_batched.load() +
+                  counters.bitset_probe.load() + counters.bitset_word.load(),
+              0u);
+  }
+  set_num_threads(0);
+}
+
+// Sixteen hubs over a row of leaves: each leaf is adjacent to the `band`
+// leaves on either side, and hub h to the `window` leaves from h * shift
+// on.  Leaves have about 2 * band neighbours, so each hub's candidate set
+// is dense, and consecutive hubs share window - shift of them.
+Graph banded_hubs(VertexId window, VertexId shift, VertexId band) {
+  constexpr VertexId kHubs = 16;
+  const VertexId leaves = window + (kHubs - 1) * shift;
+  GraphBuilder b(kHubs + leaves);
+  for (VertexId i = 0; i < leaves; ++i) {
+    for (VertexId d = 1; d <= band && i + d < leaves; ++d) {
+      b.add_edge(kHubs + i, kHubs + i + d);
+    }
+  }
+  for (VertexId h = 0; h < kHubs; ++h) {
+    for (VertexId i = h * shift; i < h * shift + window; ++i) {
+      b.add_edge(h, kHubs + i);
+    }
+  }
+  return b.build();
+}
+
+TEST(DegreeHeuristic, UnionOverCapBuildsRowsPerSeed) {
+  // Every candidate set has 1,400 members, under the cap, and the union
+  // of any 15 spans at least 1,400 + 14 * 200 > 4096 leaves.  Under the
+  // cap, U's rows would pay; over it, each seed builds its own.
+  Graph g = banded_hubs(1400, 200, 55);
+  UnionPlan plan;
+  const mc::DegreeHeuristicStats stats =
+      expect_matches_reference(g, "banded hubs over the cap", 2, &plan);
+  EXPECT_GT(plan.members, 4096u);
+  EXPECT_TRUE(plan.pays);
+  EXPECT_EQ(stats.union_size, 0u);
+  EXPECT_GT(stats.csr_rows, plan.members);
+}
+
+TEST(DegreeHeuristic, UnionUnderCapSharesRows) {
+  Graph g = banded_hubs(600, 100, 40);
+  const mc::DegreeHeuristicStats stats =
+      expect_matches_reference(g, "banded hubs under the cap", 2);
+  EXPECT_GT(stats.union_size, 0u);
+  // Seed 0's rows, then U's; the seeds cut theirs from U's.
+  EXPECT_EQ(stats.csr_rows, 600u + stats.union_size);
+}
+
+TEST(DegreeHeuristic, UnionThatSavesNoScansIsNotBuilt) {
+  // Sixteen hubs with private leaves: U, under the cap, is just the
+  // candidate sets side by side, so each seed builds its own rows.
+  constexpr VertexId kHubs = 16, kLeaves = 100;
+  GraphBuilder b(kHubs * (kLeaves + 1));
+  for (VertexId h = 0; h < kHubs; ++h) {
+    const VertexId hub = h * (kLeaves + 1);
+    for (VertexId i = 1; i <= kLeaves; ++i) {
+      b.add_edge(hub, hub + i);
+      if (i < kLeaves) b.add_edge(hub + i, hub + i + 1);
+    }
+  }
+  Graph g = b.build();
+  const mc::DegreeHeuristicStats stats =
+      expect_matches_reference(g, "private leaves", 2);
+  EXPECT_EQ(stats.union_size, 0u);
+  // Seed 0's 100 rows, then 98 per other hub (its path ends have degree
+  // 2, under seed 0's triangle).
+  EXPECT_EQ(stats.csr_rows, 100u + 15u * 98u);
+}
+
+// Seed 0 is a star (its clique has 2 vertices); seed 1 sits in a 5-clique.
+// Seed 2, s, has a 7-clique K (an 8-clique with s), a vertex x and 20
+// vertices D adjacent to s and x only.  Under seed 0's bound 2, s's
+// candidates include D, x has the most neighbours among them, and s grows
+// {s, x, d}.  Under the 1-thread bound 5, D is filtered out, so the walk
+// regrows s (and x) and s grows the 8-clique.
+Graph regrow_graph() {
+  GraphBuilder b(475);
+  for (VertexId leaf = 1; leaf <= 200; ++leaf) b.add_edge(0, leaf);
+  const VertexId h1 = 201;
+  for (VertexId i = h1; i <= 205; ++i) {
+    for (VertexId j = i + 1; j <= 205; ++j) b.add_edge(i, j);
+  }
+  for (VertexId leaf = 206; leaf <= 345; ++leaf) b.add_edge(h1, leaf);
+  const VertexId s = 346, x = 354;
+  for (VertexId i = s; i <= 353; ++i) {
+    for (VertexId j = i + 1; j <= 353; ++j) b.add_edge(i, j);
+  }
+  b.add_edge(s, x);
+  for (VertexId d = 355; d <= 374; ++d) {
+    b.add_edge(s, d);
+    b.add_edge(x, d);
+  }
+  for (VertexId leaf = 375; leaf <= 474; ++leaf) b.add_edge(s, leaf);
+  return b.build();
+}
+
+TEST(DegreeHeuristic, WalkRegrowsSeedsOverSharedRows) {
+  Graph g = regrow_graph();
+  const mc::DegreeHeuristicStats stats =
+      expect_matches_reference(g, "regrow", 2);
+  EXPECT_GT(stats.union_size, 0u);
+  EXPECT_GT(stats.regrown, 0u);
+  // Seed 0's 200 rows and U's; the regrown seeds cut theirs from U's.
+  EXPECT_EQ(stats.csr_rows, 200u + stats.union_size);
+  Incumbent incumbent;
+  mc::degree_based_heuristic(g, incumbent);
+  EXPECT_EQ(incumbent.size(), 8u);
 }
 
 TEST(DegreeHeuristic, HubSeedRespectsCancelledControl) {
