@@ -170,10 +170,11 @@ BENCHMARK(BM_LazyGraphConstructOne);
 // simulated probe per vertex, cost growing with the vertex's coreness
 // (high-coreness neighborhoods survive more filter rounds).  The baseline
 // issues one barriered parallel_for per coreness level, exactly like the
-// pre-sharded systematic_search; the contender deals level chunks into a
-// WorkQueue and drains it with steal-half balancing and no barriers.
-// On >= 8 threads the tail of each level leaves most of the barriered
-// pool idle, which is where the queue pulls ahead.
+// pre-sharded systematic_search; the contender lists level chunks highest
+// coreness first and drains them in that order with no barriers
+// (drain_in_order, as systematic_search does).  On >= 8 threads the tail
+// of each level leaves most of the barriered pool idle, which is where
+// the ordered drain pulls ahead.
 
 struct SchedWorkload {
   // levels[k] = vertices of coreness k (descending visit priority).
@@ -225,7 +226,7 @@ void BM_SchedulerBarrieredParfor(benchmark::State& state) {
 BENCHMARK(BM_SchedulerBarrieredParfor)->Arg(1)->Arg(2)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-void BM_SchedulerShardedQueue(benchmark::State& state) {
+void BM_SchedulerOrderedDrain(benchmark::State& state) {
   const SchedWorkload& w = sched_workload();
   ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   const std::size_t participants = pool.num_threads();
@@ -248,28 +249,21 @@ void BM_SchedulerShardedQueue(benchmark::State& state) {
     }
   }
   for (auto _ : state) {
-    WorkQueue<Chunk> queue(participants);
-    for (std::size_t p = 0; p < participants; ++p) {
-      std::vector<Chunk> batch;
-      for (std::size_t i = p; i < worklist.size(); i += participants) {
-        batch.push_back(worklist[i]);
-      }
-      queue.push_batch(p, batch.begin(), batch.end());
-    }
-    pool.parallel_invoke_all([&](std::size_t p) {
-      Chunk c;
-      while (queue.pop(p, c)) {
-        const std::vector<VertexId>& level = w.levels[c.level];
-        for (std::uint32_t i = c.begin; i < c.end; ++i) {
-          benchmark::DoNotOptimize(simulated_probe(level[i], c.level));
-        }
-      }
-    });
+    drain_in_order(
+        pool, worklist.size(),
+        [&](std::size_t, std::size_t i) {
+          const Chunk& c = worklist[i];
+          const std::vector<VertexId>& level = w.levels[c.level];
+          for (std::uint32_t v = c.begin; v < c.end; ++v) {
+            benchmark::DoNotOptimize(simulated_probe(level[v], c.level));
+          }
+        },
+        [] { return false; });
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(w.num_vertices));
 }
-BENCHMARK(BM_SchedulerShardedQueue)->Arg(1)->Arg(2)->Arg(8)
+BENCHMARK(BM_SchedulerOrderedDrain)->Arg(1)->Arg(2)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 void BM_EagerRelabelWholeGraph(benchmark::State& state) {

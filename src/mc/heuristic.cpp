@@ -332,17 +332,19 @@ void grow_seeds(const Graph& g, const HeuristicOptions& options,
     stats.csr_rows += u.members.size();
   }
 
-  std::atomic<std::size_t> next_seed{1};
-  pool.parallel_invoke_all([&](std::size_t t) {
-    std::uint64_t counter = 0;
-    for (std::size_t i = next_seed++; i < seeds.size(); i = next_seed++) {
-      if (stopped(options, counter) ||
-          !grow_seed(g, options, seeds[i], bound, shared, scratch[t], counter,
-                     runs[i])) {
-        return;
-      }
-    }
-  });
+  if (seeds.size() > 1) {
+    drain_in_order(
+        pool, seeds.size() - 1,
+        [&](std::size_t t, std::size_t i) {
+          std::uint64_t counter = 0;
+          grow_seed(g, options, seeds[i + 1], bound, shared, scratch[t],
+                    counter, runs[i + 1]);
+        },
+        [&] {
+          std::uint64_t counter = 0;
+          return stopped(options, counter);
+        });
+  }
 
   for (std::size_t i = 1; i < seeds.size(); ++i) {
     if (stopped(options, stop_counter)) return;
@@ -453,29 +455,24 @@ void coreness_based_heuristic(LazyGraph& h, Incumbent& incumbent,
   // Process high coreness levels first (they host the large cliques).
   std::reverse(level_first.begin(), level_first.end());
 
-  // Levels are claimed from a sharded range as parallel_for would, one at
-  // a time.  Each participant intersects through its own copy of the
-  // policy, counting into its own tally; the guard flushes the tallies
-  // into the policy's counters once the phase is over.
+  // Levels are claimed one at a time in that order.  Each participant
+  // intersects through its own copy of the policy, counting into its own
+  // tally; the guard flushes the tallies into the policy's counters once
+  // the phase is over.
   ThreadPool& pool = thread_pool();
-  const std::size_t participants = pool.num_threads();
-  std::vector<SearchTally> tallies(participants);
+  std::vector<SearchTally> tallies(pool.num_threads());
   FlushOnExit flush_guard(tallies, nullptr, options.intersect.counters);
-  lazymc::detail::ShardedRange range(0, level_first.size(), participants, 1);
-  pool.parallel_invoke_all([&](std::size_t t) {
-    IntersectPolicy policy = options.intersect;
-    policy.tally = &tallies[t].kernels;
-    std::size_t lo = 0, hi = 0;
-    while (range.claim(t, lo, hi)) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        std::uint64_t stop_counter = 0;
-        if (options.control && options.control->should_stop(stop_counter)) {
-          continue;
-        }
+  drain_in_order(
+      pool, level_first.size(),
+      [&](std::size_t t, std::size_t i) {
+        IntersectPolicy policy = options.intersect;
+        policy.tally = &tallies[t].kernels;
         grow_from_seed(h, level_first[i], incumbent, policy);
-      }
-    }
-  });
+      },
+      [&] {
+        std::uint64_t stop_counter = 0;
+        return options.control && options.control->should_stop(stop_counter);
+      });
 }
 
 }  // namespace lazymc::mc

@@ -379,22 +379,22 @@ void systematic_search(LazyGraph& h, Incumbent& incumbent,
   // 7's phase A, here just the head of the worklist so every participant
   // starts on one), then whole levels from high to low coreness, each
   // split into chunks small enough to balance.  Level lo-vertices whose
-  // level dies later are retired wholesale at claim time.
+  // level dies later are retired wholesale at claim time.  A level k's
+  // range is non-empty exactly when its first vertex has coreness k, so
+  // that vertex is the level's probe.
   const std::size_t participants = thread_pool().num_threads();
   const VertexId lo = incumbent.size();
   std::vector<LevelChunk> worklist;
-  std::vector<char> is_probe(n, 0);
   for (VertexId k = lo; k <= degeneracy; ++k) {
     auto [begin, end] = level_range(k);
-    if (begin < end && h.coreness(begin) == k) {
+    if (begin < end) {
       worklist.push_back({begin, static_cast<VertexId>(begin + 1), k});
-      is_probe[begin] = 1;
     }
   }
   for (VertexId k = degeneracy + 1; k-- > lo;) {
     auto [begin, end] = level_range(k);
-    // The level's first vertex is already enqueued as its probe chunk.
-    if (begin < end && is_probe[begin]) ++begin;
+    // The level's first vertex is already listed as its probe chunk.
+    if (begin < end) ++begin;
     if (begin >= end) continue;
     const std::size_t level_size = end - begin;
     std::size_t chunk = (level_size + 4 * participants - 1) /
@@ -405,18 +405,6 @@ void systematic_search(LazyGraph& h, Incumbent& incumbent,
           std::min<std::size_t>(end, static_cast<std::size_t>(b) + chunk));
       worklist.push_back({b, e, k});
     }
-  }
-
-  // Deal round-robin so each shard holds a descending-priority run and
-  // the first pops everywhere are probes / high-coreness chunks.
-  WorkQueue<LevelChunk> queue(participants);
-  for (std::size_t p = 0; p < participants; ++p) {
-    std::vector<LevelChunk> batch;
-    batch.reserve(worklist.size() / participants + 1);
-    for (std::size_t i = p; i < worklist.size(); i += participants) {
-      batch.push_back(worklist[i]);
-    }
-    queue.push_batch(p, batch.begin(), batch.end());
   }
 
   // ---- drain: no barriers, incumbent re-checked at claim time ----------
@@ -432,10 +420,11 @@ void systematic_search(LazyGraph& h, Incumbent& incumbent,
   }
   FlushOnExit flush_guard(tallies, &stats, options.intersect.counters);
   try {
-    drain_queue(
-      thread_pool(), queue,
-      [&](std::size_t p, const LevelChunk& c) {
+    drain_in_order(
+      thread_pool(), worklist.size(),
+      [&](std::size_t p, std::size_t i) {
         LAZYMC_FAULT_THROW("worker.exec");
+        const LevelChunk& c = worklist[i];
         SearchTally& tally = tallies[p];
         if (c.coreness < incumbent.size()) {
           ++tally.retired_chunks;
@@ -452,9 +441,9 @@ void systematic_search(LazyGraph& h, Incumbent& incumbent,
   } catch (...) {
     // A worker exception (injected or real) must not strand the rest of
     // the pool: cancelling the shared control makes every cooperative
-    // check — and drain_queue's own stop predicate — wind down, and only
+    // check — and the drain's own stop predicate — wind down, and only
     // then does the error resurface to the caller (the CLI reports it
-    // structured).  All per-solve state (scratch arenas, queue) unwinds
+    // structured).  All per-solve state (scratch arenas, worklist) unwinds
     // here, so the pool and a fresh solve are immediately usable again;
     // the tallies are flushed on the way out, so the counts survive too.
     if (options.control) options.control->cancel();

@@ -18,8 +18,9 @@
 // Parallel runtime (systematic_search): the per-vertex subproblems are
 // *not* run as one barriered parallel_for per coreness level.  Instead a
 // single descending-coreness worklist — probe chunks first, then every
-// level's vertices chunked — is dealt round-robin across a sharded
-// WorkQueue and drained by all participants with steal-half balancing.
+// level's vertices chunked — is drained by all participants, which claim
+// chunks one at a time in list order (drain_in_order), so each starts on
+// the highest-coreness work left.
 // Each chunk carries its level's coreness; `incumbent.size()` is re-read
 // when the chunk is *claimed*, so a bound raised anywhere retires whole
 // chunks without touching their vertices (stats.retired_chunks).  Every
@@ -29,7 +30,8 @@
 //
 // Nothing is pushed while the drain runs: each surviving neighborhood is
 // solved to completion by the participant that probed it (Table III: the
-// survivors are few and small), so the drain ends when the queue is empty.
+// survivors are few and small), so the drain ends when the list is
+// exhausted.
 #pragma once
 
 #include <cstdint>

@@ -13,19 +13,20 @@
 //    single relaxed fetch_add on its own cache line.  A participant that
 //    drains its shard steals chunks from the other shards round-robin, so
 //    skewed per-iteration costs still balance without a central counter.
-//  * `WorkQueue<T>` is a sharded multi-producer multi-consumer queue
-//    (per-shard locked rings, batch push, steal-half) for irregular work
-//    that does not fit a flat loop — e.g. the systematic-search worklist.
-//  * `drain_queue` has every participant pop or steal from a WorkQueue
-//    filled before the drain starts; nothing is pushed while it runs, so
-//    an empty queue means every item has been claimed.
+//  * `drain_in_order` hands out a list that is sorted highest priority
+//    first (the systematic-search worklist, the heuristics' seeds and
+//    levels) one index at a time from a single shared cursor, so every
+//    participant starts on the most valuable work left.  Contiguous
+//    per-participant slices, as in parallel_for, would start all but one
+//    participant on low-priority work.
 //
 // Nested-parallelism rule: a `parallel_for` / `parallel_invoke_all` issued
 // from inside a worker of the same pool runs the whole range inline on the
 // calling worker (no new job is published).  This keeps the runtime
 // deadlock-free without a full work-stealing scheduler and matches how
 // LazyMC uses parallelism: one flat parallel phase at a time, with
-// irregular work routed through WorkQueue instead of nested forks.
+// irregular work listed up front and drained in order instead of forked
+// from inside a worker.
 #pragma once
 
 #include <algorithm>
@@ -183,7 +184,7 @@ struct InvokeAllJob final : JobBase {
 /// each job runs to completion before the next is published.  This is
 /// what lets a resident daemon multiplex concurrent solve requests onto
 /// one pool: requests interleave at job granularity (a parallel phase or
-/// a queue drain each being one job), and a request blocked behind a
+/// an ordered drain each being one job), and a request blocked behind a
 /// long drain stays cancellable through its own SolveControl, which the
 /// draining job's stop predicate polls.  Calls *from inside a worker*
 /// never take the gate (they run inline, see the nested-parallelism
@@ -223,7 +224,7 @@ class ThreadPool {
 
   /// Runs `fn(t)` once on each of the `num_threads()` participants
   /// (t = participant index).  Used for per-thread accumulators and for
-  /// draining a WorkQueue with one shard per participant.
+  /// draining a prioritized list (drain_in_order).
   template <typename Fn>
   void parallel_invoke_all(Fn&& fn) {
     if (in_worker() || threads_.empty()) {
@@ -300,175 +301,31 @@ T parallel_reduce(std::size_t begin, std::size_t end, T identity, Body&& body,
   return result;
 }
 
-/// A sharded multi-producer multi-consumer work queue for irregular work
-/// that does not fit a flat parallel_for.
+/// Runs `process(participant, i)` once for each i in [0, count) on every
+/// pool participant, which claim indices one at a time from one shared
+/// cursor.  Work therefore starts in index order at any thread count: a
+/// caller that lists its work highest priority first has it claimed in
+/// exactly that order, and a 1-participant drain visits 0..count-1.
 ///
-/// Each shard is a small locked ring: owners push to the back and pop from
-/// the *front* (so items pushed in priority order are consumed in priority
-/// order), while a consumer whose shard is empty steals the *back half* of
-/// a victim shard in one locked operation (steal-half), keeping future
-/// steals off the victim's cache line.  Locks are per-shard spinlocks;
-/// with one shard per participant the common pop is uncontended.
-///
-/// `size()` counts queued items only — an item being executed by a
-/// consumer is no longer in the queue, and an item moved by a steal is
-/// counted once throughout.  When producers have finished pushing,
-/// `empty()` is the termination condition for drain loops.
-template <typename T>
-class WorkQueue {
- public:
-  explicit WorkQueue(std::size_t num_shards)
-      : num_shards_(num_shards == 0 ? 1 : num_shards),
-        shards_(std::make_unique<Shard[]>(num_shards_)) {}
-
-  std::size_t num_shards() const { return num_shards_; }
-
-  /// Appends one item to `shard` (lowest priority in that shard).
-  void push(std::size_t shard, T item) {
-    Shard& s = shard_at(shard);
-    {
-      SpinLockGuard guard(s.lock);
-      s.items.push_back(std::move(item));
-    }
-    size_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Appends a batch under one lock acquisition.
-  template <typename It>
-  void push_batch(std::size_t shard, It first, It last) {
-    if (first == last) return;
-    Shard& s = shard_at(shard);
-    std::size_t count = 0;
-    {
-      SpinLockGuard guard(s.lock);
-      for (It it = first; it != last; ++it, ++count) s.items.push_back(*it);
-    }
-    size_.fetch_add(count, std::memory_order_relaxed);
-  }
-
-  /// Pops the highest-priority item of the participant's own shard.
-  bool try_pop_local(std::size_t shard, T& out) {
-    Shard& s = shard_at(shard);
-    SpinLockGuard guard(s.lock);
-    if (!take_front(s, out)) return false;
-    size_.fetch_sub(1, std::memory_order_relaxed);
-    return true;
-  }
-
-  /// Steals roughly half of a victim shard (scanning round-robin from
-  /// `thief + 1`), keeps the loot in the thief's shard and returns the
-  /// loot's highest-priority item.  Items move straight from the victim
-  /// into the thief's shard (both locks held, acquired in global index
-  /// order so symmetric steals cannot deadlock); once the thief shard's
-  /// vector capacity has grown to its high-water mark, steals allocate
-  /// nothing.
-  bool try_steal(std::size_t thief, T& out) {
-    thief %= num_shards_;
-    Shard& mine = shards_[thief];
-    for (std::size_t off = 1; off < num_shards_; ++off) {
-      const std::size_t vi = (thief + off) % num_shards_;
-      if (steal_from(mine, shards_[vi], /*victim_first=*/vi < thief, out)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// Pop-or-steal for participant `shard`.  False = queue globally empty
-  /// (assuming no concurrent pushes).
-  bool pop(std::size_t shard, T& out) {
-    if (try_pop_local(shard, out)) return true;
-    return try_steal(shard, out);
-  }
-
-  /// Number of queued (not yet claimed) items.
-  std::size_t size() const { return size_.load(std::memory_order_relaxed); }
-  bool empty() const { return size() == 0; }
-
- private:
-  struct alignas(64) Shard {
-    SpinLock lock;
-    // FIFO from `head`; back half is steal territory.
-    std::vector<T> items LAZYMC_GUARDED_BY(lock);
-    std::size_t head LAZYMC_GUARDED_BY(lock) = 0;  // first live item
-  };
-
-  Shard& shard_at(std::size_t shard) { return shards_[shard % num_shards_]; }
-
-  /// Moves the back half of `victim` into `mine`, returning the loot's
-  /// highest-priority item through `out`.  Both locks are taken in global
-  /// shard-index order (`victim_first` says which comes first), which the
-  /// thread-safety analysis cannot express — the conditional acquisition
-  /// order aliases the two capabilities — so this one function opts out;
-  /// every access below still happens with both shard locks held.
-  bool steal_from(Shard& mine, Shard& victim, bool victim_first,
-                  T& out) LAZYMC_NO_THREAD_SAFETY_ANALYSIS {
-    SpinLockGuard g1(victim_first ? victim.lock : mine.lock);
-    SpinLockGuard g2(victim_first ? mine.lock : victim.lock);
-    const std::size_t avail = victim.items.size() - victim.head;
-    if (avail == 0) return false;
-    const std::size_t take = (avail + 1) / 2;
-    auto src = victim.items.end() - static_cast<std::ptrdiff_t>(take);
-    out = std::move(*src);
-    mine.items.insert(mine.items.end(), std::move_iterator(src + 1),
-                      std::move_iterator(victim.items.end()));
-    victim.items.resize(victim.items.size() - take);
-    compact(victim);
-    size_.fetch_sub(1, std::memory_order_relaxed);
-    return true;
-  }
-
-  static bool take_front(Shard& s, T& out) LAZYMC_REQUIRES(s.lock) {
-    if (s.head == s.items.size()) return false;
-    out = std::move(s.items[s.head++]);
-    compact(s);
-    return true;
-  }
-
-  /// Reclaims the consumed prefix once it dominates the buffer.
-  static void compact(Shard& s) LAZYMC_REQUIRES(s.lock) {
-    if (s.head == s.items.size()) {
-      s.items.clear();
-      s.head = 0;
-    } else if (s.head >= 64 && s.head * 2 >= s.items.size()) {
-      s.items.erase(s.items.begin(),
-                    s.items.begin() + static_cast<std::ptrdiff_t>(s.head));
-      s.head = 0;
-    }
-  }
-
-  std::size_t num_shards_;
-  std::unique_ptr<Shard[]> shards_;
-  std::atomic<std::size_t> size_{0};
-};
-
-/// Drains `queue` with every pool participant until it is empty.  The
-/// queue must be filled before the call: `process(participant, item)` may
-/// not push, so an empty queue means every item has been claimed.
-///
-/// `stop()` is polled each iteration by every participant; when it
+/// `stop()` is polled before every claim by every participant; when it
 /// returns true all participants abandon the drain, leaving the remaining
-/// items queued (cooperative cancellation).  An exception in `process`
-/// stops the other participants at their next claim and then propagates
-/// through the pool (first one wins, as with parallel_for).
-template <typename T, typename Process, typename Stop>
-void drain_queue(ThreadPool& pool, WorkQueue<T>& queue, Process&& process,
-                 Stop&& stop) {
-  std::atomic<bool> aborted{false};
+/// indices unvisited (cooperative cancellation).  An exception in
+/// `process` stops the other participants at their next claim and then
+/// propagates through the pool (first one wins, as with parallel_for).
+template <typename Process, typename Stop>
+void drain_in_order(ThreadPool& pool, std::size_t count, Process&& process,
+                    Stop&& stop) {
+  detail::ShardedRange range(0, count, /*participants=*/1, /*grain=*/1);
   pool.parallel_invoke_all([&](std::size_t p) {
-    T item;
-    while (!queue.empty()) {
-      if (aborted.load(std::memory_order_relaxed) || stop()) break;
-      // A pop can miss only while a steal is moving items between shards;
-      // the loop then retries.
-      if (!queue.pop(p, item)) continue;
+    std::size_t i = 0, end = 0;
+    while (!stop() && range.claim(0, i, end)) {
       // Injected scheduling stall (fault builds only): models a worker
-      // descheduled between claiming an item and processing it.
+      // descheduled between claiming an index and processing it.
       LAZYMC_FAULT_STALL("worker.stall", 2);
       try {
-        process(p, item);
+        process(p, i);
       } catch (...) {
-        aborted.store(true, std::memory_order_relaxed);
+        range.poison();
         throw;
       }
     }

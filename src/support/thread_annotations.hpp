@@ -1,7 +1,7 @@
 // Clang Thread Safety Analysis annotations (no-ops on other compilers).
 //
-// The runtime's locking protocols — the WorkQueue shard rings, the
-// ThreadPool job epoch, the lazy graph's slab arena, the incumbent swap —
+// The runtime's locking protocols — the ThreadPool job epoch and error
+// slot, the lazy graph's slab arena, the incumbent swap —
 // are documented *to the compiler* with these macros, so a Clang build
 // with -Wthread-safety (CI's static-analysis job compiles with
 // -Werror=thread-safety) proves at compile time that every access to a
@@ -60,8 +60,3 @@
 
 /// Function returning a reference to the capability guarding its result.
 #define LAZYMC_RETURN_CAPABILITY(x) LAZYMC_TSA(lock_returned(x))
-
-/// Escape hatch for protocols the analysis cannot express (documented at
-/// each use site).
-#define LAZYMC_NO_THREAD_SAFETY_ANALYSIS \
-  LAZYMC_TSA(no_thread_safety_analysis)

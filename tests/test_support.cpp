@@ -1,7 +1,9 @@
 // Tests for the parallel runtime, PRNG, spinlock, timer and solve control.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -124,188 +126,123 @@ TEST(GlobalPool, SetNumThreadsTakesEffect) {
   EXPECT_EQ(num_threads(), 4u);
 }
 
-TEST(WorkQueue, LocalPopIsFifoPerShard) {
-  WorkQueue<int> q(1);
-  for (int i = 0; i < 10; ++i) q.push(0, i);
-  EXPECT_EQ(q.size(), 10u);
-  int out = -1;
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(q.try_pop_local(0, out));
-    EXPECT_EQ(out, i);  // priority order preserved
-  }
-  EXPECT_FALSE(q.try_pop_local(0, out));
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(WorkQueue, PushBatchAndShardWrapping) {
-  WorkQueue<int> q(3);
-  std::vector<int> batch{1, 2, 3, 4};
-  q.push_batch(1, batch.begin(), batch.end());
-  q.push(4, 99);  // shard index wraps modulo num_shards -> shard 1
-  EXPECT_EQ(q.size(), 5u);
-  int out = 0;
-  ASSERT_TRUE(q.try_pop_local(4, out));
-  EXPECT_EQ(out, 1);
-}
-
-TEST(WorkQueue, StealHalfTakesBackHalfAndKeepsLoot) {
-  WorkQueue<int> q(2);
-  for (int i = 0; i < 8; ++i) q.push(0, i);
-  int out = -1;
-  // Thief (shard 1) steals half of shard 0's 8 items: gets items 4..7,
-  // returns the loot's highest-priority element (4), keeps 5..7.
-  ASSERT_TRUE(q.pop(1, out));
-  EXPECT_EQ(out, 4);
-  EXPECT_EQ(q.size(), 7u);
-  // The thief's next pops come from its own shard (the loot), in order.
-  ASSERT_TRUE(q.try_pop_local(1, out));
-  EXPECT_EQ(out, 5);
-  // The victim still drains its front half in order.
-  ASSERT_TRUE(q.try_pop_local(0, out));
-  EXPECT_EQ(out, 0);
-  // Every remaining item is still reachable exactly once.
-  std::set<int> rest;
-  while (q.pop(0, out)) rest.insert(out);
-  EXPECT_EQ(rest, (std::set<int>{1, 2, 3, 6, 7}));
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(WorkQueue, AbandonedDrainLeavesQueueConsistent) {
-  // A consumer that stops mid-drain (cancellation) must leave the queue
-  // with an accurate size and every unclaimed item still poppable.
-  WorkQueue<int> q(4);
-  for (int i = 0; i < 100; ++i) q.push(i % 4, i);
-  int out = -1;
-  std::set<int> claimed;
-  for (int i = 0; i < 37; ++i) {
-    ASSERT_TRUE(q.pop(i % 4, out));
-    ASSERT_TRUE(claimed.insert(out).second) << "duplicate item " << out;
-  }
-  EXPECT_EQ(q.size(), 63u);
-  std::set<int> rest;
-  while (q.pop(0, out)) {
-    ASSERT_TRUE(rest.insert(out).second) << "duplicate item " << out;
-  }
-  EXPECT_EQ(claimed.size() + rest.size(), 100u);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(claimed.count(i) + rest.count(i) == 1) << "lost item " << i;
-  }
-}
-
-TEST(DrainQueue, EveryItemProcessedExactlyOnceWhileStealing) {
-  // All items start in one shard, so the other participants get work only
-  // by stealing; the drain must still hand out each item exactly once and
-  // end only when nothing is left.
+TEST(DrainInOrder, EveryIndexRunsExactlyOnceUnderSkew) {
+  // The first quarter of the indices is much more expensive, so whoever
+  // claims them falls behind and the others must take the rest; every
+  // index still runs exactly once, on a valid participant.
   ThreadPool pool(4);
   ASSERT_EQ(pool.num_threads(), 4u);
-  WorkQueue<int> q(pool.num_threads());
-  const int kItems = 2000;
-  std::vector<int> items(kItems);
-  std::iota(items.begin(), items.end(), 0);
-  q.push_batch(0, items.begin(), items.end());
-  std::vector<std::atomic<int>> seen(kItems);
+  const std::size_t kCount = 2000;
+  std::vector<std::atomic<int>> seen(kCount);
   std::vector<std::atomic<int>> per_participant(pool.num_threads());
-  drain_queue(
-      pool, q,
-      [&](std::size_t p, int& item) {
-        seen[static_cast<std::size_t>(item)].fetch_add(1);
-        per_participant[p].fetch_add(1);
+  drain_in_order(
+      pool, kCount,
+      [&](std::size_t p, std::size_t i) {
+        if (i < kCount / 4) {
+          volatile int spin = 0;
+          for (int s = 0; s < 2000; ++s) spin = spin + s;
+        }
+        seen[i].fetch_add(1);
+        per_participant.at(p).fetch_add(1);
       },
       [] { return false; });
-  for (int i = 0; i < kItems; ++i) {
-    EXPECT_EQ(seen[static_cast<std::size_t>(i)].load(), 1) << "item " << i;
+  for (std::size_t i = 0; i < kCount; ++i) {
+    EXPECT_EQ(seen[i].load(), 1) << "index " << i;
   }
   int total = 0;
   for (const auto& n : per_participant) total += n.load();
-  EXPECT_EQ(total, kItems);
-  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(total, static_cast<int>(kCount));
 }
 
-TEST(DrainQueue, StopPredicateAbandonsPendingWork) {
+TEST(DrainInOrder, OneParticipantVisitsIndicesInOrder) {
+  // The priority contract: callers list their work highest priority
+  // first, and a 1-thread drain visits it in exactly that order.
+  ThreadPool pool(1);
+  std::vector<std::size_t> order;
+  drain_in_order(
+      pool, 100,
+      [&](std::size_t p, std::size_t i) {
+        EXPECT_EQ(p, 0u);
+        order.push_back(i);
+      },
+      [] { return false; });
+  std::vector<std::size_t> expected(100);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(order, expected);
+}
+
+TEST(DrainInOrder, FirstClaimsAreTheFirstIndicesAtFourThreads) {
+  // Each participant holds its first index until all four have one, so
+  // the four first claims are made before any second claim.  From one
+  // shared cursor they are indices 0..3; contiguous per-participant
+  // slices would hand out 0, 100, 200 and 300.
   ThreadPool pool(4);
-  WorkQueue<int> q(pool.num_threads());
-  for (int i = 0; i < 50; ++i) q.push(0, i);
-  std::atomic<int> processed{0};
+  const std::size_t parts = pool.num_threads();
+  std::vector<std::atomic<int>> seen(100 * parts);
+  std::vector<std::size_t> first(parts, seen.size());
+  std::atomic<std::size_t> arrived{0};
+  drain_in_order(
+      pool, seen.size(),
+      [&](std::size_t p, std::size_t i) {
+        if (first[p] == seen.size()) {
+          first[p] = i;
+          arrived.fetch_add(1);
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (arrived.load() < parts &&
+                 std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+          }
+        }
+        seen[i].fetch_add(1);
+      },
+      [] { return false; });
+  std::sort(first.begin(), first.end());
+  EXPECT_EQ(first, (std::vector<std::size_t>{0, 1, 2, 3}));
+  for (auto& h : seen) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(DrainInOrder, StopPredicateAbandonsRemainingIndices) {
+  ThreadPool pool(4);
+  const std::size_t kCount = 200;
+  std::vector<std::atomic<int>> seen(kCount);
   std::atomic<bool> stop{false};
-  drain_queue(
-      pool, q,
-      [&](std::size_t, int&) {
-        processed.fetch_add(1);
-        stop.store(true);  // cancel after the first few items
+  drain_in_order(
+      pool, kCount,
+      [&](std::size_t, std::size_t i) {
+        seen[i].fetch_add(1);
+        if (i == 3) stop.store(true);
       },
       [&] { return stop.load(); });
-  // Everyone bailed: the unclaimed items are still queued.
-  EXPECT_LT(processed.load(), 50);
-  EXPECT_EQ(q.size(), static_cast<std::size_t>(50 - processed.load()));
+  int processed = 0;
+  for (std::size_t i = 0; i < kCount; ++i) {
+    ASSERT_LE(seen[i].load(), 1) << "index " << i << " ran twice";
+    processed += seen[i].load();
+  }
+  // Index 3 ran, and each participant stops at its next claim.
+  EXPECT_EQ(seen[3].load(), 1);
+  EXPECT_LT(processed, static_cast<int>(kCount));
 }
 
-TEST(DrainQueue, ExceptionInProcessReleasesAllParticipants) {
+TEST(DrainInOrder, ExceptionPropagatesAndPoolStaysUsable) {
+  // The throw poisons the cursor, so the other participants stop at their
+  // next claim; the drain must return (no participant hangs) and rethrow.
   ThreadPool pool(4);
-  WorkQueue<int> q(pool.num_threads());
-  for (int i = 0; i < 200; ++i) q.push(i % pool.num_threads(), i);
-  EXPECT_THROW(
-      drain_queue(
-          pool, q,
-          [&](std::size_t, int& item) {
-            if (item == 7) throw std::runtime_error("boom");
-          },
-          [] { return false; }),
-      std::runtime_error);
-  // The point is that this returns at all (no participant hangs after
-  // the throwing one left).
-}
-
-TEST(WorkQueue, ConcurrentPushPopStealStress) {
-  // Exercises push/pop/steal interleavings; run under TSan
-  // (-DLAZYMC_SANITIZE=thread) to check the locking discipline.
-  const std::size_t kThreads = 4;
-  const int kPerThread = 5000;
-  WorkQueue<int> q(kThreads);
-  std::atomic<long long> popped_sum{0};
-  std::atomic<std::size_t> popped_count{0};
-  std::atomic<bool> go{false};
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      while (!go.load()) {
-      }
-      // Phase 1: every thread produces into its own shard (in batches)
-      // while opportunistically consuming.
-      std::vector<int> batch;
-      for (int i = 0; i < kPerThread; ++i) {
-        batch.push_back(static_cast<int>(t) * kPerThread + i);
-        if (batch.size() == 64) {
-          q.push_batch(t, batch.begin(), batch.end());
-          batch.clear();
-        }
-        int out;
-        if (i % 3 == 0 && q.pop(t, out)) {
-          popped_sum.fetch_add(out);
-          popped_count.fetch_add(1);
-        }
-      }
-      q.push_batch(t, batch.begin(), batch.end());
-      // Phase 2: drain (pop own shard, steal from the others).
-      int out;
-      while (q.pop(t, out)) {
-        popped_sum.fetch_add(out);
-        popped_count.fetch_add(1);
-      }
-    });
+  for (int round = 0; round < 20; ++round) {
+    EXPECT_THROW(
+        drain_in_order(
+            pool, 1000,
+            [&](std::size_t, std::size_t i) {
+              if (i == 7) throw std::runtime_error("boom");
+            },
+            [] { return false; }),
+        std::runtime_error);
   }
-  go.store(true);
-  for (auto& th : threads) th.join();
-  // Phase-2 drains can race each other to "empty" while another thread is
-  // still pushing its tail batch, so sweep up any leftovers.
-  int out;
-  while (q.pop(0, out)) {
-    popped_sum.fetch_add(out);
-    popped_count.fetch_add(1);
-  }
-  const long long n = static_cast<long long>(kThreads) * kPerThread;
-  EXPECT_EQ(popped_count.load(), static_cast<std::size_t>(n));
-  EXPECT_EQ(popped_sum.load(), n * (n - 1) / 2);
-  EXPECT_TRUE(q.empty());
+  std::atomic<int> total{0};
+  drain_in_order(
+      pool, 64, [&](std::size_t, std::size_t) { total++; },
+      [] { return false; });
+  EXPECT_EQ(total.load(), 64);
 }
 
 TEST(ShardedRange, SkewedWorkStillCoversEveryIndex) {
