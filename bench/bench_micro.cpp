@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark) for the data-structure substrates:
 // hopscotch set probes vs sorted binary search, intersection kernels with
 // and without early exits, lazy-graph construction costs, and the
-// parallel-runtime schedulers (barriered flat parallel_for vs the sharded
-// work-queue drain used by systematic_search).
+// parallel-runtime schedulers (barriered flat parallel_for vs the ordered
+// drain used by systematic_search).
 //
 // Beyond the google-benchmark registrations, `--shootout` runs the
 // intersection-kernel shoot-out (serial hash vs prefetched batch hash vs
@@ -170,7 +170,7 @@ BENCHMARK(BM_LazyGraphConstructOne);
 // simulated probe per vertex, cost growing with the vertex's coreness
 // (high-coreness neighborhoods survive more filter rounds).  The baseline
 // issues one barriered parallel_for per coreness level, exactly like the
-// pre-sharded systematic_search; the contender lists level chunks highest
+// original systematic_search; the contender lists level chunks highest
 // coreness first and drains them in that order with no barriers
 // (drain_in_order, as systematic_search does).  On >= 8 threads the tail
 // of each level leaves most of the barriered pool idle, which is where

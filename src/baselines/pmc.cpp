@@ -68,15 +68,19 @@ BaselineResult pmc_solve(const Graph& g, const PmcOptions& options) {
     }, 1);
   }
 
-  // Systematic search: all vertices, high coreness first, right
-  // neighborhoods solved by coloring B&B.  Only the coreness pruning rule
-  // is applied before searching (no advance degree filtering).
+  // Systematic search: high coreness first, right neighborhoods solved
+  // by coloring B&B.  Only the coreness pruning rule is applied before
+  // searching (no advance degree filtering).  The bound only grows, so
+  // the vertices below it at the start, the lowest relabelled ids, are
+  // never visited.
   {
-    std::vector<VertexId> verts(n);
-    for (VertexId v = 0; v < n; ++v) verts[v] = n - 1 - v;  // high first
-    parallel_for(0, n, [&](std::size_t i) {
+    const std::size_t live = static_cast<std::size_t>(
+        coreness_new.end() - std::lower_bound(coreness_new.begin(),
+                                              coreness_new.end(),
+                                              incumbent.size()));
+    parallel_for(0, live, [&](std::size_t i) {
       if (control.cancelled()) return;
-      VertexId v = verts[i];
+      const VertexId v = n - 1 - static_cast<VertexId>(i);  // high first
       VertexId bound = incumbent.size();
       if (coreness_new[v] < bound) return;
       auto nbrs = relabelled.neighbors(v);

@@ -1,7 +1,7 @@
 // lazymc — command-line driver.
 //
 // Loads a graph (DIMACS, edge list, or a named synthetic-suite instance),
-// runs the chosen maximum-clique solver (or MCE), and prints the result
+// runs the chosen maximum-clique solver, and prints the result
 // with full instrumentation as text or JSON.  See cli/options.hpp for the
 // flag reference; `lazymc --help` prints it.
 //
@@ -41,7 +41,6 @@
 #include "cli/report.hpp"
 #include "graph/graph.hpp"
 #include "mc/lazymc.hpp"
-#include "mce/mce.hpp"
 #include "support/control.hpp"
 #include "support/error.hpp"
 #include "support/faultinject.hpp"
@@ -172,15 +171,6 @@ void solve_into(const Options& options, RunReport& report,
       report.omega = static_cast<VertexId>(report.clique.size());
       return;
     }
-    case Solver::kMce: {
-      SolveControl control(options.time_limit_seconds);
-      auto result = mce::count_maximal_cliques(g, &control);
-      report.has_mce = true;
-      report.mce_count = result.count;
-      report.omega = result.max_size;
-      report.timed_out = result.timed_out;
-      return;
-    }
   }
 }
 
@@ -249,13 +239,11 @@ InstanceOutcome solve_once(const Options& options, const std::string& spec,
   // Independent re-check of the witness before anything is printed, in
   // every build (not just checked ones): the clique must be pairwise
   // adjacent in the *input* graph and match the omega we are about to
-  // report.  MCE reports a count, not a witness, so it stays "skipped".
-  if (!report.has_mce) {
-    const bool ok =
-        report.clique.size() == static_cast<std::size_t>(report.omega) &&
-        is_clique(loaded.graph, report.clique);
-    report.verification = ok ? "ok" : "failed";
-  }
+  // report.
+  const bool ok =
+      report.clique.size() == static_cast<std::size_t>(report.omega) &&
+      is_clique(loaded.graph, report.clique);
+  report.verification = ok ? "ok" : "failed";
 
   report.fault_sites = faults::snapshot();
 

@@ -23,7 +23,6 @@ Solver parse_solver(const std::string& name) {
   if (name == "mcbrb") return Solver::kMcBrb;
   if (name == "pmc") return Solver::kPmc;
   if (name == "reference") return Solver::kReference;
-  if (name == "mce") return Solver::kMce;
   fail("unknown solver '" + name + "'");
 }
 
@@ -45,11 +44,10 @@ std::string usage() {
   return
       "usage: lazymc --graph <file|gen:name[:scale]> [options]\n"
       "\n"
-      "Loads a graph and computes its maximum clique (or enumerates its\n"
-      "maximal cliques with --solver mce).  --graph may repeat, and\n"
-      "--manifest adds one spec per line from a file; with more than one\n"
-      "instance the driver runs them all and streams one JSON object per\n"
-      "instance (batch mode, for corpus-wide sweeps).\n"
+      "Loads a graph and computes its maximum clique.  --graph may\n"
+      "repeat, and --manifest adds one spec per line from a file; with\n"
+      "more than one instance the driver runs them all and streams one\n"
+      "JSON object per instance (batch mode, for corpus-wide sweeps).\n"
       "\n"
       "graph sources:\n"
       "  <file>               DIMACS .clq/.col or whitespace edge list\n"
@@ -61,7 +59,7 @@ std::string usage() {
       "  --manifest FILE      file of graph specs, one per line ('#'\n"
       "                       starts a comment, blank lines skipped)\n"
       "  --solver NAME        lazymc (default), domega | domega-bs,\n"
-      "                       domega-ls, mcbrb, pmc, reference, mce\n"
+      "                       domega-ls, mcbrb, pmc, reference\n"
       "  --threads N          worker threads, at most 1024 (default:\n"
       "                       hardware)\n"
       "  --time-limit SECONDS wall-clock limit, honoured by every solver\n"
@@ -117,7 +115,6 @@ std::string solver_name(Solver solver) {
     case Solver::kMcBrb: return "mcbrb";
     case Solver::kPmc: return "pmc";
     case Solver::kReference: return "reference";
-    case Solver::kMce: return "mce";
   }
   return "?";
 }

@@ -13,7 +13,7 @@
 // sequence and streams one JSON object per instance (batch mode).
 //
 // Solvers: lazymc (default), domega (alias domega-bs), domega-ls, mcbrb,
-// pmc, reference, mce.
+// pmc, reference.
 #pragma once
 
 #include <limits>
@@ -31,7 +31,6 @@ enum class Solver {
   kMcBrb,
   kPmc,
   kReference,
-  kMce,
 };
 
 enum class Order { kCorenessDegree, kPeeling };

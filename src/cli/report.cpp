@@ -14,16 +14,11 @@ void render_text(const RunReport& r, std::ostream& out) {
       << ")\n";
   out << "solver:   " << r.solver << "  (" << r.threads << " thread"
       << (r.threads == 1 ? "" : "s") << ")\n";
-  if (r.has_mce) {
-    out << "maximal cliques: " << r.mce_count << "\n";
-    out << "largest maximal clique (omega): " << r.omega << "\n";
-  } else {
-    out << "omega:    " << r.omega << "\n";
-    out << "clique:  ";
-    for (VertexId v : r.clique) out << ' ' << v;
-    out << "\n";
-    out << "verification: " << r.verification << "\n";
-  }
+  out << "omega:    " << r.omega << "\n";
+  out << "clique:  ";
+  for (VertexId v : r.clique) out << ' ' << v;
+  out << "\n";
+  out << "verification: " << r.verification << "\n";
   if (r.timed_out) out << "TIMED OUT (result is a lower bound)\n";
   if (r.interrupted) out << "INTERRUPTED (result is best-so-far)\n";
   out << "time:     " << std::setprecision(3) << r.solve_seconds << "s\n";
@@ -108,8 +103,7 @@ void render_json(const RunReport& r, std::ostream& out) {
   w.field("timed_out", r.timed_out);
   w.field("interrupted", r.interrupted);
   w.field("verification", r.verification);
-  if (!r.has_mce) w.field("clique", r.clique);
-  if (r.has_mce) w.field("maximal_clique_count", r.mce_count);
+  w.field("clique", r.clique);
   if (r.has_lazymc) {
     const auto& lz = r.lazymc;
     w.field("heuristic_degree_omega", lz.heuristic_degree_omega);

@@ -5,7 +5,6 @@
 // the paper's figures without parsing tables.
 #pragma once
 
-#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -34,7 +33,7 @@ struct RunReport {
   std::string load_path = "parse";
   double solve_seconds = 0;
 
-  std::vector<VertexId> clique;  // empty for mce
+  std::vector<VertexId> clique;
   VertexId omega = 0;
   bool timed_out = false;
   /// SIGINT/SIGTERM arrived during the solve: the clique is best-so-far
@@ -43,16 +42,12 @@ struct RunReport {
 
   /// Independent post-solve check of the witness clique against the input
   /// graph (pairwise adjacency + size agreement with omega), run in every
-  /// build: "ok", "failed", or "skipped" (MCE reports no witness).
-  std::string verification = "skipped";
+  /// build before the report is rendered: "ok" or "failed".
+  std::string verification;
 
   /// Full instrumentation, present only for --solver lazymc.
   bool has_lazymc = false;
   mc::LazyMCResult lazymc;
-
-  /// Present only for --solver mce.
-  bool has_mce = false;
-  std::uint64_t mce_count = 0;
 
   /// Fault-injection counters (faults::snapshot()); non-empty only in
   /// -DLAZYMC_FAULTS=ON builds once any site was interned.

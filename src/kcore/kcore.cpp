@@ -1,10 +1,6 @@
 #include "kcore/kcore.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <mutex>
-
-#include "support/parallel.hpp"
 
 namespace lazymc::kcore {
 namespace {
@@ -133,81 +129,6 @@ CoreDecomposition coreness_lower_bounded(const Graph& g, VertexId lb) {
   CoreDecomposition out = peel(g, &active);
   // Report coreness relative to the full graph: surviving vertices have
   // true coreness >= lb, and peeling the lb-core yields those exact values.
-  return out;
-}
-
-CoreDecomposition coreness_parallel(const Graph& g) {
-  const VertexId n = g.num_vertices();
-  CoreDecomposition out;
-  out.coreness.assign(n, 0);
-  if (n == 0) return out;
-
-  std::vector<std::atomic<VertexId>> deg(n);
-  parallel_for(0, n, [&](std::size_t v) {
-    deg[v].store(g.degree(static_cast<VertexId>(v)),
-                 std::memory_order_relaxed);
-  }, 1024);
-
-  std::vector<char> alive(n, 1);
-  std::vector<VertexId> frontier;
-  std::vector<VertexId> next_frontier;
-  std::size_t remaining = n;
-  VertexId k = 0;
-
-  while (remaining > 0) {
-    // Collect all alive vertices with degree <= k (parallel scan into
-    // per-thread buffers would be the scalable variant; a serial collect
-    // is fine at suite scale and keeps the code auditable).
-    frontier.clear();
-    for (VertexId v = 0; v < n; ++v) {
-      if (alive[v] && deg[v].load(std::memory_order_relaxed) <= k) {
-        frontier.push_back(v);
-      }
-    }
-    if (frontier.empty()) {
-      ++k;
-      continue;
-    }
-    // Peel rounds at level k until the frontier drains.
-    while (!frontier.empty()) {
-      for (VertexId v : frontier) {
-        alive[v] = 0;
-        out.coreness[v] = k;
-      }
-      remaining -= frontier.size();
-      next_frontier.clear();
-      std::atomic<std::size_t> next_count{0};
-      std::vector<VertexId> candidates;
-      // Decrement neighbor degrees in parallel; collect newly <= k.
-      Mutex collect_mutex;
-      parallel_for(0, frontier.size(), [&](std::size_t i) {
-        VertexId v = frontier[i];
-        std::vector<VertexId> local;
-        for (VertexId u : g.neighbors(v)) {
-          if (!alive[u]) continue;
-          VertexId before = deg[u].fetch_sub(1, std::memory_order_relaxed);
-          if (before == k + 1) local.push_back(u);  // crossed the threshold
-        }
-        if (!local.empty()) {
-          MutexLock guard(collect_mutex);
-          candidates.insert(candidates.end(), local.begin(), local.end());
-        }
-      }, 64);
-      (void)next_count;
-      next_frontier.clear();
-      for (VertexId u : candidates) {
-        if (alive[u]) next_frontier.push_back(u);
-      }
-      frontier.swap(next_frontier);
-    }
-    ++k;
-  }
-  out.degeneracy = k == 0 ? 0 : k - 1;
-  // Recompute exact degeneracy (k-1 may overshoot if last levels were
-  // empty); take the max coreness actually assigned.
-  VertexId d = 0;
-  for (VertexId v = 0; v < n; ++v) d = std::max(d, out.coreness[v]);
-  out.degeneracy = d;
   return out;
 }
 

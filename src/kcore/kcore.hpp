@@ -5,15 +5,8 @@
 // incumbent clique size removes a vertex from the zone of interest
 // (paper Sections II-III).
 //
-// Two algorithms are provided:
-//  * `coreness` — Matula–Beck bucket peeling, O(n + m), sequential; also
-//    yields the peeling (degeneracy) order.
-//  * `coreness_parallel` — iterative parallel peeling (Dhulipala et al.
-//    style rounds).  It produces the same coreness values but no unique
-//    peeling order, which is why LazyMC sorts by (coreness, degree)
-//    instead (Section IV-F).  Only the tests call it, as a cross-check of
-//    the sequential peel; LazyMC's preprocessing runs
-//    `coreness_lower_bounded`.
+// `coreness` is Matula–Beck bucket peeling, O(n + m), sequential; it also
+// yields the peeling (degeneracy) order that `--order peeling` uses.
 //
 // `coreness_lower_bounded` implements KCore(G, lb) from Algorithm 1: only
 // vertices that could matter given an incumbent of size lb participate;
@@ -32,17 +25,13 @@ struct CoreDecomposition {
   std::vector<VertexId> coreness;
   /// Largest coreness (the degeneracy d(G)).
   VertexId degeneracy = 0;
-  /// Peeling order (only filled by the sequential algorithm): vertices in
-  /// the order they were removed; right-neighborhoods w.r.t. this order
-  /// have size <= coreness.
+  /// Peeling order: the peeled vertices in the order they were removed;
+  /// right-neighborhoods w.r.t. this order have size <= coreness.
   std::vector<VertexId> peel_order;
 };
 
 /// Sequential Matula–Beck bucket peeling.  O(n + m).
 CoreDecomposition coreness(const Graph& g);
-
-/// Parallel iterative peeling over rounds; no peel order.
-CoreDecomposition coreness_parallel(const Graph& g);
 
 /// KCore(G, lb): coreness restricted to vertices with degree >= lb.
 /// Vertices below the bound get coreness 0 (they cannot belong to a clique

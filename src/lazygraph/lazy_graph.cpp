@@ -380,11 +380,17 @@ NeighborhoodView LazyGraph::membership(VertexId v) {
 
 void LazyGraph::prepopulate(Prepopulate policy, VertexId must_threshold) {
   if (policy == Prepopulate::kNone) return;
-  parallel_for(0, n_, [&](std::size_t i) {
-    VertexId v = static_cast<VertexId>(i);
-    if (policy != Prepopulate::kAll && coreness_new_[v] < must_threshold) {
-      return;
-    }
+  // The must subgraph is a suffix of the relabelled ids, which ascend by
+  // coreness (see enable_bitset_rows).
+  const std::size_t first =
+      policy == Prepopulate::kAll
+          ? 0
+          : static_cast<std::size_t>(
+                std::lower_bound(coreness_new_.begin(), coreness_new_.end(),
+                                 must_threshold) -
+                coreness_new_.begin());
+  parallel_for(first, n_, [&](std::size_t i) {
+    const VertexId v = static_cast<VertexId>(i);
     // Build the preferred representation; hash is the historical default
     // and the fallback when a requested bitset row is unavailable.
     switch (rep_) {

@@ -163,7 +163,7 @@ void induce_from_lazy(LazyGraph& h, const std::vector<VertexId>& members,
 
 }  // namespace detail
 
-/// Algorithm 7 over a zero-barrier sharded worklist: one probe vertex per
+/// Algorithm 7 over a zero-barrier ordered worklist: one probe vertex per
 /// degeneracy level (from |C*| upward) enqueued first, then all levels
 /// from high to low coreness, drained in parallel with claim-time
 /// incumbent re-checks (see the header comment).  Each participant counts

@@ -1,6 +1,7 @@
 #include "support/parallel.hpp"
 
 #include <algorithm>
+#include <memory>
 
 namespace lazymc {
 namespace {

@@ -4,21 +4,19 @@
 // of functionality the algorithms actually need, tuned so the scheduler
 // itself stays off the profile:
 //
-//  * `parallel_for` / `parallel_reduce` are template-dispatched: the body
-//    is invoked through a per-type trampoline (one indirect call per
+//  * `parallel_for` and `parallel_invoke_all` are template-dispatched: the
+//    body is invoked through a per-type trampoline (one indirect call per
 //    participant per launch), so per-iteration calls inline — no
 //    `std::function` erasure anywhere on the hot path.
-//  * Iteration ranges are *sharded*: each participant owns a contiguous
-//    slice of [begin, end) and claims grain-sized chunks from it with a
-//    single relaxed fetch_add on its own cache line.  A participant that
-//    drains its shard steals chunks from the other shards round-robin, so
-//    skewed per-iteration costs still balance without a central counter.
-//  * `drain_in_order` hands out a list that is sorted highest priority
-//    first (the systematic-search worklist, the heuristics' seeds and
-//    levels) one index at a time from a single shared cursor, so every
-//    participant starts on the most valuable work left.  Contiguous
-//    per-participant slices, as in parallel_for, would start all but one
-//    participant on low-priority work.
+//  * Every parallel loop claims its work from one shared cursor
+//    (`detail::ClaimCursor`): a single relaxed fetch_add hands out the
+//    next chunk of the range in index order.  `parallel_for` claims
+//    grain-sized chunks; `drain_in_order` claims one index at a time, so
+//    a list sorted highest priority first (the systematic-search
+//    worklist, the heuristics' seeds and levels) is started in exactly
+//    that order and every participant begins on the most valuable work
+//    left.  Skewed per-iteration costs balance because a participant that
+//    finishes early simply claims again.
 //
 // Nested-parallelism rule: a `parallel_for` / `parallel_invoke_all` issued
 // from inside a worker of the same pool runs the whole range inline on the
@@ -34,7 +32,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
-#include <memory>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -48,65 +45,33 @@ namespace lazymc {
 
 namespace detail {
 
-/// One shard of a sharded iteration range.  Padded to a cache line so
-/// owners claiming from their own shard never false-share.
-struct alignas(64) RangeShard {
-  std::atomic<std::size_t> next{0};
-  std::size_t end = 0;
-};
+/// The shared claim cursor behind every parallel loop: participants
+/// take chunks of `grain` indices from [next, end) in index order.  It
+/// fills one cache line of its own, so claims never false-share with the
+/// launcher's other state.
+struct ClaimCursor {
+  ClaimCursor(std::size_t begin, std::size_t end_index, std::size_t chunk)
+      : next(begin), end(end_index), grain(chunk) {}
 
-/// A [begin, end) range split into one contiguous shard per participant.
-/// Participants claim grain-sized chunks from their own shard first, then
-/// steal chunks from other shards round-robin.
-class ShardedRange {
- public:
-  ShardedRange(std::size_t begin, std::size_t end, std::size_t participants,
-               std::size_t grain)
-      : parts_(participants == 0 ? 1 : participants),
-        grain_(grain == 0 ? 1 : grain),
-        shards_(std::make_unique<RangeShard[]>(parts_)) {
-    const std::size_t n = end - begin;
-    const std::size_t per = (n + parts_ - 1) / parts_;
-    for (std::size_t p = 0; p < parts_; ++p) {
-      std::size_t lo = begin + std::min(n, p * per);
-      std::size_t hi = begin + std::min(n, (p + 1) * per);
-      shards_[p].next.store(lo, std::memory_order_relaxed);
-      shards_[p].end = hi;
-    }
-  }
-
-  /// Claims the next chunk for participant `p`: own shard first, then the
-  /// other shards in round-robin order.  Returns false when no work is
-  /// left anywhere.
-  bool claim(std::size_t p, std::size_t& lo, std::size_t& hi) {
-    if (p >= parts_) p %= parts_;
-    for (std::size_t off = 0; off < parts_; ++off) {
-      if (claim_from(shards_[(p + off) % parts_], lo, hi)) return true;
-    }
-    return false;
-  }
-
-  /// Marks every shard drained (used to cut short after an exception).
-  void poison() {
-    for (std::size_t p = 0; p < parts_; ++p) {
-      shards_[p].next.store(shards_[p].end, std::memory_order_relaxed);
-    }
-  }
-
- private:
-  bool claim_from(RangeShard& s, std::size_t& lo, std::size_t& hi) {
-    // The load guards the fetch_add so drained shards are not incremented
-    // without bound by polling thieves; the race it leaves is benign.
-    if (s.next.load(std::memory_order_relaxed) >= s.end) return false;
-    lo = s.next.fetch_add(grain_, std::memory_order_relaxed);
-    if (lo >= s.end) return false;
-    hi = std::min(s.end, lo + grain_);
+  /// Claims the next chunk [lo, hi).  Returns false when the range is
+  /// drained (or poisoned).
+  bool claim(std::size_t& lo, std::size_t& hi) {
+    // The load guards the fetch_add so a drained cursor is not pushed
+    // without bound by participants polling it; the race it leaves is
+    // benign.
+    if (next.load(std::memory_order_relaxed) >= end) return false;
+    lo = next.fetch_add(grain, std::memory_order_relaxed);
+    if (lo >= end) return false;
+    hi = std::min(end, lo + grain);
     return true;
   }
 
-  std::size_t parts_;
-  std::size_t grain_;
-  std::unique_ptr<RangeShard[]> shards_;
+  /// Marks the range drained (used to cut short after an exception).
+  void poison() { next.store(end, std::memory_order_relaxed); }
+
+  alignas(64) std::atomic<std::size_t> next;
+  std::size_t end;
+  std::size_t grain;
 };
 
 /// A job handed to the pool.  `run` is a per-body-type trampoline set by
@@ -128,32 +93,6 @@ struct JobBase {
   std::exception_ptr take_error() {
     SpinLockGuard guard(error_lock);
     return error;
-  }
-};
-
-template <typename Body>
-struct ParallelForJob final : JobBase {
-  ParallelForJob(Body& b, std::size_t begin, std::size_t end,
-                 std::size_t participants, std::size_t grain)
-      : body(&b), range(begin, end, participants, grain) {
-    run = &dispatch;
-  }
-
-  Body* body;
-  ShardedRange range;
-
-  static void dispatch(JobBase& base, std::size_t p) {
-    auto& self = static_cast<ParallelForJob&>(base);
-    Body& body = *self.body;
-    std::size_t lo = 0, hi = 0;
-    try {
-      while (self.range.claim(p, lo, hi)) {
-        for (std::size_t i = lo; i < hi; ++i) body(i);
-      }
-    } catch (...) {
-      self.capture_error();
-      self.range.poison();
-    }
   }
 };
 
@@ -201,13 +140,14 @@ class ThreadPool {
   /// Number of worker threads (always >= 1; the caller participates).
   std::size_t num_threads() const { return threads_.size() + 1; }
 
-  /// Runs `body(i)` for i in [begin, end).  The range is split into one
-  /// contiguous shard per participant; each participant claims blocks of
-  /// `grain` iterations from its own shard and steals blocks from other
-  /// shards once its own is drained.  Blocks until all iterations
-  /// complete.  Re-entrant calls from a worker thread run sequentially
-  /// (see the nested-parallelism rule above).  Exceptions thrown by
-  /// `body` propagate to the caller (first one wins).
+  /// Runs `body(i)` for i in [begin, end).  Every participant claims
+  /// blocks of `grain` iterations, in index order, from one shared
+  /// cursor until the range is drained; blocks until all iterations
+  /// complete.  Re-entrant calls from a worker thread, a 1-thread pool
+  /// and a range of at most one grain run inline (see the
+  /// nested-parallelism rule above).  Exceptions thrown by `body` stop
+  /// the other participants at their next claim and propagate to the
+  /// caller (first one wins).
   template <typename Body>
   void parallel_for(std::size_t begin, std::size_t end, Body&& body,
                     std::size_t grain = 1) {
@@ -217,9 +157,18 @@ class ThreadPool {
       for (std::size_t i = begin; i < end; ++i) body(i);
       return;
     }
-    detail::ParallelForJob<std::remove_reference_t<Body>> job(
-        body, begin, end, num_threads(), grain);
-    run_job(job);
+    detail::ClaimCursor cursor(begin, end, grain);
+    parallel_invoke_all([&](std::size_t) {
+      std::size_t lo = 0, hi = 0;
+      try {
+        while (cursor.claim(lo, hi)) {
+          for (std::size_t i = lo; i < hi; ++i) body(i);
+        }
+      } catch (...) {
+        cursor.poison();
+        throw;
+      }
+    });
   }
 
   /// Runs `fn(t)` once on each of the `num_threads()` participants
@@ -276,31 +225,6 @@ void parallel_for(std::size_t begin, std::size_t end, Body&& body,
   thread_pool().parallel_for(begin, end, std::forward<Body>(body), grain);
 }
 
-/// Parallel reduction: combines `body(i)` over [begin, end) with `combine`,
-/// starting from `identity`.  `combine` must be associative.  Shares the
-/// sharded claiming scheme with parallel_for; per-participant partials are
-/// combined on the calling thread.
-template <typename T, typename Body, typename Combine>
-T parallel_reduce(std::size_t begin, std::size_t end, T identity, Body&& body,
-                  Combine&& combine, std::size_t grain = 256) {
-  if (begin >= end) return identity;
-  ThreadPool& pool = thread_pool();
-  const std::size_t p = pool.num_threads();
-  std::vector<T> partial(p, identity);
-  detail::ShardedRange range(begin, end, p, grain == 0 ? 1 : grain);
-  pool.parallel_invoke_all([&](std::size_t t) {
-    T acc = identity;
-    std::size_t lo = 0, hi = 0;
-    while (range.claim(t, lo, hi)) {
-      for (std::size_t i = lo; i < hi; ++i) acc = combine(acc, body(i));
-    }
-    partial[t] = acc;
-  });
-  T result = identity;
-  for (const T& v : partial) result = combine(result, v);
-  return result;
-}
-
 /// Runs `process(participant, i)` once for each i in [0, count) on every
 /// pool participant, which claim indices one at a time from one shared
 /// cursor.  Work therefore starts in index order at any thread count: a
@@ -315,17 +239,17 @@ T parallel_reduce(std::size_t begin, std::size_t end, T identity, Body&& body,
 template <typename Process, typename Stop>
 void drain_in_order(ThreadPool& pool, std::size_t count, Process&& process,
                     Stop&& stop) {
-  detail::ShardedRange range(0, count, /*participants=*/1, /*grain=*/1);
+  detail::ClaimCursor cursor(0, count, /*chunk=*/1);
   pool.parallel_invoke_all([&](std::size_t p) {
     std::size_t i = 0, end = 0;
-    while (!stop() && range.claim(0, i, end)) {
+    while (!stop() && cursor.claim(i, end)) {
       // Injected scheduling stall (fault builds only): models a worker
       // descheduled between claiming an index and processing it.
       LAZYMC_FAULT_STALL("worker.stall", 2);
       try {
         process(p, i);
       } catch (...) {
-        range.poison();
+        cursor.poison();
         throw;
       }
     }

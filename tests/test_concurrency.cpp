@@ -147,7 +147,7 @@ TEST(ConcurrencyStress, SystematicSearchSharedStatsConsistent) {
 }
 
 TEST(ConcurrencyStress, OmegaIdenticalAcrossThreadCountsForWholeSuite) {
-  // The sharded-worklist scheduler must not change the answer: omega is
+  // The ordered-worklist drain must not change the answer: omega is
   // exact, so 1, 2 and 8 threads have to agree on every suite instance.
   auto instances = suite::make_suite(suite::Scale::kTiny);
   for (const auto& inst : instances) {

@@ -93,16 +93,6 @@ TEST(KCore, MatchesReferenceOnRandomGraphs) {
   }
 }
 
-TEST(KCore, ParallelMatchesSequential) {
-  for (std::uint64_t seed : {5u, 6u, 7u}) {
-    Graph g = gen::gnp(150, 0.06, seed);
-    auto seq = kcore::coreness(g);
-    auto par = kcore::coreness_parallel(g);
-    EXPECT_EQ(par.coreness, seq.coreness) << "seed " << seed;
-    EXPECT_EQ(par.degeneracy, seq.degeneracy);
-  }
-}
-
 TEST(KCore, PeelOrderIsPermutationWithBoundedRightNeighborhoods) {
   Graph g = gen::gnp(100, 0.1, 11);
   auto core = kcore::coreness(g);

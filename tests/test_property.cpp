@@ -108,8 +108,6 @@ TEST_P(KCoreInvariantTest, CorenessInvariants) {
   std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
   Graph g = gen::rmat(8, 6, 0.5, 0.2, 0.2, seed);
   auto core = kcore::coreness(g);
-  auto par = kcore::coreness_parallel(g);
-  EXPECT_EQ(core.coreness, par.coreness);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     // coreness <= degree
     EXPECT_LE(core.coreness[v], g.degree(v));

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -107,14 +108,6 @@ TEST(ThreadPool, ReusableAcrossManyJobs) {
     pool.parallel_for(0, 64, [&](std::size_t) { count++; });
     ASSERT_EQ(count.load(), 64);
   }
-}
-
-TEST(ParallelReduce, SumsCorrectly) {
-  set_num_threads(4);
-  std::uint64_t sum = parallel_reduce<std::uint64_t>(
-      0, 10000, 0, [](std::size_t i) { return static_cast<std::uint64_t>(i); },
-      [](std::uint64_t a, std::uint64_t b) { return a + b; });
-  EXPECT_EQ(sum, 10000ull * 9999 / 2);
 }
 
 TEST(GlobalPool, SetNumThreadsTakesEffect) {
@@ -245,21 +238,58 @@ TEST(DrainInOrder, ExceptionPropagatesAndPoolStaysUsable) {
   EXPECT_EQ(total.load(), 64);
 }
 
-TEST(ShardedRange, SkewedWorkStillCoversEveryIndex) {
-  // Chunk stealing: participant 0's shard is much more expensive, so the
-  // others must finish it; every index still runs exactly once.
+TEST(ThreadPool, SkewedWorkStillCoversEveryIndex) {
+  // The first quarter of the range is much more expensive, so whoever
+  // claims those chunks falls behind and the others take the rest; every
+  // index still runs exactly once.
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(4096);
   for (auto& h : hits) h.store(0);
   pool.parallel_for(0, hits.size(), [&](std::size_t i) {
     if (i < hits.size() / 4) {
-      // Simulate skew in the first shard.
       volatile int spin = 0;
       for (int s = 0; s < 50; ++s) spin = spin + s;
     }
     hits[i]++;
   }, 8);
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ParallelForFirstClaimsAreTheFirstChunks) {
+  // parallel_for hands out chunks in index order from one cursor.  Each
+  // participant holds its first chunk until all four hold one, so no
+  // participant can claim twice before every one has claimed once: the
+  // four first chunks must then be exactly the first 4 * grain indices.
+  ThreadPool pool(4);
+  ASSERT_EQ(pool.num_threads(), 4u);
+  constexpr std::size_t kGrain = 16;
+  constexpr std::size_t kCount = 4 * kGrain * 8;
+  std::mutex mutex;
+  std::set<std::thread::id> holders;
+  std::set<std::size_t> first_chunks;
+  std::atomic<std::size_t> held{0};
+  std::atomic<std::size_t> visited{0};
+  pool.parallel_for(0, kCount, [&](std::size_t i) {
+    visited++;
+    if (i % kGrain != 0) return;
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      if (!holders.insert(std::this_thread::get_id()).second) return;
+      first_chunks.insert(i);
+    }
+    held++;
+    // Bounded wait, so a scheduler that starves a participant fails the
+    // check below instead of hanging the test.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (held.load() < 4 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  }, kGrain);
+  EXPECT_EQ(visited.load(), kCount);
+  EXPECT_EQ(held.load(), 4u);
+  EXPECT_EQ(first_chunks,
+            (std::set<std::size_t>{0, kGrain, 2 * kGrain, 3 * kGrain}));
 }
 
 TEST(Rng, DeterministicForSameSeed) {
