@@ -1,14 +1,13 @@
-// Ablation sweeps for design choices called out in DESIGN.md but not
-// covered by a dedicated paper figure:
+// Ablation sweeps for design choices not covered by a dedicated paper
+// figure:
 //   (a) rounds of induced-degree filtering (paper: "two iterations ...
-//       are sufficient"; fixpoint filtering is possible but pays per-round
-//       cost) — sweep 1..4 rounds;
+//       are sufficient"; the rounds stop early at a fixpoint, and a round
+//       that still removes vertices pays its per-round cost) — sweep 1..4
+//       rounds;
 //   (b) number of top-degree seeds K in the degree-based heuristic
 //       (Algorithm 5) — sweep K in {1, 4, 16, 64};
 //   (c) vertex order: parallel (coreness, degree) sort vs the sequential
-//       Matula–Beck peeling order (Section IV-F);
-//   (d) coloring prune before solver dispatch (off in the paper; the MC
-//       solver colors internally).
+//       Matula–Beck peeling order (Section IV-F).
 #include <cstdio>
 
 #include "common.hpp"
@@ -100,31 +99,6 @@ int main(int argc, char** argv) {
       }
       table.add_row({inst.name, bench::fmt(t[0]), bench::fmt(t[1]),
                      bench::fmt(t[0] > 0 ? t[1] / t[0] : 1.0, 2)});
-    }
-    table.print();
-  }
-
-  std::printf("\nAblation (d): coloring prune before solver dispatch\n\n");
-  {
-    bench::Table table({"graph", "off[s]", "on (x)", "solved off",
-                        "solved on"});
-    for (auto& inst : bench::load_suite(opt)) {
-      const Graph& g = inst.graph;
-      double t[2] = {0, 0};
-      std::uint64_t solved[2] = {0, 0};
-      for (int i = 0; i < 2; ++i) {
-        mc::LazyMCConfig cfg;
-        cfg.color_prune = i == 1;
-        cfg.time_limit_seconds = opt.timeout;
-        mc::LazyMCResult last;
-        t[i] = bench::time_runs(opt.repeats, [&] {
-                 last = mc::lazy_mc(g, cfg);
-               }).mean_seconds;
-        solved[i] = last.search.solved_mc + last.search.solved_vc;
-      }
-      table.add_row({inst.name, bench::fmt(t[0]),
-                     bench::fmt(t[0] > 0 ? t[1] / t[0] : 1.0, 2),
-                     std::to_string(solved[0]), std::to_string(solved[1])});
     }
     table.print();
   }

@@ -164,6 +164,7 @@ expect_exit(3 "missing-file exit code" --graph /nonexistent.clq)
 expect_exit(3 "bad-flag exit code" --graph "${clq}" --no-such-flag)
 expect_exit(3 "removed --rep hybrid" --graph "${clq}" --rep hybrid)
 expect_exit(3 "removed --solver mce" --graph "${clq}" --solver mce)
+expect_exit(3 "removed --pre-density" --graph "${clq}" --pre-density)
 expect_exit(3 "bad-manifest exit code" --manifest /nonexistent.manifest)
 
 # 7. Counts from the command line are parsed strictly, and thread and

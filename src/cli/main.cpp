@@ -124,7 +124,6 @@ void solve_into(const Options& options, RunReport& report,
                                 : mc::VertexOrderKind::kCorenessDegree;
       config.neighborhood_rep = options.rep;
       config.bitset_budget_bytes = options.bitset_budget_mb << 20;
-      config.pre_extraction_density = options.pre_extraction_density;
       config.time_limit_seconds = options.time_limit_seconds;
       report.lazymc = mc::lazy_mc(g, config);
       report.has_lazymc = true;

@@ -73,9 +73,6 @@ std::string usage() {
       "                       entirely\n"
       "  --bitset-budget-mb N memory budget for bitset rows\n"
       "                       (default 64; 0 disables the representation)\n"
-      "  --pre-density        route the MC-vs-VC solver choice on the\n"
-      "                       filter-3 edge estimate instead of the\n"
-      "                       extracted subgraph's exact density\n"
       "  --json               emit the result as JSON on stdout\n"
       "                       (implied by batch mode)\n"
       "  --journal FILE       batch mode: append one JSON line per\n"
@@ -143,8 +140,6 @@ Options parse_options(int argc, char** argv, bool& wants_help) {
       options.rep = parse_rep(value(i, arg));
     } else if (arg == "--bitset-budget-mb") {
       options.bitset_budget_mb = parse_count(arg, value(i, arg), kMaxCount);
-    } else if (arg == "--pre-density") {
-      options.pre_extraction_density = true;
     } else if (arg == "--threads") {
       options.threads = parse_count(arg, value(i, arg), kMaxThreadCount);
     } else if (arg == "--time-limit") {

@@ -5,8 +5,8 @@
 //          [--solver NAME] [--threads N] [--time-limit SECONDS]
 //          [--order coreness|peeling]
 //          [--rep auto|hash|sorted|bitset] [--bitset-budget-mb N]
-//          [--pre-density] [--json] [--journal FILE] [--resume]
-//          [--retries N] [--fault SPEC]
+//          [--json] [--journal FILE] [--resume] [--retries N]
+//          [--fault SPEC]
 //
 // `--graph` may repeat and `--manifest` names a file with one graph spec
 // per line; with more than one instance the driver runs them all in
@@ -46,7 +46,6 @@ struct Options {
   /// Lazy-graph neighborhood representation (lazymc solver only).
   NeighborhoodRep rep = NeighborhoodRep::kAuto;
   std::size_t bitset_budget_mb = 64;  // 0 disables bitset rows
-  bool pre_extraction_density = false;
   std::size_t threads = 0;  // 0 = hardware default; <= kMaxThreadCount
   double time_limit_seconds = std::numeric_limits<double>::infinity();
   bool json = false;

@@ -5,9 +5,9 @@
 //   gt            — give me the exact result set, but only if it is larger
 //                   than θ (intersect-gt, Algorithm 3; heuristic search);
 //   size_gt_val   — give me the exact size if it is larger than θ
-//                   (argmax-degree scans, filter 3);
+//                   (the degree heuristic's argmax-degree scans);
 //   size_gt_bool  — just tell me whether it exceeds θ
-//                   (intersect-size-gt-bool, Algorithm 4; filter 2).
+//                   (intersect-size-gt-bool, Algorithm 4; filters 2, 3).
 //
 // Every scan keeps a miss budget h = |A| - θ and answers "too small" as
 // soon as it runs out (the first exit).  The boolean query also answers

@@ -36,27 +36,4 @@ Coloring greedy_color(const DenseSubgraph& g, const DynamicBitset& p) {
   return out;
 }
 
-VertexId greedy_color_count(const DenseSubgraph& g, const DynamicBitset& p,
-                            ColorScratch& scratch) {
-  DynamicBitset& uncolored = scratch.uncolored;
-  DynamicBitset& candidates = scratch.candidates;
-  uncolored = p;
-  VertexId color = 0;
-  while (uncolored.any()) {
-    ++color;
-    candidates = uncolored;
-    for (std::size_t v = candidates.find_first(); v < candidates.size();
-         v = candidates.find_next(v)) {
-      uncolored.reset(v);
-      candidates.and_not_with(g.adj[v]);
-    }
-  }
-  return color;
-}
-
-VertexId greedy_color_count(const DenseSubgraph& g, const DynamicBitset& p) {
-  ColorScratch scratch;
-  return greedy_color_count(g, p, scratch);
-}
-
 }  // namespace lazymc::mc

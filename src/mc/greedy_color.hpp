@@ -37,11 +37,4 @@ Coloring greedy_color(const DenseSubgraph& g, const DynamicBitset& p);
 void greedy_color_into(const DenseSubgraph& g, const DynamicBitset& p,
                        ColorScratch& scratch, Coloring& out);
 
-/// Only the number of colors (cheaper when the order is not needed).
-VertexId greedy_color_count(const DenseSubgraph& g, const DynamicBitset& p);
-
-/// Scratch-arena variant of greedy_color_count.
-VertexId greedy_color_count(const DenseSubgraph& g, const DynamicBitset& p,
-                            ColorScratch& scratch);
-
 }  // namespace lazymc::mc

@@ -80,12 +80,6 @@ struct IntersectPolicy {
     return dispatch<Query::size_gt_bool>(a, b, nullptr, theta, a_words);
   }
 
-  int size_gt_val(std::span<const VertexId> a, const NeighborhoodView& b,
-                  std::int64_t theta,
-                  const SparseWordSet* a_words = nullptr) const {
-    return dispatch<Query::size_gt_val>(a, b, nullptr, theta, a_words);
-  }
-
   int gt(std::span<const VertexId> a, const NeighborhoodView& b, VertexId* out,
          std::int64_t theta, const SparseWordSet* a_words = nullptr) const {
     return dispatch<Query::gt>(a, b, out, theta, a_words);

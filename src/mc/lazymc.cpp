@@ -119,9 +119,7 @@ LazyMCResult lazy_mc(const Graph& g, const LazyMCConfig& config) {
     NeighborSearchOptions n;
     n.density_threshold = config.density_threshold;
     n.degree_filter_rounds = config.degree_filter_rounds;
-    n.color_prune = config.color_prune;
     n.vc_node_budget_per_vertex = config.vc_node_budget_per_vertex;
-    n.pre_extraction_density = config.pre_extraction_density;
     n.intersect = policy;
     n.control = &control;
     systematic_search(lazy, incumbent, n, stats);

@@ -60,10 +60,7 @@ struct LazyMCConfig {
   VertexId heuristic_top_k = 16;
   /// Vertex-order strategy.
   VertexOrderKind vertex_order = VertexOrderKind::kCorenessDegree;
-  /// When true, greedily color each surviving subgraph before dispatching
-  /// a solver: chi(G[N]) bounds any clique in it, so chi <= |C*| - 1
-  /// proves the neighborhood irrelevant without a search.  Off by default
-  /// (the paper applies coloring inside the MC solver only).
+  // Ignored; kept only because lmcbench/main.cpp reads it.
   bool color_prune = false;
   /// Density threshold φ for algorithmic choice; see
   /// NeighborSearchOptions::density_threshold (swept by bench_fig6).
@@ -87,10 +84,8 @@ struct LazyMCConfig {
   /// Early-exit intersection toggles (Fig. 5 ablation).
   bool early_exit_intersections = true;
   bool second_exit = true;
-  /// Route the MC-vs-VC choice on filter 3's pre-extraction edge estimate
-  /// instead of the extracted subgraph's exact density (paper ordering).
-  bool pre_extraction_density = false;
   // Ignored; kept only because lmcbench/main.cpp reads it.
+  bool pre_extraction_density = false;
   SplitMode split_mode = SplitMode::kAuto;
   VertexId split_min_cands = 128;
   unsigned split_depth = 2;

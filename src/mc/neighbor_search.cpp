@@ -187,7 +187,13 @@ void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
   }
   ++tally.pass_filter1;
 
-  // ---- filter 2: induced degree, boolean test (lines 4-7) --------------
+  // ---- filters 2 and 3: induced degree, boolean test (lines 4-13) ------
+  // Each round keeps u with |N(u) ∩ N| > |C*| - 2.  Removing a vertex
+  // lowers the others' induced degrees, so a later round can remove more;
+  // the rounds stop after degree_filter_rounds or at a fixpoint (a round
+  // that removes nothing), whichever comes first.  Filter 2 is round 1,
+  // filter 3 the last round run.
+  //
   // The word form of n_set feeds the bitset kernels whenever a candidate's
   // membership view carries a bitset row (n_set ⊆ zone: every survivor of
   // filter 1 has coreness >= bound >= the bound when rows were enabled).
@@ -207,89 +213,43 @@ void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
     }
   };
   std::vector<VertexId>& kept = scratch.kept;
-  {
+  const std::int64_t theta = static_cast<std::int64_t>(bound) - 2;
+  const unsigned rounds = std::max(options.degree_filter_rounds, 1u);
+  for (unsigned round = 1;; ++round) {
     kept.clear();
     kept.reserve(n_set.size());
     std::span<const VertexId> n_span(n_set);
     const SparseWordSet* a_words = build_words(n_span);
-    std::int64_t theta = static_cast<std::int64_t>(bound) - 2;
     for (VertexId u : n_set) {
       NeighborhoodView u_nbrs = h.membership(u);
       if (options.intersect.size_gt_bool(n_span, u_nbrs, theta, a_words)) {
         kept.push_back(u);
       }
     }
-    std::swap(n_set, kept);
-  }
-  if (n_set.size() < bound) {
-    tally.filter_ns += to_ns(timer.elapsed());
-    return;
-  }
-  ++tally.pass_filter2;
-
-  // ---- filter 3: induced degree, exact sizes + edge estimate (8-13) ----
-  // Repeated up to degree_filter_rounds-1 times (the boolean pass above
-  // was round 1): removing a vertex lowers the others' induced degrees,
-  // so later rounds can remove more.  Stops at a fixpoint.
-  double m_hat = 0;
-  const unsigned extra_rounds =
-      options.degree_filter_rounds > 1 ? options.degree_filter_rounds - 1 : 1;
-  for (unsigned round = 0; round < extra_rounds; ++round) {
-    m_hat = 0;
-    kept.clear();
-    kept.reserve(n_set.size());
-    std::span<const VertexId> n_span(n_set);
-    const SparseWordSet* a_words = build_words(n_span);
-    std::int64_t theta = static_cast<std::int64_t>(bound) - 2;
-    for (VertexId u : n_set) {
-      NeighborhoodView u_nbrs = h.membership(u);
-      int d = options.intersect.size_gt_val(n_span, u_nbrs, theta, a_words);
-      if (d != kTooSmall) {
-        kept.push_back(u);
-        m_hat += d;
-      }
-    }
-    bool fixpoint = kept.size() == n_set.size();
+    const bool fixpoint = kept.size() == n_set.size();
     std::swap(n_set, kept);
     if (n_set.size() < bound) {
       tally.filter_ns += to_ns(timer.elapsed());
       return;
     }
-    if (fixpoint) break;
+    if (round == 1) ++tally.pass_filter2;
+    if (fixpoint || round == rounds) break;
   }
   ++tally.pass_filter3;
 
   // ---- algorithmic choice (lines 14-17) ---------------------------------
+  // The paper estimates the density from filter 3's exact intersection
+  // sizes; the extracted subgraph's exact density costs nothing extra,
+  // keeps the phi scale meaningful ([0,1]) and lets every round exit early.
   DenseSubgraph& sub = scratch.sub;
   detail::induce_from_lazy(h, n_set, sub, scratch, tally);
-  // m̂/(n(n-1)) is the paper's pre-extraction estimate (m̂ sums directed
-  // degrees, so it is ~2m̂_edges); the default uses the extracted
-  // subgraph's exact density, which is available at no extra cost and
-  // keeps the phi scale meaningful ([0,1]).
-  double density = sub.density();
-  if (options.pre_extraction_density && n_set.size() >= 2) {
-    const double nn = static_cast<double>(n_set.size());
-    density = m_hat / (nn * (nn - 1.0));
-  }
   tally.filter_ns += to_ns(timer.lap());
 
   // A clique K in G[N] with |K| > |C*| - 1 yields {v} ∪ K with size > |C*|.
   const VertexId sub_bound = bound > 0 ? bound - 1 : 0;
 
-  if (options.color_prune && sub.size() > 0) {
-    // chi(G[N]) bounds any clique inside G[N]; chi <= sub_bound means no
-    // improving clique passes through v.  Lapping the probe's timer keeps
-    // the coloring out of the solver time charged below.
-    DynamicBitset& all = scratch.all;
-    all.reinit(sub.size());
-    for (std::size_t i = 0; i < sub.size(); ++i) all.set(i);
-    VertexId chi = greedy_color_count(sub, all, scratch.color);
-    tally.filter_ns += to_ns(timer.lap());
-    if (chi <= sub_bound) return;
-  }
-
   bool solved = false;
-  if (density > options.density_threshold) {
+  if (sub.density() > options.density_threshold) {
     std::uint64_t budget =
         options.vc_node_budget_per_vertex == 0
             ? 0

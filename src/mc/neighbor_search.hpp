@@ -2,18 +2,19 @@
 //
 // NeighborSearch proves, for one vertex v, that no clique larger than the
 // incumbent passes through v's right-neighborhood — or finds one.  It is
-// optimized for *proving absence*: three filter rounds remove candidates
+// optimized for *proving absence*: degree filters remove candidates
 // before any recursive search starts, and most neighborhoods die in the
 // filters (Table III: a few per thousand survive).
 //
-//   filter 1  keep u with coreness(u) >= |C*|;
-//   filter 2  keep u with |N(u) ∩ N| > |C*| - 2   (intersect-size-gt-bool);
-//   filter 3  keep u with |N(u) ∩ N| > |C*| - 2, exact sizes accumulated
-//             into an edge estimate m̂            (intersect-size-gt-val).
+//   filter 1      keep u with coreness(u) >= |C*|;
+//   filters 2, 3  keep u with |N(u) ∩ N| > |C*| - 2 (intersect-size-gt-bool),
+//                 repeated for up to degree_filter_rounds rounds and
+//                 stopped at a fixpoint; filter 2 is round 1, filter 3 the
+//                 last round run.
 //
-// The edge estimate drives algorithmic choice (Section IV-E): densities
-// above `density_threshold` route to k-VC on the complement, the rest to
-// the coloring B&B MC solver.
+// The extracted subgraph's density drives algorithmic choice (Section
+// IV-E): densities above `density_threshold` route to k-VC on the
+// complement, the rest to the coloring B&B MC solver.
 //
 // Parallel runtime (systematic_search): the per-vertex subproblems are
 // *not* run as one barriered parallel_for per coreness level.  Instead a
@@ -39,7 +40,6 @@
 
 #include "lazygraph/lazy_graph.hpp"
 #include "mc/bb_solver.hpp"
-#include "mc/greedy_color.hpp"
 #include "mc/incumbent.hpp"
 #include "mc/intersect_policy.hpp"
 #include "mc/search_counters.hpp"
@@ -50,10 +50,10 @@ namespace lazymc::mc {
 
 /// Per-thread scratch arena for the systematic search.  Holds every
 /// intermediate container a NeighborSearch probe needs — candidate
-/// vectors, the pooled dense subgraph, coloring buffers, branch-and-bound
-/// frames, and the k-VC complement — so that once its capacities reach
-/// the workload's high-water mark, steady-state probes perform zero heap
-/// allocation.  Not thread-safe: one instance per worker.
+/// vectors, the pooled dense subgraph, branch-and-bound frames, and the
+/// k-VC complement — so that once its capacities reach the workload's
+/// high-water mark, steady-state probes perform zero heap allocation.
+/// Not thread-safe: one instance per worker.
 struct SearchScratch {
   std::vector<VertexId> n_set;    // surviving candidates
   std::vector<VertexId> kept;     // filter output, swapped with n_set
@@ -62,8 +62,6 @@ struct SearchScratch {
   AlignedWords and_words;   // induce_from_lazy's hit words, one
                                   // per occupied word of a_words
   DenseSubgraph sub;              // pooled induced subgraph
-  DynamicBitset all;              // full candidate set for color_prune
-  ColorScratch color;             // greedy-coloring buffers
   MCScratch mc;                   // solve_mc_dense frames
   vc::VcScratch vc;               // complement pool for the k-VC route
 };
@@ -83,11 +81,9 @@ struct NeighborSearchOptions {
   /// iterations of degree-based filtering are sufficient to exclude
   /// search for the majority of neighborhoods") but notes the filter
   /// could run to a fixpoint; rounds stop early when nothing is removed.
-  /// Must be >= 1.  Swept by bench_ablation_filters.
+  /// 0 runs one round.  Swept by bench_ablation's section (a).
   unsigned degree_filter_rounds = 2;
-  /// Greedy-color surviving subgraphs before dispatching a solver and
-  /// skip the solve when chi(G[N]) cannot beat the incumbent.  See
-  /// LazyMCConfig::color_prune.
+  // Ignored; kept only because lmcbench/main.cpp reads it.
   bool color_prune = false;
   /// Adaptive algorithmic choice: when a subgraph routed to k-VC exceeds
   /// this branch-node budget, abandon the probe and re-solve with the MC
@@ -96,14 +92,8 @@ struct NeighborSearchOptions {
   /// "a precise prediction of what algorithm is most efficient is
   /// challenging" — this bounds the cost of a misprediction.
   std::uint64_t vc_node_budget_per_vertex = 2000;
-  /// Route the MC-vs-VC choice on the paper's pre-extraction density
-  /// estimate m̂ (accumulated by filter 3) instead of the extracted
-  /// subgraph's exact density.  Off by default: the dense subgraph is
-  /// materialized for either solver anyway, so the exact value is free
-  /// and keeps the phi scale meaningful; this option exists to reproduce
-  /// the paper's ordering (estimate first, extraction after).
-  bool pre_extraction_density = false;
   // Ignored; kept only because lmcbench/main.cpp reads it.
+  bool pre_extraction_density = false;
   SplitMode split_mode = SplitMode::kAuto;
   VertexId split_min_cands = 128;
   std::uint64_t split_min_work = 0;

@@ -47,8 +47,8 @@ namespace lazymc::mc {
   /* Funnel counts (Table III): neighborhoods surviving each stage. */       \
   X(evaluated)     /* NeighborSearch calls */                                \
   X(pass_filter1)  /* after coreness filter */                               \
-  X(pass_filter2)  /* after 1st degree filter */                             \
-  X(pass_filter3)  /* after 2nd degree filter */                             \
+  X(pass_filter2)  /* after the 1st degree-filter round */                   \
+  X(pass_filter3)  /* after the last degree-filter round */                  \
   /* Algorithmic choice (Fig. 3). */                                         \
   X(solved_mc)                                                               \
   X(solved_vc)                                                               \

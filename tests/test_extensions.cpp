@@ -38,6 +38,24 @@ TEST(FilterRounds, MoreRoundsNeverSearchMore) {
   }
 }
 
+TEST(FilterRounds, OneRoundStopsAfterFilter2) {
+  // On this graph a second degree-filter round removes heads that passed
+  // the first; with one round, every head that passes filter 2 is searched.
+  Graph g = gen::gnp(120, 0.15, 63);
+  set_num_threads(1);
+  mc::LazyMCConfig two;
+  two.degree_filter_rounds = 2;
+  auto r2 = mc::lazy_mc(g, two);
+  ASSERT_LT(r2.search.pass_filter3, r2.search.pass_filter2);
+  mc::LazyMCConfig one;
+  one.degree_filter_rounds = 1;
+  auto r1 = mc::lazy_mc(g, one);
+  EXPECT_EQ(r1.search.pass_filter3, r1.search.pass_filter2);
+  EXPECT_GT(r1.search.pass_filter3, r2.search.pass_filter3);
+  EXPECT_EQ(r1.omega, r2.omega);
+  set_num_threads(0);
+}
+
 TEST(ParallelOrder, MatchesSequentialExactly) {
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     Graph g = gen::rmat(10, 8, 0.5, 0.2, 0.2, seed);
@@ -119,32 +137,6 @@ TEST(VertexOrderKind, BothOrdersAgreeOnStructuredGraphs) {
   a.vertex_order = mc::VertexOrderKind::kCorenessDegree;
   b.vertex_order = mc::VertexOrderKind::kPeeling;
   EXPECT_EQ(mc::lazy_mc(g, a).omega, mc::lazy_mc(g, b).omega);
-}
-
-TEST(ColorPrune, PreservesExactness) {
-  for (std::uint64_t seed = 110; seed <= 116; ++seed) {
-    Graph g = gen::gnp(60, 0.3, seed);
-    auto ref = baselines::max_clique_reference(g);
-    mc::LazyMCConfig cfg;
-    cfg.color_prune = true;
-    auto r = mc::lazy_mc(g, cfg);
-    EXPECT_EQ(r.omega, ref.size()) << "seed " << seed;
-  }
-}
-
-TEST(ColorPrune, SkipsSolverCallsOnBipartiteLikeGraphs) {
-  // Bipartite graphs color with 2 colors, so once |C*| = 2 every surviving
-  // subgraph is pruned by coloring before any solver runs.
-  Graph g = gen::bipartite(60, 60, 0.3, 117);
-  mc::LazyMCConfig with, without;
-  with.color_prune = true;
-  without.color_prune = false;
-  auto r_with = mc::lazy_mc(g, with);
-  auto r_without = mc::lazy_mc(g, without);
-  EXPECT_EQ(r_with.omega, 2u);
-  EXPECT_EQ(r_without.omega, 2u);
-  EXPECT_LE(r_with.search.solved_mc + r_with.search.solved_vc,
-            r_without.search.solved_mc + r_without.search.solved_vc);
 }
 
 TEST(VcFallback, MispredictionFallsBackToMcAndStaysExact) {

@@ -79,15 +79,6 @@ TEST(GreedyColor, BoundsCliqueFromAbove) {
   EXPECT_GE(c.num_colors, 6u);
 }
 
-TEST(GreedyColor, CountVariantAgrees) {
-  for (std::uint64_t seed : {1u, 2u, 3u}) {
-    DenseSubgraph s = induce_all(gen::gnp(25, 0.5, seed));
-    DynamicBitset p = full_set(25);
-    EXPECT_EQ(mc::greedy_color(s, p).num_colors,
-              mc::greedy_color_count(s, p));
-  }
-}
-
 TEST(GreedyColor, SubsetColoring) {
   DenseSubgraph s = induce_all(gen::complete(8));
   DynamicBitset p(8);

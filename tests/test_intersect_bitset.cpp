@@ -91,8 +91,6 @@ TEST(IntersectPolicyDispatch, AllRepresentationsAgree) {
           for (const mc::IntersectPolicy* p :
                {&policy, &no_second, &no_exits}) {
             EXPECT_EQ(p->size_gt_bool(as, *view, theta, words), truth > theta);
-            EXPECT_EQ(p->size_gt_val(as, *view, theta, words),
-                      truth > theta ? static_cast<int>(truth) : kTooSmall);
             std::vector<VertexId> out(a.size() + 1);
             int g = p->gt(as, *view, out.data(), theta, words);
             if (truth > theta) {

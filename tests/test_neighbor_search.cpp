@@ -125,6 +125,29 @@ TEST(NeighborSearch, SingleVertexNeighborhood) {
   EXPECT_EQ(f.stats.evaluated.load(), 1u);
 }
 
+TEST(NeighborSearch, FixpointAfterRoundOneStopsTheFilter) {
+  // In a complete graph the first degree-filter round keeps every
+  // candidate, so the filter stops there: one intersection per survivor
+  // of filter 1, not a second round that cannot remove anything.
+  Fixture f(gen::complete(10));
+  f.incumbent.offer(std::vector<VertexId>{0, 1, 2, 3});
+  std::vector<VertexId> survivors;
+  f.lazy->right_neighbors(0, f.incumbent.size(), survivors);
+  ASSERT_EQ(survivors.size(), 9u);
+  mc::KernelCounters counters;
+  mc::NeighborSearchOptions opt;
+  opt.degree_filter_rounds = 4;
+  opt.intersect.counters = &counters;
+  mc::neighbor_search(*f.lazy, 0, f.incumbent, opt, f.stats);
+  std::uint64_t calls = 0;
+#define LAZYMC_ADD(name) calls += counters.name.load();
+  LAZYMC_KERNEL_COUNTERS(LAZYMC_ADD)
+#undef LAZYMC_ADD
+  EXPECT_EQ(calls, survivors.size());
+  EXPECT_EQ(f.stats.pass_filter3.load(), 1u);
+  EXPECT_EQ(f.incumbent.size(), 10u);
+}
+
 TEST(NeighborSearch, ProbesBuildNoSortedLists) {
   // Filter 1 reads N+(v) from the head's row or the base graph; with rows
   // on and the must-subgraph prebuilt, a pass over the zone caches

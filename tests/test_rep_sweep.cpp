@@ -60,11 +60,9 @@ INSTANTIATE_TEST_SUITE_P(AllInstances, RepSweepTest,
                            return name;
                          });
 
-TEST(RepSweep, TinyBudgetStillCorrectAndPreDensityAgrees) {
+TEST(RepSweep, TinyBudgetStillCorrect) {
   // A 1 KB budget can hold almost no rows; dispatch must degrade to the
-  // hash/sorted kernels per vertex without changing omega.  The
-  // pre-extraction density estimate only moves the MC-vs-VC routing, so
-  // omega is invariant under it too.
+  // hash/sorted kernels per vertex without changing omega.
   auto inst = suite::make_instance("webcc", suite::Scale::kTiny);
   mc::LazyMCConfig base;
   auto expected = mc::lazy_mc(inst.graph, base).omega;
@@ -78,10 +76,6 @@ TEST(RepSweep, TinyBudgetStillCorrectAndPreDensityAgrees) {
   zero.neighborhood_rep = NeighborhoodRep::kAuto;
   zero.bitset_budget_bytes = 0;  // rows disabled
   EXPECT_EQ(mc::lazy_mc(inst.graph, zero).omega, expected);
-
-  mc::LazyMCConfig pre;
-  pre.pre_extraction_density = true;
-  EXPECT_EQ(mc::lazy_mc(inst.graph, pre).omega, expected);
 }
 
 TEST(RepSweep, BitsetRepReportsWordKernelDispatch) {
