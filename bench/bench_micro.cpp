@@ -154,7 +154,7 @@ BENCHMARK(BM_SizeGtBoolNoSecondExit);
 void BM_LazyGraphConstructOne(benchmark::State& state) {
   Graph g = gen::rmat(12, 8, 0.57, 0.19, 0.19, 11);
   auto core = kcore::coreness(g);
-  auto order = kcore::order_by_coreness_degree(g, core.coreness);
+  auto order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
   std::atomic<VertexId> incumbent{0};
   for (auto _ : state) {
     state.PauseTiming();
@@ -269,7 +269,7 @@ BENCHMARK(BM_SchedulerOrderedDrain)->Arg(1)->Arg(2)->Arg(8)
 void BM_EagerRelabelWholeGraph(benchmark::State& state) {
   Graph g = gen::rmat(12, 8, 0.57, 0.19, 0.19, 11);
   auto core = kcore::coreness(g);
-  auto order = kcore::order_by_coreness_degree(g, core.coreness);
+  auto order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
   for (auto _ : state) {
     benchmark::DoNotOptimize(kcore::relabel(g, order));
   }

@@ -87,7 +87,7 @@ if(LAZYMC_CONVERT_BIN)
              --json)
   expect("${rows_out}" "\"load_path\":\"mmap\"" "store load path")
   expect("${rows_out}" "\"rows_prebuilt\":[1-9]" "prebuilt rows adopted")
-  expect("${rows_out}" "\"bitset_built\":0" "no rows built into the arena")
+  expect("${rows_out}" "\"bitset_built\":0" "no rows built")
   run_lazymc(gen_rows_out --graph gen:webcc:tiny --solver lazymc
              --rep bitset --json)
   string(REGEX MATCH "\"omega\":[0-9]+" lmg_omega "${rows_out}")

@@ -78,7 +78,8 @@ BaselineResult domega_solve(const Graph& g, DomegaMode mode,
   SolveControl control(options.time_limit_seconds);
 
   kcore::CoreDecomposition core = kcore::coreness(g);
-  kcore::VertexOrder order = kcore::order_by_coreness_degree(g, core.coreness);
+  kcore::VertexOrder order =
+      kcore::order_by_coreness_degree_parallel(g, core.coreness);
   Graph relabelled = kcore::relabel(g, order);
   std::vector<VertexId> coreness_new(n);
   for (VertexId v = 0; v < n; ++v) {

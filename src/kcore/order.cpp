@@ -75,28 +75,6 @@ VertexOrder finish_order(std::vector<VertexId> items) {
 
 }  // namespace
 
-VertexOrder order_by_coreness_degree(const Graph& g,
-                                     const std::vector<VertexId>& coreness) {
-  const VertexId n = g.num_vertices();
-  if (coreness.size() != n) {
-    throw std::invalid_argument("order_by_coreness_degree: size mismatch");
-  }
-  std::vector<VertexId> items(n);
-  for (VertexId v = 0; v < n; ++v) items[v] = v;
-
-  std::vector<VertexId> degree(n);
-  VertexId max_deg = 0, max_core = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    degree[v] = g.degree(v);
-    max_deg = std::max(max_deg, degree[v]);
-    max_core = std::max(max_core, coreness[v]);
-  }
-  // Secondary key first (stable sorts compose right-to-left).
-  items = counting_sort(items, max_deg + 1, degree);
-  items = counting_sort(items, max_core + 1, coreness);
-  return finish_order(std::move(items));
-}
-
 VertexOrder order_by_coreness_degree_parallel(
     const Graph& g, const std::vector<VertexId>& coreness) {
   const VertexId n = g.num_vertices();
@@ -115,6 +93,7 @@ VertexOrder order_by_coreness_degree_parallel(
     max_deg = std::max(max_deg, degree[v]);
     max_core = std::max(max_core, coreness[v]);
   }
+  // Secondary key first (stable sorts compose right-to-left).
   items = counting_sort_parallel(items, max_deg + 1, degree);
   items = counting_sort_parallel(items, max_core + 1, coreness);
   return finish_order(std::move(items));

@@ -27,14 +27,10 @@ struct VertexOrder {
 };
 
 /// Sorts vertices by (coreness asc, degree asc); both keys via stable
-/// counting sorts, so the result is deterministic.
-VertexOrder order_by_coreness_degree(const Graph& g,
-                                     const std::vector<VertexId>& coreness);
-
-/// Parallel variant: per-thread histograms + prefix sums (the SAPCo-sort
-/// pattern the paper uses for the degree sort, followed by a stable
-/// counting sort on coreness).  Produces the identical order to the
-/// sequential version — determinism is part of the contract.
+/// counting sorts, so the result is deterministic.  Each sort runs in
+/// parallel (per-thread histograms + prefix sums, the SAPCo-sort pattern
+/// the paper uses for the degree sort) when there are several threads
+/// and n >= 4096, sequentially otherwise; both give the identical order.
 VertexOrder order_by_coreness_degree_parallel(
     const Graph& g, const std::vector<VertexId>& coreness);
 

@@ -39,6 +39,9 @@ LazyGraph::LazyGraph(const Graph& g, const kcore::VertexOrder& order,
   for (VertexId v = 0; v < n_; ++v) {
     coreness_new_[v] = coreness_orig[order.new_to_orig[v]];
   }
+  LAZYMC_ASSERT_EXPENSIVE(
+      std::is_sorted(coreness_new_.begin(), coreness_new_.end()),
+      "relabelled ids do not ascend by coreness");
   for (auto& f : flags_) f.store(0, std::memory_order_relaxed);
 }
 
@@ -85,75 +88,28 @@ void LazyGraph::build_sorted(VertexId v) {
   flags_[v].fetch_or(kSortedBuilt, std::memory_order_release);
 }
 
-std::uint64_t* LazyGraph::carve_row() {
-  const std::size_t stride = row_stride_words_;
-  SpinLockGuard guard(arena_lock_);
-  if (slab_words_left_ < stride) {
-    LAZYMC_FAULT_BAD_ALLOC("slab.alloc");
-    // The caller already reserved this row from the budget, so
-    // `remaining` counts the *other* rows that can still be admitted;
-    // sizing the slab to them (plus this row) keeps total arena
-    // allocation within the budget instead of overshooting by up to a
-    // slab.  Slabs hold whole rows, so a slab is always used up exactly.
-    const std::int64_t remaining =
-        bitset_budget_words_.load(std::memory_order_relaxed);
-    std::size_t words = stride;
-    if (remaining > 0) {
-      words += std::min(slab_words_ - stride,
-                        static_cast<std::size_t>(remaining) / stride * stride);
-    }
-    // AlignedWords puts the slab base on a 64-byte boundary; carving at
-    // multiples of 8 words keeps every row on one too.
-    row_slabs_.emplace_back(words);
-    arena_total_words_.fetch_add(words, std::memory_order_relaxed);
-    slab_cursor_ = row_slabs_.back().data();
-    slab_words_left_ = words;
-  }
-  std::uint64_t* row = slab_cursor_;
-  slab_cursor_ += stride;
-  slab_words_left_ -= stride;
-  arena_carved_words_.fetch_add(stride, std::memory_order_relaxed);
-  LAZYMC_ASSERT(arena_total_words_.load(std::memory_order_relaxed) ==
-                    arena_carved_words_.load(std::memory_order_relaxed) +
-                        slab_words_left_,
-                "slab arena accounting drifted: allocated != carved + "
-                "remainder");
-  return row;
-}
-
 void LazyGraph::build_bitset(VertexId v) {
   SpinLockGuard guard(locks_[v]);
   if (flags_[v].load(std::memory_order_relaxed) & kBitsetBuilt) return;
-  if (bitset_exhausted_.load(std::memory_order_relaxed)) return;
-  // Reserve this row's words (at the aligned stride) from the global
-  // budget before committing.
-  const std::int64_t words = static_cast<std::int64_t>(row_stride_words_);
-  if (bitset_budget_words_.fetch_sub(words, std::memory_order_relaxed) <
-      words) {
-    bitset_budget_words_.fetch_add(words, std::memory_order_relaxed);
-    bitset_exhausted_.store(true, std::memory_order_relaxed);
-    return;
-  }
+  // Every slot claimed: the budget is spent, so skip the neighbor scan.
+  if (next_slot_.load(std::memory_order_relaxed) >= row_capacity_) return;
   std::vector<VertexId> nbrs;
-  std::uint64_t* row = nullptr;
   try {
     LAZYMC_FAULT_BAD_ALLOC("bitset.row");
     nbrs = filtered_neighbors(v);
-    row = carve_row();
   } catch (const std::bad_alloc&) {
-    // Allocation failure degrades this one vertex, not the solve: refund
-    // the reserved words (another row may still fit), count it, and leave
-    // kBitsetBuilt clear so membership() falls back to hash/sorted.  The
-    // exhausted flag stays down — later rows get their own chance.
-    bitset_budget_words_.fetch_add(words, std::memory_order_relaxed);
+    // Allocation failure degrades this one vertex, not the solve: count
+    // it and leave kBitsetBuilt clear so membership() falls back to
+    // hash/sorted.  No slot was claimed, so later rows keep their chance.
     stat_bitset_degraded_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  // Rows are carved at a 64-byte stride from 64-byte-aligned slabs, so
-  // each starts on a cache line.
-  LAZYMC_ASSERT(reinterpret_cast<std::uintptr_t>(row) % 64 == 0,
-                "bitset row is not 64-byte aligned");
-  std::fill(row, row + row_words_, 0);
+  const std::size_t slot = next_slot_.fetch_add(1, std::memory_order_relaxed);
+  if (slot >= row_capacity_) return;  // another build took the last slot
+  // Zero the whole stride: the block is uninitialized, and this leaves
+  // no readable word of it undefined.
+  std::uint64_t* row = row_block_.get() + slot * row_stride_words_;
+  std::fill(row, row + row_stride_words_, 0);
   std::uint32_t count = 0;
   for (VertexId u : nbrs) {
     if (u < zone_begin_) continue;
@@ -172,8 +128,6 @@ void LazyGraph::build_bitset(VertexId v) {
       "bitset row popcount does not match the bits written");
   row_ptr_[v - zone_begin_] = row;
   row_count_[v - zone_begin_] = count;
-  stat_bitset_built_.fetch_add(1, std::memory_order_relaxed);
-  stat_bitset_words_.fetch_add(row_stride_words_, std::memory_order_relaxed);
   // The release publishes the row pointer and its contents to readers
   // that load the flag with acquire (row_view).
   flags_[v].fetch_or(kBitsetBuilt, std::memory_order_release);
@@ -181,13 +135,9 @@ void LazyGraph::build_bitset(VertexId v) {
 
 void LazyGraph::enable_bitset_rows(std::size_t budget_bytes) {
   if (bitset_enabled_) return;
-  const VertexId bound = filter_bound();
-  // Relabelled ids are sorted by ascending coreness (both supported
-  // orders), so the zone of interest is the suffix starting at the first
-  // vertex with coreness >= the incumbent.
-  const VertexId zb = static_cast<VertexId>(
-      std::lower_bound(coreness_new_.begin(), coreness_new_.end(), bound) -
-      coreness_new_.begin());
+  // The zone of interest is the suffix of vertices with coreness >= the
+  // incumbent.
+  const VertexId zb = first_with_coreness(filter_bound());
   if (zb >= n_) return;  // empty zone: nothing left to search anyway
   const VertexId zone_bits = n_ - zb;
   // The per-vertex bookkeeping (row pointer + popcount array) is O(zone)
@@ -197,38 +147,27 @@ void LazyGraph::enable_bitset_rows(std::size_t budget_bytes) {
       static_cast<std::size_t>(zone_bits) *
       (sizeof(std::uint64_t*) + sizeof(std::uint32_t));
   if (budget_bytes <= overhead) return;  // zone too large for budget
+  const std::size_t words = (static_cast<std::size_t>(zone_bits) + 63) / 64;
+  // The budget charges the 64-byte stride, not the raw row width.
+  const std::size_t stride = (words + 7) & ~std::size_t{7};
+  const std::size_t capacity = std::min<std::size_t>(
+      zone_bits, (budget_bytes - overhead) / (stride * 8));
+  try {
+    LAZYMC_FAULT_BAD_ALLOC("slab.alloc");
+    row_block_ = allocate_aligned_block(capacity * stride);
+  } catch (const std::bad_alloc&) {
+    // Without the block there are no rows for this solve; hash/sorted
+    // sets serve the zone instead.
+    stat_bitset_degraded_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
   zone_begin_ = zb;
   zone_bits_ = zone_bits;
-  row_words_ = (static_cast<std::size_t>(zone_bits_) + 63) / 64;
-  // Rows are carved at a 64-byte stride (whole cache lines) so each one
-  // starts aligned; the budget charges the stride, not the raw width.
-  row_stride_words_ = (row_words_ + 7) & ~std::size_t{7};
+  row_words_ = words;
+  row_stride_words_ = stride;
+  row_capacity_ = capacity;
   row_ptr_.assign(zone_bits_, nullptr);
   row_count_.assign(zone_bits_, 0);
-  const std::size_t budget_words = (budget_bytes - overhead) / 8;
-  // Arena slabs target ~1 MiB, rounded to whole rows, never exceeding
-  // what the zone or the budget can use — the allocator is touched once
-  // per slab instead of once per row.
-  std::size_t rows_per_slab =
-      std::max<std::size_t>(1, (std::size_t{1} << 17) / row_stride_words_);
-  rows_per_slab = std::min<std::size_t>(rows_per_slab, zone_bits_);
-  rows_per_slab = std::min<std::size_t>(
-      rows_per_slab,
-      std::max<std::size_t>(1, budget_words / row_stride_words_));
-  {
-    // Zone enabling runs before concurrent use begins, but the arena
-    // fields belong to arena_lock_, so initialize them under it — keeps
-    // the lock discipline total (and -Wthread-safety clean).
-    SpinLockGuard guard(arena_lock_);
-    slab_words_ = rows_per_slab * row_stride_words_;
-    slab_cursor_ = nullptr;
-    slab_words_left_ = 0;
-  }
-  arena_total_words_.store(0, std::memory_order_relaxed);
-  arena_carved_words_.store(0, std::memory_order_relaxed);
-  bitset_budget_words_.store(static_cast<std::int64_t>(budget_words),
-                             std::memory_order_relaxed);
-  bitset_exhausted_.store(false, std::memory_order_relaxed);
   bitset_enabled_ = true;
 }
 
@@ -270,10 +209,6 @@ bool LazyGraph::adopt_prebuilt_rows(const PrebuiltRows& rows, bool hybrid) {
     row_ptr_[i] = const_cast<std::uint64_t*>(
         rows.words + static_cast<std::size_t>(i) * rows.stride_words);
   }
-  // No budget: nothing will ever be carved (every zone row already
-  // exists), and out-of-zone vertices never get rows by construction.
-  bitset_budget_words_.store(0, std::memory_order_relaxed);
-  bitset_exhausted_.store(false, std::memory_order_relaxed);
   rows_prebuilt_ = zone_bits_;
   for (VertexId v = zone_begin_; v < n_; ++v) {
     // The release publishes the pointers and metadata written above to
@@ -380,15 +315,8 @@ NeighborhoodView LazyGraph::membership(VertexId v) {
 
 void LazyGraph::prepopulate(Prepopulate policy, VertexId must_threshold) {
   if (policy == Prepopulate::kNone) return;
-  // The must subgraph is a suffix of the relabelled ids, which ascend by
-  // coreness (see enable_bitset_rows).
-  const std::size_t first =
-      policy == Prepopulate::kAll
-          ? 0
-          : static_cast<std::size_t>(
-                std::lower_bound(coreness_new_.begin(), coreness_new_.end(),
-                                 must_threshold) -
-                coreness_new_.begin());
+  const VertexId first =
+      policy == Prepopulate::kAll ? 0 : first_with_coreness(must_threshold);
   parallel_for(first, n_, [&](std::size_t i) {
     const VertexId v = static_cast<VertexId>(i);
     // Build the preferred representation; hash is the historical default
@@ -417,10 +345,11 @@ LazyGraph::Stats LazyGraph::stats() const {
   Stats s;
   s.hash_built = stat_hash_built_.load(std::memory_order_relaxed);
   s.sorted_built = stat_sorted_built_.load(std::memory_order_relaxed);
-  s.bitset_built = stat_bitset_built_.load(std::memory_order_relaxed);
+  s.bitset_built =
+      std::min(next_slot_.load(std::memory_order_relaxed), row_capacity_);
   s.bitset_degraded = stat_bitset_degraded_.load(std::memory_order_relaxed);
   s.rows_prebuilt = rows_prebuilt_;
-  s.bitset_bytes = stat_bitset_words_.load(std::memory_order_relaxed) * 8;
+  s.bitset_bytes = s.bitset_built * row_stride_words_ * 8;
   s.zone_size = bitset_enabled_ ? static_cast<std::size_t>(zone_bits_) : 0;
   s.neighbors_kept = stat_kept_.load(std::memory_order_relaxed);
   s.neighbors_filtered = stat_filtered_.load(std::memory_order_relaxed);

@@ -33,7 +33,8 @@
 //
 // Thread-safety: any number of threads may call the accessors
 // concurrently; construction is serialized per-vertex with double-checked
-// locking (flag read with acquire, publish with release).
+// locking (flag read with acquire, publish with release), and a row build
+// takes its storage with one fetch_add on a shared slot counter.
 // enable_bitset_rows / set_preferred_rep must be called before concurrent
 // use begins.
 #pragma once
@@ -49,9 +50,9 @@
 #include "intersect/bitset_row.hpp"
 #include "kcore/order.hpp"
 #include "lazygraph/neighborhood_rep.hpp"
+#include "support/aligned.hpp"
 #include "support/check.hpp"
 #include "support/spinlock.hpp"
-#include "support/thread_annotations.hpp"
 
 namespace lazymc {
 
@@ -108,6 +109,15 @@ class LazyGraph {
   /// Coreness of relabelled vertex v.
   VertexId coreness(VertexId v) const { return coreness_new_[v]; }
 
+  /// First relabelled id whose coreness is >= k (n when there is none).
+  /// Relabelled ids ascend by coreness under both supported orders, so
+  /// every coreness level, and every suffix of levels, is an id range.
+  VertexId first_with_coreness(VertexId k) const {
+    return static_cast<VertexId>(
+        std::lower_bound(coreness_new_.begin(), coreness_new_.end(), k) -
+        coreness_new_.begin());
+  }
+
   /// The incumbent size a neighborhood built now is filtered against (0
   /// without an incumbent).  Only ever grows, so it bounds the filter of
   /// every neighborhood built before the call.
@@ -161,10 +171,13 @@ class LazyGraph {
 
   /// Fixes the zone of interest to the relabelled ids whose coreness is >=
   /// the incumbent *now* and allows bitset rows to be built for them, up
-  /// to `budget_bytes` of total memory (the O(zone) bookkeeping allocated
-  /// here is charged against the budget, the rest caps row storage).
-  /// Call once, before the graph is used concurrently; a no-op when the
-  /// zone is empty or the bookkeeping alone would bust the budget.
+  /// to `budget_bytes` of total memory: the O(zone) bookkeeping allocated
+  /// here is charged against the budget, and the rest sizes one reserved
+  /// block of min(zone, rest / row bytes) rows.  Call once, before the
+  /// graph is used concurrently; a no-op when the zone is empty or the
+  /// bookkeeping alone would bust the budget.  A failed reservation
+  /// leaves rows off (hash/sorted sets serve the zone) and counts one
+  /// Stats::bitset_degraded.
   void enable_bitset_rows(std::size_t budget_bytes);
 
   bool bitset_enabled() const { return bitset_enabled_; }
@@ -181,10 +194,10 @@ class LazyGraph {
   // ---- prebuilt rows (binary graph store) --------------------------------
 
   /// Adopts a block of prebuilt zone rows (the binary graph store's
-  /// mmap'ed row section) instead of building rows into the slab arena:
-  /// every in-zone vertex is immediately marked built, pointing straight
-  /// at the caller's storage — zero copies, zero arena carves, and
-  /// stats().bitset_built stays 0 for adopted rows.
+  /// mmap'ed row section) instead of reserving and building rows: every
+  /// in-zone vertex is immediately marked built, pointing straight at the
+  /// caller's storage — zero copies, and stats().bitset_built stays 0
+  /// for adopted rows.
   ///
   /// Returns false — leaving the graph untouched, lazy building still
   /// available — when rows are already enabled, `rows` is malformed for
@@ -219,12 +232,13 @@ class LazyGraph {
     std::size_t hash_built = 0;
     std::size_t sorted_built = 0;
     std::size_t bitset_built = 0;
-    std::size_t bitset_degraded = 0;  // row builds that failed allocation
-                                      // and fell back to hash/sorted
+    std::size_t bitset_degraded = 0;  // failed row allocations (a row
+                                      // build, or the whole block) that
+                                      // fell back to hash/sorted
     std::size_t rows_prebuilt = 0;    // zone rows adopted from a binary
-                                      // store (never built, never carved)
-    std::size_t bitset_bytes = 0;  // row storage actually committed (the
-                                   // arena's carved total)
+                                      // store (never built)
+    std::size_t bitset_bytes = 0;  // row storage written: built rows x
+                                   // the 64-byte-aligned row stride
     std::size_t zone_size = 0;     // bits per row (0 = rows disabled)
     std::size_t neighbors_kept = 0;
     std::size_t neighbors_filtered = 0;
@@ -246,17 +260,16 @@ class LazyGraph {
 
   void build_hash(VertexId v);
   void build_sorted(VertexId v);
-  /// Attempts to build v's bitset row (budget permitting); the kBitsetBuilt
-  /// flag reports success.
+  /// Attempts to build v's bitset row (a free slot permitting); the
+  /// kBitsetBuilt flag reports success.
   void build_bitset(VertexId v);
 
   /// Whether the auto rule prefers a bitset row for v: enabled, in zone,
-  /// budget not exhausted, and the worst-case row build cost (zone_words
-  /// memset) is within a small factor of the hash-set build cost (degree
-  /// inserts).
+  /// and the worst-case row build cost (zone_words memset) is within a
+  /// small factor of the hash-set build cost (degree inserts).  A spent
+  /// budget is bitset_row's to report: it then returns an invalid row.
   bool auto_wants_bitset(VertexId v, VertexId degree) const {
     return bitset_enabled_ && v >= zone_begin_ &&
-           !bitset_exhausted_.load(std::memory_order_relaxed) &&
            row_words_ <= std::max<std::size_t>(64, 4 * std::size_t{degree});
   }
 
@@ -267,13 +280,6 @@ class LazyGraph {
     const VertexId i = v - zone_begin_;
     return BitsetRow{row_ptr_[i], zone_begin_, zone_bits_, row_count_[i]};
   }
-
-  /// Reserves one row (row_stride_words_, a multiple of 8, so every row
-  /// starts on a cache line) from the shared arena: pointer bump under a
-  /// spinlock, a new slab when the current one is used up.  Caller fills
-  /// outside the lock.  Only called after the global word budget admitted
-  /// the row.
-  std::uint64_t* carve_row();
 
   const Graph* base_;
   const kcore::VertexOrder* order_;
@@ -292,43 +298,28 @@ class LazyGraph {
   VertexId zone_begin_ = 0;
   VertexId zone_bits_ = 0;
   std::size_t row_words_ = 0;
-  std::atomic<std::int64_t> bitset_budget_words_{0};
-  std::atomic<bool> bitset_exhausted_{false};
-  // Row storage: one shared arena of slab allocations carved per row,
-  // instead of one heap vector per row — a built row costs 8 bytes of
-  // bookkeeping (its pointer) plus its share of a slab, and concurrent
-  // row builds touch the allocator ~once per slab rather than per row.
-  // Slabs are 64-byte aligned and rows are carved at a 64-byte stride
-  // (row_stride_words_, row_words_ rounded up to 8), so every row starts
-  // on a cache-line boundary, as in the store's row section.  Rows
-  // live as long as the graph; nothing is freed individually.
+  // Row storage: one block of row_capacity_ rows reserved by
+  // enable_bitset_rows, left uninitialized so only the pages of rows
+  // actually built are ever touched.  Rows sit at a 64-byte stride
+  // (row_stride_words_, row_words_ rounded up to 8) from a 64-byte-aligned
+  // base, so every row starts on a cache line, as in the store's row
+  // section.  A build claims slot next_slot_++; a slot at or past the
+  // capacity means the budget is spent.  Rows live as long as the graph.
   std::size_t row_stride_words_ = 0;
-  SpinLock arena_lock_;
-  std::vector<AlignedWords> row_slabs_ LAZYMC_GUARDED_BY(arena_lock_);
-  std::uint64_t* slab_cursor_ LAZYMC_GUARDED_BY(arena_lock_) = nullptr;
-  std::size_t slab_words_left_ LAZYMC_GUARDED_BY(arena_lock_) = 0;
-  // Slab size, a multiple of the row stride.
-  std::size_t slab_words_ LAZYMC_GUARDED_BY(arena_lock_) = 0;
-  // Arena accounting (mutated under arena_lock_; atomic so the
-  // checked-mode drift assert can read without the lock):
-  //   total  = sum of allocated slab sizes,
-  //   carved = words handed out to rows,
-  // with total == carved + slab_words_left_ at all times.
-  std::atomic<std::size_t> arena_total_words_{0};
-  std::atomic<std::size_t> arena_carved_words_{0};
+  std::size_t row_capacity_ = 0;
+  AlignedBlock row_block_;
+  std::atomic<std::size_t> next_slot_{0};
   std::vector<std::uint64_t*> row_ptr_;  // null until the row is built
   std::vector<std::uint32_t> row_count_;
   // Rows adopted from a binary store (adopt_prebuilt_rows): the zone size
   // at adoption, 0 when rows are lazily built.  The row pointers then
-  // alias read-only caller storage, never the arena.
+  // alias read-only caller storage, never row_block_.
   std::size_t rows_prebuilt_ = 0;
 
   // stats counters (relaxed)
   mutable std::atomic<std::size_t> stat_hash_built_{0};
   mutable std::atomic<std::size_t> stat_sorted_built_{0};
-  mutable std::atomic<std::size_t> stat_bitset_built_{0};
   mutable std::atomic<std::size_t> stat_bitset_degraded_{0};
-  mutable std::atomic<std::size_t> stat_bitset_words_{0};
   mutable std::atomic<std::size_t> stat_kept_{0};
   mutable std::atomic<std::size_t> stat_filtered_{0};
 };

@@ -439,21 +439,14 @@ void coreness_based_heuristic(LazyGraph& h, Incumbent& incumbent,
   const VertexId n = h.num_vertices();
   if (n == 0) return;
 
-  // Vertices are sorted by ascending coreness, so the first vertex of each
-  // coreness level is found by scanning level boundaries once.
-  std::vector<VertexId> level_first;  // seed vertex per distinct level
-  {
-    VertexId prev = kInvalidVertex;
-    for (VertexId v = 0; v < n; ++v) {
-      VertexId c = h.coreness(v);
-      if (c != prev) {
-        level_first.push_back(v);
-        prev = c;
-      }
-    }
+  // Vertices are sorted by ascending coreness, so each coreness level is
+  // an id range; its first vertex seeds it.  Walking down from the top
+  // lists high coreness levels first (they host the large cliques).
+  std::vector<VertexId> level_first;
+  for (VertexId end = n; end > 0;) {
+    end = h.first_with_coreness(h.coreness(end - 1));
+    level_first.push_back(end);
   }
-  // Process high coreness levels first (they host the large cliques).
-  std::reverse(level_first.begin(), level_first.end());
 
   // Levels are claimed one at a time in that order.  Each participant
   // intersects through its own copy of the policy, counting into its own

@@ -43,9 +43,8 @@ enum class VertexOrderKind {
 /// instead of recomputing the k-core decomposition, and — when the
 /// stored zone is compatible with the live incumbent — adopts the
 /// stored packed rows zero-copy (LazyGraph::adopt_prebuilt_rows) so no
-/// row is ever rebuilt into the slab arena.  Everything here is
-/// borrowed: the pointers (and the mapping behind `rows`) must outlive
-/// the solve.
+/// row is ever rebuilt.  Everything here is borrowed: the pointers (and
+/// the mapping behind `rows`) must outlive the solve.
 struct PrebuiltGraph {
   const kcore::VertexOrder* order = nullptr;
   /// Exact coreness by original vertex id (lower bound 0, so it is valid

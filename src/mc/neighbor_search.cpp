@@ -312,26 +312,13 @@ void systematic_search(LazyGraph& h, Incumbent& incumbent,
   const VertexId n = h.num_vertices();
   if (n == 0) return;
 
-  // Level boundaries: vertices are sorted by ascending coreness, so each
-  // coreness level is a contiguous range of relabelled ids.
-  VertexId degeneracy = 0;
-  for (VertexId v = 0; v < n; ++v) degeneracy = std::max(degeneracy, h.coreness(v));
-  std::vector<VertexId> level_start(static_cast<std::size_t>(degeneracy) + 2,
-                                    kInvalidVertex);
-  for (VertexId v = n; v-- > 0;) level_start[h.coreness(v)] = v;
-  // Fill gaps: empty levels point at the next non-empty one.
-  VertexId next_start = n;
-  std::vector<VertexId> level_begin(degeneracy + 2, n);
-  for (std::size_t k = degeneracy + 2; k-- > 0;) {
-    if (k <= degeneracy && level_start[k] != kInvalidVertex) {
-      next_start = level_start[k];
-    }
-    level_begin[k] = next_start;
-  }
+  // Vertices are sorted by ascending coreness, so each coreness level is
+  // a contiguous range of relabelled ids and the last vertex has the
+  // degeneracy.
+  const VertexId degeneracy = h.coreness(n - 1);
   auto level_range = [&](VertexId k) {
-    VertexId begin = level_begin[k];
-    VertexId end = k + 1 <= degeneracy + 1 ? level_begin[k + 1] : n;
-    return std::pair<VertexId, VertexId>(begin, end);
+    return std::pair<VertexId, VertexId>(h.first_with_coreness(k),
+                                         h.first_with_coreness(k + 1));
   };
 
   // ---- build the global worklist, highest priority first ---------------

@@ -16,7 +16,7 @@
 //     the k-core and ordering phases entirely;
 //   * a PrebuiltRows view over the mmap'ed row section for
 //     LazyGraph::adopt_prebuilt_rows — bitset rows come straight off
-//     the page cache instead of being rebuilt into the slab arena.
+//     the page cache instead of being rebuilt by the lazy graph.
 //
 // Because the mapping is read-only and file-backed, every process that
 // opens the same `.lmg` shares clean pages: a second daemon (or a

@@ -1,6 +1,6 @@
 // Cache-line-aligned word storage.
 //
-// Bitset words, the lazy graph's row slabs and the scratch word buffers
+// Bitset words, the lazy graph's row block and the scratch word buffers
 // all start on a cache-line boundary, so a row never straddles one line
 // more than its length needs.  No kernel relies on the alignment for
 // correctness; the store loader still checks it on adopted rows
@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -50,9 +51,25 @@ struct AlignedAllocator {
   }
 };
 
-/// 64-bit words on cache-line boundaries: the storage type for bitset
-/// rows, slab arenas, and scratch word buffers.
+/// 64-bit words on cache-line boundaries: the storage type for bitsets
+/// and scratch word buffers.
 using AlignedWords =
     std::vector<std::uint64_t, AlignedAllocator<std::uint64_t, kRowAlignment>>;
+
+struct AlignedDelete {
+  void operator()(std::uint64_t* p) const noexcept {
+    ::operator delete(p, std::align_val_t(kRowAlignment));
+  }
+};
+
+/// Uninitialized 64-bit words on a cache-line boundary: the lazy graph's
+/// row block, whose rows are written whole before they are read, so rows
+/// never built are never zeroed or touched.
+using AlignedBlock = std::unique_ptr<std::uint64_t[], AlignedDelete>;
+
+inline AlignedBlock allocate_aligned_block(std::size_t words) {
+  return AlignedBlock(static_cast<std::uint64_t*>(::operator new(
+      words * sizeof(std::uint64_t), std::align_val_t(kRowAlignment))));
+}
 
 }  // namespace lazymc

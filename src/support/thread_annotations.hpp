@@ -1,12 +1,11 @@
 // Clang Thread Safety Analysis annotations (no-ops on other compilers).
 //
 // The runtime's locking protocols — the ThreadPool job epoch and error
-// slot, the lazy graph's slab arena, the incumbent swap —
-// are documented *to the compiler* with these macros, so a Clang build
-// with -Wthread-safety (CI's static-analysis job compiles with
-// -Werror=thread-safety) proves at compile time that every access to a
-// guarded member happens with the right lock held, and that every
-// acquire has a matching release.  See
+// slot, the incumbent swap — are documented *to the compiler* with these
+// macros, so a Clang build with -Wthread-safety (CI's static-analysis job
+// compiles with -Werror=thread-safety) proves at compile time that every
+// access to a guarded member happens with the right lock held, and that
+// every acquire has a matching release.  See
 // https://clang.llvm.org/docs/ThreadSafetyAnalysis.html for the model.
 //
 // Conventions:

@@ -48,8 +48,8 @@ void* operator new(std::size_t size) {
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
 // The aligned overloads matter now: DynamicBitset words, SparseWordSet
-// bits, and the lazy-graph row slabs allocate through
-// AlignedAllocator (64-byte alignment), which lands here rather
+// bits, and the lazy graph's row block allocate with 64-byte
+// alignment, which lands here rather
 // than in the plain overload — without these the steady-state invariant
 // would silently stop covering the hottest structures.
 void* operator new(std::size_t size, std::align_val_t align) {
@@ -95,7 +95,7 @@ TEST(AllocHook, SteadyStateNeighborSearchProbesAreAllocationFree) {
   set_num_threads(1);  // probes run on this thread, against this counter
 
   auto core = kcore::coreness(g);
-  auto order = kcore::order_by_coreness_degree(g, core.coreness);
+  auto order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
   Incumbent incumbent;
   incumbent.offer(baselines::max_clique_reference(g));
   ASSERT_GE(incumbent.size(), 14u);
@@ -144,7 +144,7 @@ TEST(AllocHook, SolverReachingProbesAreAllocationFreeOnMcPath) {
   set_num_threads(1);
 
   auto core = kcore::coreness(g);
-  auto order = kcore::order_by_coreness_degree(g, core.coreness);
+  auto order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
   Incumbent incumbent;
   incumbent.offer(baselines::max_clique_reference(g));
 
@@ -184,7 +184,7 @@ TEST(AllocHook, SolverReachingProbesAreAllocationFreeOnVcPath) {
   set_num_threads(1);
 
   auto core = kcore::coreness(g);
-  auto order = kcore::order_by_coreness_degree(g, core.coreness);
+  auto order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
   Incumbent incumbent;
   incumbent.offer(baselines::max_clique_reference(g));
 

@@ -154,8 +154,8 @@ TEST(DynamicBitset, EqualityComparesContent) {
 }
 
 TEST(DynamicBitset, WordStorageIsCacheLineAligned) {
-  // Every row starts on a 64-byte boundary, matching the lazy-graph
-  // slab arena.
+  // Every row starts on a 64-byte boundary, matching the lazy graph's
+  // row block.
   for (std::size_t bits : {1u, 64u, 100u, 1000u}) {
     DynamicBitset b(bits);
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.data()) % 64, 0u) << bits;

@@ -13,6 +13,8 @@
 #include "graph/builder.hpp"
 #include "graph/graph.hpp"
 #include "intersect/bitset_row.hpp"
+#include "kcore/order.hpp"
+#include "lazygraph/lazy_graph.hpp"
 #include "mc/incumbent.hpp"
 #include "support/bitset.hpp"
 #include "support/check.hpp"
@@ -95,6 +97,25 @@ TEST(CheckedBitsetDeathTest, OutOfBoundsBitAborts) {
   EXPECT_TRUE(bits.test(63));
   EXPECT_DEATH(bits.set(64), "out of bounds");
   EXPECT_DEATH((void)bits.test(64), "out of bounds");
+}
+
+TEST(CheckedLazyGraphDeathTest, OrderNotAscendingByCorenessAborts) {
+  LAZYMC_SKIP_UNLESS_CHECKED();
+  // A triangle {0,1,2} with a pendant 3: coreness 2,2,2,1.  The identity
+  // order then puts a coreness-1 vertex after coreness-2 ones, which would
+  // make every zone and level lookup wrong.
+  GraphBuilder b(4);
+  b.add_edge(0, 1);
+  b.add_edge(1, 2);
+  b.add_edge(0, 2);
+  b.add_edge(2, 3);
+  const Graph g = b.build();
+  const std::vector<VertexId> coreness = {2, 2, 2, 1};
+  kcore::VertexOrder identity;
+  identity.new_to_orig = {0, 1, 2, 3};
+  identity.orig_to_new = {0, 1, 2, 3};
+  EXPECT_DEATH(LazyGraph(g, identity, coreness, nullptr),
+               "ascend by coreness");
 }
 
 }  // namespace

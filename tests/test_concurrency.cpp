@@ -39,7 +39,7 @@ TEST(ConcurrencyStress, RepeatedParallelSolvesAreDeterministicInOmega) {
 TEST(ConcurrencyStress, LazyGraphMixedReadersAndBuilders) {
   Graph g = gen::gnp(300, 0.05, 203);
   auto core = kcore::coreness(g);
-  auto order = kcore::order_by_coreness_degree(g, core.coreness);
+  auto order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
   std::atomic<VertexId> incumbent{0};
   LazyGraph lazy(g, order, core.coreness, &incumbent);
   // Rows are built concurrently below, so right_neighbors reads a head's
@@ -94,6 +94,69 @@ TEST(ConcurrencyStress, LazyGraphMixedReadersAndBuilders) {
   EXPECT_EQ(errors.load(), 0);
 }
 
+TEST(ConcurrencyStress, RowBuildsStopExactlyAtTheBudget) {
+  constexpr VertexId kN = 300;
+  constexpr std::size_t kRows = 100;  // the budget, in rows (< the zone)
+  Graph g = gen::gnp(kN, 0.05, 204);
+  auto core = kcore::coreness(g);
+  auto order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
+  std::atomic<VertexId> incumbent{0};
+  LazyGraph lazy(g, order, core.coreness, &incumbent);
+  lazy.set_preferred_rep(NeighborhoodRep::kBitset);
+  // With no incumbent the zone is every vertex.  The budget pays for the
+  // per-vertex bookkeeping (a row pointer and a popcount each) plus
+  // exactly kRows rows at the 64-byte-aligned stride.
+  const std::size_t stride_bytes = ((kN + 63) / 64 + 7) / 8 * 64;
+  lazy.enable_bitset_rows(kN * (sizeof(std::uint64_t*) + 4) +
+                          kRows * stride_bytes);
+  ASSERT_TRUE(lazy.bitset_enabled());
+  ASSERT_EQ(lazy.zone_begin(), 0u);
+  ASSERT_EQ(lazy.zone_size(), kN);
+
+  // Eight threads race to build every row, each from its own start.
+  std::vector<std::thread> threads;
+  for (VertexId t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      for (VertexId i = 0; i < kN; ++i) {
+        (void)lazy.bitset_row((i + t * 37) % kN);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  const auto stats = lazy.stats();
+  EXPECT_EQ(stats.bitset_built, kRows);
+  EXPECT_EQ(stats.bitset_bytes, kRows * stride_bytes);
+  std::size_t built = 0;
+  for (VertexId v = 0; v < kN; ++v) {
+    std::vector<VertexId> expected;
+    for (VertexId u : g.neighbors(order.new_to_orig[v])) {
+      expected.push_back(order.orig_to_new[u]);
+    }
+    std::sort(expected.begin(), expected.end());
+    NeighborhoodView view = lazy.membership(v);
+    if (lazy.has_bitset(v)) {
+      ++built;
+      ASSERT_TRUE(view.has_bitset());
+      std::vector<VertexId> bits;
+      for (VertexId u = 0; u < kN; ++u) {
+        if (view.bitset().contains(u)) bits.push_back(u);
+      }
+      EXPECT_EQ(bits, expected) << "row of " << v;
+      EXPECT_EQ(view.bitset().size(), expected.size());
+    } else {
+      // Past the budget, the vertex answers through a hash or sorted set.
+      EXPECT_FALSE(view.has_bitset()) << v;
+      EXPECT_TRUE(view.is_hashed() || !view.sorted().empty() ||
+                  expected.empty())
+          << v;
+      EXPECT_EQ(view.size(), expected.size()) << v;
+      for (VertexId u : expected) EXPECT_TRUE(view.contains(u)) << v;
+    }
+  }
+  EXPECT_EQ(built, kRows);
+}
+
 TEST(ConcurrencyStress, IncumbentMonotoneUnderContention) {
   Incumbent inc;
   std::atomic<bool> go{false};
@@ -129,7 +192,7 @@ TEST(ConcurrencyStress, SystematicSearchSharedStatsConsistent) {
   Graph g = gen::gnp(200, 0.12, 205);
   set_num_threads(4);
   auto core = kcore::coreness(g);
-  auto order = kcore::order_by_coreness_degree(g, core.coreness);
+  auto order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
   Incumbent incumbent;
   LazyGraph lazy(g, order, core.coreness, &incumbent.size_atomic());
   mc::SearchStats stats;
@@ -210,7 +273,7 @@ TEST(ConcurrencyStress, CancellationDuringParallelSearchUnwinds) {
 struct CountedSearch {
   explicit CountedSearch(const Graph& g)
       : core(kcore::coreness(g)),
-        order(kcore::order_by_coreness_degree(g, core.coreness)),
+        order(kcore::order_by_coreness_degree_parallel(g, core.coreness)),
         lazy(g, order, core.coreness, &incumbent.size_atomic()) {
     lazy.enable_bitset_rows(std::size_t{1} << 24);
     options.intersect.counters = &stats.kernels;

@@ -172,7 +172,7 @@ std::uint64_t find_systematic_seed() {
   return 0;
 }
 
-TEST_F(FaultInject, AllocationFaultsDegradeRepresentationNotOmega) {
+TEST_F(FaultInject, RowBlockFaultTurnsRowsOffNotOmega) {
   if (!faults::enabled()) GTEST_SKIP() << "needs -DLAZYMC_FAULTS=ON";
   Graph g = gen::gnp(60, 0.5, 7);
   const auto expected = baselines::max_clique_reference(g).size();
@@ -186,15 +186,33 @@ TEST_F(FaultInject, AllocationFaultsDegradeRepresentationNotOmega) {
   // The clean run advanced the sites' hit counters; zero them so nth:1
   // counts from the injection run's first hit.
   faults::reset();
-  faults::configure("bitset.row=every:2,slab.alloc=nth:1");
+  faults::configure("slab.alloc=nth:1");
   auto r = mc::lazy_mc(g, stress_config());
   EXPECT_EQ(r.omega, expected);
   EXPECT_TRUE(is_clique(g, r.clique));
-  // Roughly every second row build failed and fell back per-vertex.
-  EXPECT_GT(r.lazy_graph.bitset_degraded, 0u);
-  auto sites = sites_by_name();
-  EXPECT_GE(sites.at("bitset.row").fires, 1u);
-  EXPECT_GE(sites.at("slab.alloc").fires, 1u);
+  // The one row block of the solve failed: no rows at all, hash/sorted
+  // sets serve the zone, and the failure is counted once.
+  EXPECT_EQ(r.lazy_graph.bitset_built, 0u);
+  EXPECT_EQ(r.lazy_graph.zone_size, 0u);
+  EXPECT_EQ(r.lazy_graph.bitset_degraded, 1u);
+  EXPECT_EQ(sites_by_name().at("slab.alloc").fires, 1u);
+}
+
+TEST_F(FaultInject, RowBuildFaultsDegradeVerticesNotOmega) {
+  if (!faults::enabled()) GTEST_SKIP() << "needs -DLAZYMC_FAULTS=ON";
+  Graph g = gen::gnp(60, 0.5, 7);
+  const auto expected = baselines::max_clique_reference(g).size();
+
+  faults::configure("bitset.row=every:2");
+  auto r = mc::lazy_mc(g, stress_config());
+  EXPECT_EQ(r.omega, expected);
+  EXPECT_TRUE(is_clique(g, r.clique));
+  // Every second row build failed and fell back per vertex; the others
+  // still built their rows.
+  const auto fires = sites_by_name().at("bitset.row").fires;
+  EXPECT_GE(fires, 1u);
+  EXPECT_EQ(r.lazy_graph.bitset_degraded, fires);
+  EXPECT_GT(r.lazy_graph.bitset_built, 0u);
 }
 
 TEST_F(FaultInject, WordSetFaultsFallBackToScalarKernels) {

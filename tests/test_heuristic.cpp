@@ -397,7 +397,7 @@ struct LazyFixture {
 
   explicit LazyFixture(Graph graph) : g(std::move(graph)) {
     core = kcore::coreness(g);
-    order = kcore::order_by_coreness_degree(g, core.coreness);
+    order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
     lazy = std::make_unique<LazyGraph>(g, order, core.coreness,
                                        &incumbent.size_atomic());
   }

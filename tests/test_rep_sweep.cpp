@@ -129,7 +129,7 @@ struct ZoneFixture {
 
   explicit ZoneFixture(Graph graph) : g(std::move(graph)) {
     core = kcore::coreness(g);
-    order = kcore::order_by_coreness_degree(g, core.coreness);
+    order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
   }
   LazyGraph make() { return LazyGraph(g, order, core.coreness, &incumbent); }
 };
@@ -225,8 +225,8 @@ TEST(LazyGraphBitset, ForcedRepBuildsRowsInMembership) {
 }
 
 TEST(LazyGraphBitset, ConcurrentBuildsAreSafe) {
-  // Threads race to build the same rows: each row is carved from the
-  // shared arena once, and every reader sees the published row.
+  // Threads race to build the same rows: each row claims one slot of
+  // the shared row block once, and every reader sees the published row.
   ZoneFixture f(gen::gnp(400, 0.2, 780));
   LazyGraph lazy = f.make();
   lazy.enable_bitset_rows(1 << 22);

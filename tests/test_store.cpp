@@ -296,7 +296,7 @@ TEST(Store, SolveEquivalenceAcrossSuiteAndThreads) {
       EXPECT_EQ(stored.degeneracy, view->degeneracy());
       if (view->has_rows()) {
         // Zone threshold 1 always adopts (the boundary coreness is 0,
-        // below any incumbent), so the slab arena stays untouched.
+        // below any incumbent), so no row is built.
         EXPECT_EQ(stored.lazy_graph.rows_prebuilt, view->zone_size());
         EXPECT_EQ(stored.lazy_graph.bitset_built, 0u);
       }
