@@ -5,7 +5,12 @@
 //  * DIMACS .clq / .col: "p edge N M" header, "e u v" lines (1-based).
 //
 // These are the formats the paper's graph corpus ships in (SNAP edge
-// lists, DIMACS clique instances).  `read_graph` auto-detects by content.
+// lists, DIMACS clique instances).  `read_graph_file` auto-detects by content.
+//
+// A text loads in parallel on the global pool: files are mapped and
+// streams read into one buffer, which is cut at newlines into one chunk
+// per participant.  Graphs and error messages (line numbers included)
+// are the same at every pool size.
 #pragma once
 
 #include <iosfwd>

@@ -70,9 +70,25 @@ void ThreadPool::run_job(detail::JobBase& job) {
   // Launcher gate: concurrent external launchers (e.g. daemon request
   // executors) serialize here, so the single current_job_ slot and the
   // workers_done_ count only ever describe one job at a time.  The gate
-  // is held through the join below; the caller participates in its own
-  // job, so a waiting launcher costs nothing but its own latency.
-  MutexLock launch(launch_mutex_);
+  // is held through the join; the caller participates in its own job, so
+  // a waiting launcher costs nothing but its own latency.
+  std::exception_ptr error;
+  {
+    MutexLock launch(launch_mutex_);
+    error = publish_and_join(job);
+  }
+  if (error) std::rethrow_exception(error);
+}
+
+bool ThreadPool::try_run_job(detail::JobBase& job) {
+  if (!launch_mutex_.try_lock()) return false;
+  std::exception_ptr error = publish_and_join(job);
+  launch_mutex_.unlock();
+  if (error) std::rethrow_exception(error);
+  return true;
+}
+
+std::exception_ptr ThreadPool::publish_and_join(detail::JobBase& job) {
   {
     MutexLock lock(mutex_);
     current_job_ = &job;
@@ -97,9 +113,7 @@ void ThreadPool::run_job(detail::JobBase& job) {
   // Read under the error lock (take_error): the join above orders every
   // worker's capture before this point, but the protocol is simplest to
   // verify when the field is only ever touched with its lock held.
-  if (std::exception_ptr error = job.take_error()) {
-    std::rethrow_exception(error);
-  }
+  return job.take_error();
 }
 
 namespace {

@@ -114,6 +114,13 @@ struct InvokeAllJob final : JobBase {
 
 }  // namespace detail
 
+/// How a launch from outside the pool meets a launch gate that another
+/// launcher holds: `kQueue` waits for the gate; `kInlineIfBusy` runs the
+/// whole launch on the calling thread instead, so short work (a graph
+/// load on a daemon connection thread) never waits behind a long job
+/// (another request's search drain).
+enum class Launch { kQueue, kInlineIfBusy };
+
 /// A fork-join thread pool.  One global instance (see `thread_pool()`) is
 /// shared by the whole library; tests may construct private pools.
 ///
@@ -147,10 +154,11 @@ class ThreadPool {
   /// and a range of at most one grain run inline (see the
   /// nested-parallelism rule above).  Exceptions thrown by `body` stop
   /// the other participants at their next claim and propagate to the
-  /// caller (first one wins).
+  /// caller (first one wins).  `launch` is as for
+  /// parallel_invoke_all.
   template <typename Body>
   void parallel_for(std::size_t begin, std::size_t end, Body&& body,
-                    std::size_t grain = 1) {
+                    std::size_t grain = 1, Launch launch = Launch::kQueue) {
     if (begin >= end) return;
     if (grain == 0) grain = 1;
     if (in_worker() || threads_.empty() || end - begin <= grain) {
@@ -158,7 +166,7 @@ class ThreadPool {
       return;
     }
     detail::ClaimCursor cursor(begin, end, grain);
-    parallel_invoke_all([&](std::size_t) {
+    const auto drain = [&](std::size_t) {
       std::size_t lo = 0, hi = 0;
       try {
         while (cursor.claim(lo, hi)) {
@@ -168,20 +176,27 @@ class ThreadPool {
         cursor.poison();
         throw;
       }
-    });
+    };
+    parallel_invoke_all(drain, launch);
   }
 
   /// Runs `fn(t)` once on each of the `num_threads()` participants
   /// (t = participant index).  Used for per-thread accumulators and for
-  /// draining a prioritized list (drain_in_order).
+  /// draining a prioritized list (drain_in_order).  Under
+  /// `Launch::kInlineIfBusy` a held launch gate makes the caller run
+  /// every `fn(t)` itself, in participant order.
   template <typename Fn>
-  void parallel_invoke_all(Fn&& fn) {
+  void parallel_invoke_all(Fn&& fn, Launch launch = Launch::kQueue) {
     if (in_worker() || threads_.empty()) {
       for (std::size_t t = 0; t < num_threads(); ++t) fn(t);
       return;
     }
     detail::InvokeAllJob<std::remove_reference_t<Fn>> job(fn);
-    run_job(job);
+    if (launch == Launch::kQueue) {
+      run_job(job);
+    } else if (!try_run_job(job)) {
+      for (std::size_t t = 0; t < num_threads(); ++t) fn(t);
+    }
   }
 
   /// True when called from inside one of this pool's workers.
@@ -189,8 +204,14 @@ class ThreadPool {
 
  private:
   void worker_loop(std::size_t worker_index);
-  /// Publishes `job`, participates as participant 0, joins, rethrows.
+  /// Takes the launch gate, runs `job` (publish_and_join), rethrows.
   void run_job(detail::JobBase& job);
+  /// As run_job, but returns false at once when the gate is held.
+  bool try_run_job(detail::JobBase& job);
+  /// Publishes `job`, participates as participant 0, joins; returns the
+  /// job's first captured error.
+  std::exception_ptr publish_and_join(detail::JobBase& job)
+      LAZYMC_REQUIRES(launch_mutex_);
 
   std::vector<std::thread> threads_;
   /// Serializes external launchers (held across one entire job, from

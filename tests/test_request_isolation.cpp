@@ -8,12 +8,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <thread>
 #include <vector>
 
 #include "cli/graph_source.hpp"
+#include "daemon/server.hpp"
+#include "graph/generators.hpp"
+#include "graph/io.hpp"
 #include "mc/lazymc.hpp"
 #include "support/control.hpp"
+#include "support/parallel.hpp"
 
 namespace lazymc {
 namespace {
@@ -184,6 +190,45 @@ TEST(RequestIsolation, ManyConcurrentSolvesAllVerify) {
     EXPECT_EQ(results[i].omega, omega) << "solver " << i;
     EXPECT_TRUE(is_clique(g.graph, results[i].clique)) << "solver " << i;
   }
+}
+
+// A graph load on a daemon connection thread must not queue behind
+// another request's job: while a long drain holds the pool's launch
+// gate, the load runs on the calling thread and finishes first.
+TEST(RequestIsolation, TextLoadDoesNotWaitForARunningDrain) {
+  using namespace std::chrono_literals;
+  set_num_threads(4);
+  // Big enough that an idle pool would parse it in four chunks.
+  const std::string path = testing::TempDir() + "/lazymc_isolation_load.clq";
+  io::write_dimacs_file(gen::gnp(1500, 0.05, 3), path);
+
+  std::atomic<bool> drain_started{false};
+  std::atomic<bool> load_done{false};
+  bool released_by_load = false;
+  std::thread drain([&] {
+    drain_in_order(
+        thread_pool(), 1,
+        [&](std::size_t, std::size_t) {
+          drain_started = true;
+          const auto give_up = std::chrono::steady_clock::now() + 20s;
+          while (!load_done && std::chrono::steady_clock::now() < give_up) {
+            std::this_thread::sleep_for(1ms);
+          }
+          released_by_load = load_done;
+        },
+        [] { return false; });
+  });
+  while (!drain_started) std::this_thread::sleep_for(1ms);
+
+  daemon::GraphStore store;
+  const auto loaded = store.get(path);
+  load_done = true;
+  drain.join();
+
+  EXPECT_TRUE(released_by_load) << "the load waited for the drain";
+  EXPECT_EQ(loaded->graph.num_vertices(), 1500u);
+  set_num_threads(0);
+  std::remove(path.c_str());
 }
 
 }  // namespace
