@@ -9,7 +9,7 @@
 // word-parallel bitset vs sorted merge, across densities and θ) as an
 // ASCII table, exported to JSON with `--json=PATH` like every other bench
 // binary (schema "lazymc-bench-tables/1"); each cell is the median of 9
-// interleaved timing rounds.  It first checks all six
+// interleaved timing rounds.  It first checks all seven
 // dispatcher kernels against intersect_reference and exits 1 on any
 // disagreement.
 #include <benchmark/benchmark.h>
@@ -431,6 +431,36 @@ void run_intersect_shootout() {
       if (run() != expected) {
         std::fprintf(stderr, "shootout: %s disagrees with the reference "
                      "on %s\n", kernel, s.name);
+        std::exit(1);
+      }
+    }
+    // The seventh kernel, csr-scan, checked only: B as a CSR row over
+    // the ids of A ∪ B renumbered densely (identity map), A marked.
+    {
+      std::vector<VertexId> ids(a);
+      ids.insert(ids.end(), b.begin(), b.end());
+      std::sort(ids.begin(), ids.end());
+      ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+      auto dense = [&](const std::vector<VertexId>& set) {
+        std::vector<VertexId> out;
+        for (VertexId x : set) {
+          out.push_back(static_cast<VertexId>(
+              std::lower_bound(ids.begin(), ids.end(), x) - ids.begin()));
+        }
+        return out;
+      };
+      const std::vector<VertexId> da = dense(a), db = dense(b);
+      std::vector<VertexId> identity(ids.size());
+      for (VertexId i = 0; i < identity.size(); ++i) identity[i] = i;
+      IdMarks marks;
+      marks.cover(0, static_cast<VertexId>(ids.size()));
+      marks.mark(da);
+      const bool got =
+          csr_scan<Query::size_gt_bool>(marks, db, identity.data(), s.theta);
+      marks.clear(da);
+      if (got != expected) {
+        std::fprintf(stderr, "shootout: csr-scan disagrees with the "
+                     "reference on %s\n", s.name);
         std::exit(1);
       }
     }

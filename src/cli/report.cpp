@@ -75,7 +75,8 @@ void render_text(const RunReport& r, std::ostream& out) {
       << " hash=" << s.kernel_hash
       << " hash-batched=" << s.kernel_hash_batched
       << " bitset-probe=" << s.kernel_bitset_probe
-      << " bitset-word=" << s.kernel_bitset_word << "\n";
+      << " bitset-word=" << s.kernel_bitset_word
+      << " csr-scan=" << s.kernel_csr_scan << "\n";
   const auto& g = lz.lazy_graph;
   out << "lazygraph: hash-built=" << g.hash_built
       << " sorted-built=" << g.sorted_built

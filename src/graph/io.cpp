@@ -230,6 +230,21 @@ Graph build_chunks(VertexId n, const std::vector<Chunk>& chunks) {
   return build_csr(n, parts);
 }
 
+/// The largest vertex count a text of `bytes` bytes may declare or
+/// imply: max(2^22, 8 x bytes).  The loader allocates O(n) before it
+/// reads an edge, so without a bound a few bytes ("p edge 1500000000 0",
+/// or one large edge-list id) could ask for gigabytes.
+std::uint64_t vertex_limit(std::size_t bytes) {
+  return std::max<std::uint64_t>(std::uint64_t{1} << 22,
+                                 std::uint64_t{8} * bytes);
+}
+
+std::string over_limit(std::uint64_t n, std::size_t bytes) {
+  return std::to_string(n) + " vertices, over the limit " +
+         std::to_string(vertex_limit(bytes)) + " for a " +
+         std::to_string(bytes) + "-byte text (max(2^22, 8 x bytes))";
+}
+
 std::vector<Chunk> cut_text(std::string_view text) {
   return cut_chunks(text, load_participants(text.size(), kMinChunkBytes));
 }
@@ -238,9 +253,11 @@ Graph parse_edge_list(std::string_view text) {
   // Largest representable 0-based id: the builder stores counts (id + 1)
   // in VertexId, so VertexId's max itself is off-limits too.
   constexpr std::uint64_t kMaxId = std::numeric_limits<VertexId>::max() - 1;
+  const std::size_t bytes = text.size();
+  const std::uint64_t limit = vertex_limit(bytes);
   std::vector<Chunk> chunks = cut_text(text);
   // The shortest edge line is "0 1\n".
-  parse_chunks(chunks, 1, 4, [](Chunk& chunk, std::string_view line) {
+  parse_chunks(chunks, 1, 4, [&](Chunk& chunk, std::string_view line) {
     if (line.empty() || line[0] == '#' || line[0] == '%') return true;
     std::uint64_t u, v;
     if (!parse_u64(line, u) || !parse_u64(line, v)) {
@@ -249,6 +266,11 @@ Graph parse_edge_list(std::string_view text) {
     if (u > kMaxId || v > kMaxId) {
       chunk.error = "edge-list vertex id " + std::to_string(std::max(u, v)) +
                     " exceeds the supported maximum " + std::to_string(kMaxId);
+      return false;
+    }
+    if (std::max(u, v) >= limit) {
+      chunk.error = "edge-list vertex id " + std::to_string(std::max(u, v)) +
+                    " implies " + over_limit(std::max(u, v) + 1, bytes);
       return false;
     }
     chunk.edges.emplace_back(static_cast<VertexId>(u),
@@ -263,6 +285,7 @@ Graph parse_edge_list(std::string_view text) {
 }
 
 Graph parse_dimacs(std::string_view text) {
+  const std::size_t bytes = text.size();
   // The header, read serially: everything up to the 'p' line.
   std::uint64_t declared_n = 0, declared_m = 0;
   std::uint64_t line_no = 0;
@@ -288,6 +311,10 @@ Graph parse_dimacs(std::string_view text) {
       fail("DIMACS vertex count " + std::to_string(declared_n) +
            " exceeds the supported maximum " +
            std::to_string(std::numeric_limits<VertexId>::max()) +
+           at_line(line_no));
+    }
+    if (declared_n > vertex_limit(bytes)) {
+      fail("DIMACS header declares " + over_limit(declared_n, bytes) +
            at_line(line_no));
     }
     saw_problem = true;

@@ -23,14 +23,17 @@ namespace lazymc::io {
 /// Reads a plain whitespace-separated edge list.  Lines starting with
 /// '#' or '%' are comments.  Vertex ids are 0-based.  CRLF line endings
 /// are accepted.  Ids beyond VertexId range throw instead of silently
-/// truncating.
+/// truncating, and so does an id that implies more vertices than
+/// max(2^22, 8 x the text's bytes), since the graph's O(n) arrays would
+/// dwarf the text.
 Graph read_edge_list(std::istream& in);
 Graph read_edge_list_file(const std::string& path);
 
 /// Reads a DIMACS "p edge" file ("c" comments, "e u v" edges, 1-based
 /// ids).  CRLF line endings are accepted.  Throws std::runtime_error on a
 /// missing/duplicate/misplaced 'p' line, ids outside [1, n], a vertex
-/// count beyond VertexId range, or an edge count that disagrees with the
+/// count beyond VertexId range or above max(2^22, 8 x the text's bytes)
+/// (as for edge lists), or an edge count that disagrees with the
 /// header (both the raw 'e' record count and the deduplicated edge count
 /// are tried, so files listing both orientations still load).  Isolated
 /// vertices declared by the header but untouched by any 'e' record are

@@ -3,10 +3,44 @@
 #include <algorithm>
 #include <bit>
 
+#include "support/check.hpp"
+
 namespace lazymc {
 
 bool SortedLookup::contains(VertexId v) const {
   return std::binary_search(data_.begin(), data_.end(), v);
+}
+
+void IdMarks::cover(VertexId base, VertexId end) {
+  if (base >= base_ && end <= end_) return;
+  LAZYMC_ASSERT(count_ == 0, "IdMarks moved while ids are marked");
+  base_ = base;
+  end_ = end;
+  marks_.clear();
+}
+
+void IdMarks::mark(std::span<const VertexId> ids, const VertexId* map) {
+  LAZYMC_ASSERT(count_ == 0, "IdMarks marked twice without a clear");
+  if (marks_.empty()) marks_.assign(end_ - base_, 0);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const VertexId x = map ? map[ids[i]] : ids[i];
+    const VertexId k = x - base_;
+    if (k >= marks_.size()) {
+      LAZYMC_ASSERT(map != nullptr, "IdMarks: id outside the covered range");
+      continue;
+    }
+    marks_[k] = static_cast<std::uint32_t>(i + 1);
+    ++count_;
+  }
+}
+
+void IdMarks::clear(std::span<const VertexId> ids, const VertexId* map) {
+  if (count_ == 0) return;
+  for (VertexId id : ids) {
+    const VertexId k = (map ? map[id] : id) - base_;
+    if (k < marks_.size()) marks_[k] = 0;
+  }
+  count_ = 0;
 }
 
 template <Query Q, Exits E>

@@ -16,17 +16,21 @@
 // Fig. 5 ablation: all, no_second, or none (scan to the end and compare
 // the exact count afterwards).
 //
-// A is always a sorted array (or its word form); the scans differ in how
-// they find A's elements in B:
+// A is always a sorted array (or its word form, or its marks); the scans
+// differ in how they find A's elements in B:
 //   probe_scan  — one membership test per element of A against any
 //                 MembershipSet: plain contains() (hopscotch hash set,
-//                 bitset row, or a sorted array via SortedLookup), or the
-//                 prefetching ProbeRing into a hopscotch set;
+//                 bitset row, a sorted array via SortedLookup, or B marked
+//                 in IdMarks), or the prefetching ProbeRing into a
+//                 hopscotch set;
 //   merge_scan  — a linear merge of two sorted arrays, with a miss budget
 //                 on each side;
 //   word_scan   — a SparseWordSet A against a BitsetRow B, one AND +
 //                 popcount per occupied word of A, with the budget checked
-//                 once per word.
+//                 once per word;
+//   csr_scan    — A marked in IdMarks against B's unsorted id list (a CSR
+//                 row read through an id map), one mark lookup per
+//                 element of B, with the miss budget on B's side.
 // mc::IntersectPolicy picks the scan for each call.  All scans are
 // allocation-free and thread-safe (read-only on inputs).
 #pragma once
@@ -59,6 +63,42 @@ class SortedLookup {
 
  private:
   std::span<const VertexId> data_;
+};
+
+/// A set of ids marked in a zeroed array over the id range [base, end):
+/// entry x - base holds 0, or 1 + the position of x in the list that
+/// marked it.  Ids outside the range are never members.  Between uses
+/// the array is all zero: clear() with the list mark() took undoes it, in
+/// O(list).  The CSR kernel's per-participant scratch (see
+/// mc::IntersectPolicy); a MembershipSet.  Not thread-safe.
+class IdMarks {
+ public:
+  /// Makes the range cover [base, end).  Keeps the array when it already
+  /// does, so a caller whose base only rises allocates once; the array
+  /// itself is allocated by the first mark().  Requires an empty set.
+  void cover(VertexId base, VertexId end);
+  /// Marks ids[i] with i + 1, translated first through `map` when given.
+  /// Translated ids outside the range are skipped; untranslated ids must
+  /// lie inside it.  Requires an empty set.
+  void mark(std::span<const VertexId> ids, const VertexId* map = nullptr);
+  /// Unmarks what mark(ids, map) marked.
+  void clear(std::span<const VertexId> ids, const VertexId* map = nullptr);
+
+  /// 0, or 1 + the position of x in the marked list.
+  std::uint32_t position(VertexId x) const {
+    const VertexId i = x - base_;  // wraps past the range for x < base
+    return i < marks_.size() ? marks_[i] : 0;
+  }
+  bool contains(VertexId x) const { return position(x) != 0; }
+  /// Members marked.
+  std::size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
+
+ private:
+  VertexId base_ = 0;
+  VertexId end_ = 0;
+  std::size_t count_ = 0;
+  std::vector<std::uint32_t> marks_;  // empty until the first mark()
 };
 
 /// Return code of early-exit intersections when the threshold was not met.
@@ -214,6 +254,37 @@ template <Query Q, Exits E = Exits::all>
   requires ScanExits<Q, E>
 QueryResult<Q> word_scan(const SparseWordSet& a, const BitsetRow& b,
                          VertexId* out, std::int64_t theta);
+
+/// B's id list against A's marks (csr-scan): `b` is a CSR row, unsorted
+/// once translated through `map`, so the scan walks B and looks each
+/// element up in A.  The miss budget |B| - θ is B's; the second exit is
+/// the hits.  There is no output: A ∩ B in A's order comes from marking
+/// B and a probe_scan of A instead.
+template <Query Q, Exits E = Exits::all>
+  requires ScanExits<Q, E> && (Q != Query::gt)
+QueryResult<Q> csr_scan(const IdMarks& a, std::span<const VertexId> b,
+                        const VertexId* map, std::int64_t theta) {
+  if constexpr (E != Exits::none) {
+    if (static_cast<std::int64_t>(a.size()) <= theta ||
+        static_cast<std::int64_t>(b.size()) <= theta) {
+      return too_small<Q>();
+    }
+  }
+  [[maybe_unused]] std::int64_t budget =
+      static_cast<std::int64_t>(b.size()) - theta;  // misses tolerable
+  std::int64_t hits = 0;
+  for (VertexId w : b) {
+    if (a.contains(map[w])) {
+      ++hits;
+      if constexpr (Q == Query::size_gt_bool && E == Exits::all) {
+        if (hits > theta) return true;  // second exit
+      }
+    } else if constexpr (E != Exits::none) {
+      if (--budget <= 0) return too_small<Q>();  // first exit
+    }
+  }
+  return verdict<Q>(hits, theta);
+}
 
 /// Exact sorted-array intersection (the baseline solvers' candidate
 /// update).  Returns the number of elements written to `out` (room for

@@ -18,6 +18,10 @@ bool NeighborhoodView::contains(VertexId v) const {
     return std::binary_search(sorted_.begin(), sorted_.end(), v);
   }
   if (row_.valid()) return row_.contains(v);
+  if (order_) {
+    return std::binary_search(csr_.begin(), csr_.end(),
+                              order_->new_to_orig[v]);
+  }
   return false;
 }
 
@@ -29,9 +33,7 @@ LazyGraph::LazyGraph(const Graph& g, const kcore::VertexOrder& order,
       incumbent_size_(incumbent_size),
       n_(g.num_vertices()),
       flags_(g.num_vertices()),
-      locks_(std::make_unique<SpinLock[]>(g.num_vertices())),
-      hash_(g.num_vertices()),
-      sorted_(g.num_vertices()) {
+      locks_(std::make_unique<SpinLock[]>(g.num_vertices())) {
   if (coreness_orig.size() != n_ || order.size() != n_) {
     throw std::invalid_argument("LazyGraph: order/coreness size mismatch");
   }
@@ -68,7 +70,15 @@ std::vector<VertexId> LazyGraph::filtered_neighbors(VertexId v) const {
   return result;
 }
 
+void LazyGraph::allocate_sets() {
+  std::call_once(sets_once_, [this] {
+    hash_ = std::make_unique<HopscotchSet[]>(n_);
+    sorted_ = std::make_unique<std::vector<VertexId>[]>(n_);
+  });
+}
+
 void LazyGraph::build_hash(VertexId v) {
+  allocate_sets();
   SpinLockGuard guard(locks_[v]);
   if (flags_[v].load(std::memory_order_relaxed) & kHashBuilt) return;
   std::vector<VertexId> nbrs = filtered_neighbors(v);
@@ -79,6 +89,7 @@ void LazyGraph::build_hash(VertexId v) {
 }
 
 void LazyGraph::build_sorted(VertexId v) {
+  allocate_sets();
   SpinLockGuard guard(locks_[v]);
   if (flags_[v].load(std::memory_order_relaxed) & kSortedBuilt) return;
   std::vector<VertexId> nbrs = filtered_neighbors(v);
@@ -99,8 +110,8 @@ void LazyGraph::build_bitset(VertexId v) {
     nbrs = filtered_neighbors(v);
   } catch (const std::bad_alloc&) {
     // Allocation failure degrades this one vertex, not the solve: count
-    // it and leave kBitsetBuilt clear so membership() falls back to
-    // hash/sorted.  No slot was claimed, so later rows keep their chance.
+    // it and leave kBitsetBuilt clear so membership() falls back to the
+    // next view.  No slot was claimed, so later rows keep their chance.
     stat_bitset_degraded_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -156,8 +167,8 @@ void LazyGraph::enable_bitset_rows(std::size_t budget_bytes) {
     LAZYMC_FAULT_BAD_ALLOC("slab.alloc");
     row_block_ = allocate_aligned_block(capacity * stride);
   } catch (const std::bad_alloc&) {
-    // Without the block there are no rows for this solve; hash/sorted
-    // sets serve the zone instead.
+    // Without the block there are no rows for this solve; CSR views (or
+    // hash/sorted sets) serve the zone instead.
     stat_bitset_degraded_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -269,6 +280,11 @@ void LazyGraph::right_neighbors(VertexId v, VertexId bound,
 BitsetRow LazyGraph::bitset_row(VertexId v) {
   if (!bitset_enabled_ || v < zone_begin_) return {};
   if (!(flags_[v].load(std::memory_order_acquire) & kBitsetBuilt)) {
+    // A spent budget answers without the vertex's lock: row-less
+    // vertices ask again on every membership() call.
+    if (next_slot_.load(std::memory_order_relaxed) >= row_capacity_) {
+      return {};
+    }
     build_bitset(v);
     if (!(flags_[v].load(std::memory_order_acquire) & kBitsetBuilt)) {
       return {};  // budget exhausted
@@ -278,66 +294,63 @@ BitsetRow LazyGraph::bitset_row(VertexId v) {
 }
 
 NeighborhoodView LazyGraph::membership(VertexId v) {
-  std::uint8_t f = flags_[v].load(std::memory_order_acquire);
-  BitsetRow row{};
-  if (f & kBitsetBuilt) row = row_view(v);
-  if (f & kHashBuilt) return NeighborhoodView(&hash_[v], {}, row);
+  const std::uint8_t f = flags_[v].load(std::memory_order_acquire);
+  if (f & kBitsetBuilt) return NeighborhoodView(nullptr, {}, row_view(v));
+  if (f & kHashBuilt) return NeighborhoodView(&hash_[v], {});
   if (f & kSortedBuilt) {
-    return NeighborhoodView(nullptr, {sorted_[v].data(), sorted_[v].size()},
-                            row);
+    return NeighborhoodView(nullptr, {sorted_[v].data(), sorted_[v].size()});
   }
-  if (row.valid()) return NeighborhoodView(nullptr, {}, row);
-
-  // Nothing exists yet: build by preference.
-  if (rep_ == NeighborhoodRep::kHash) {
-    return NeighborhoodView(&hashed_neighborhood(v), {});
-  }
-  if (rep_ == NeighborhoodRep::kSorted) {
-    return NeighborhoodView(nullptr, sorted_neighborhood(v));
-  }
-  if (rep_ == NeighborhoodRep::kBitset) {
-    BitsetRow r = bitset_row(v);
-    if (r.valid()) return NeighborhoodView(nullptr, {}, r);
-    // Out of zone or budget: fall through to the auto rule.
-  }
-  // Auto rule (paper: hash when degree > 16), upgraded to a bitset row
-  // when one is available and no more expensive to build than the set.
-  const VertexId deg = original_degree(v);
-  if (deg > kHashDegreeThreshold) {
-    if (auto_wants_bitset(v, deg)) {
-      BitsetRow r = bitset_row(v);
-      if (r.valid()) return NeighborhoodView(nullptr, {}, r);
+  switch (rep_) {
+    case NeighborhoodRep::kHash:
+      return NeighborhoodView(&hashed_neighborhood(v), {});
+    case NeighborhoodRep::kSorted:
+      return NeighborhoodView(nullptr, sorted_neighborhood(v));
+    case NeighborhoodRep::kBitset:
+      if (BitsetRow r = bitset_row(v); r.valid()) {
+        return NeighborhoodView(nullptr, {}, r);
+      }
+      break;
+    case NeighborhoodRep::kAuto: {
+      // A row when it is no dearer to build than the set the paper would
+      // build (degree over 16), else nothing: the CSR answers.
+      const VertexId deg = original_degree(v);
+      if (deg > kHashDegreeThreshold && auto_wants_bitset(v, deg)) {
+        if (BitsetRow r = bitset_row(v); r.valid()) {
+          return NeighborhoodView(nullptr, {}, r);
+        }
+      }
+      break;
     }
-    return NeighborhoodView(&hashed_neighborhood(v), {});
   }
-  return NeighborhoodView(nullptr, sorted_neighborhood(v));
+  return NeighborhoodView(base_->neighbors(order_->new_to_orig[v]), *order_);
 }
 
 void LazyGraph::prepopulate(Prepopulate policy, VertexId must_threshold) {
   if (policy == Prepopulate::kNone) return;
-  const VertexId first =
+  VertexId first =
       policy == Prepopulate::kAll ? 0 : first_with_coreness(must_threshold);
+  const bool rows_only = rep_ == NeighborhoodRep::kAuto ||
+                         rep_ == NeighborhoodRep::kBitset;
+  if (rows_only) {
+    if (!bitset_enabled_) return;
+    first = std::max(first, zone_begin_);
+  }
   parallel_for(first, n_, [&](std::size_t i) {
     const VertexId v = static_cast<VertexId>(i);
-    // Build the preferred representation; hash is the historical default
-    // and the fallback when a requested bitset row is unavailable.
     switch (rep_) {
+      case NeighborhoodRep::kHash:
+        hashed_neighborhood(v);
+        break;
       case NeighborhoodRep::kSorted:
         sorted_neighborhood(v);
-        return;
+        break;
       case NeighborhoodRep::kBitset:
-        if (bitset_row(v).valid()) return;
+        bitset_row(v);
         break;
       case NeighborhoodRep::kAuto:
-        if (auto_wants_bitset(v, original_degree(v)) &&
-            bitset_row(v).valid()) {
-          return;
-        }
-        break;
-      case NeighborhoodRep::kHash:
+        if (auto_wants_bitset(v, original_degree(v))) bitset_row(v);
         break;
     }
-    hashed_neighborhood(v);
   }, 64);
 }
 

@@ -1,5 +1,4 @@
-// The lazy filtered hashed relabelled graph (paper Section IV-A,
-// Algorithm 2).
+// The lazy filtered relabelled graph (paper Section IV-A, Algorithm 2).
 //
 // Design goals, quoting the paper:
 //  * Relabelling: remap neighbor ids into the (coreness, degree) order
@@ -9,16 +8,25 @@
 //  * Filtering: drop neighbors whose coreness is below the incumbent
 //    clique size *at construction time*.  The zone of interest only
 //    shrinks, so anything filtered now is irrelevant forever.
-//  * Hashed sets: hopscotch sets enable O(|A|) intersections.
 //
-// Three neighborhood representations may exist per vertex:
-//  * a hopscotch hash set (O(1) probes, ~6 bytes/neighbor),
-//  * a sorted array (merge/galloping intersections),
-//  * a packed 64-bit bitset row over the *zone of interest* — the suffix
-//    of relabelled ids whose coreness was >= the incumbent when
-//    enable_bitset_rows() was called.  Rows turn |A ∩ B| > θ queries into
-//    one AND + popcount per occupied word of A (see intersect/bitset_row
-//    .hpp) and cost zone_size/8 bytes each, capped by a global budget.
+// Under the default --rep auto a vertex is answered in one of two ways:
+//  * its packed 64-bit bitset row over the *zone of interest* — the
+//    suffix of relabelled ids whose coreness was >= the incumbent when
+//    enable_bitset_rows() was called — when the auto rule builds one
+//    (the row is no dearer to build than the vertex's degree, and the
+//    budget has room).  Rows turn |A ∩ B| > θ queries into one AND +
+//    popcount per occupied word of A (see intersect/bitset_row.hpp) and
+//    cost zone_size/8 bytes each, capped by a global budget;
+//  * otherwise its CSR view: the base graph's adjacency list plus the
+//    order's id maps.  Nothing is built or cached; the CSR kernel (see
+//    mc/intersect_policy.hpp) scans the list against the candidate set's
+//    marks.  The view is unfiltered, which is exact for every query the
+//    search asks: its candidates all have coreness >= the incumbent.
+// --rep bitset takes a row wherever zone and budget allow and the CSR
+// view elsewhere.  The paper's hopscotch hash sets (O(1) probes, ~6
+// bytes/neighbor) and sorted arrays are built only under --rep hash and
+// --rep sorted, the ablation switches, and their per-vertex slots are
+// allocated only on the first such build.
 //
 // Right-neighborhoods N+(v) are not a representation: right_neighbors()
 // reads them into a caller buffer from v's row if it is built, else from
@@ -42,6 +50,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -57,10 +66,12 @@
 namespace lazymc {
 
 /// Prepopulation policy for the Fig. 4 ablation.
+/// Each builds what the preferred representation builds (rows only,
+/// under auto and bitset).
 enum class Prepopulate {
   kNone,          // fully lazy
-  kMustSubgraph,  // default: prebuild hash sets for coreness >= threshold
-  kAll,           // eager: prebuild every vertex's hash set
+  kMustSubgraph,  // default: prebuild vertices with coreness >= threshold
+  kAll,           // eager: prebuild every vertex
 };
 
 /// A membership view over whichever representations a vertex has.
@@ -72,30 +83,44 @@ class NeighborhoodView {
   NeighborhoodView(const HopscotchSet* hash, std::span<const VertexId> sorted,
                    BitsetRow row = {})
       : hash_(hash), sorted_(sorted), row_(row) {}
+  /// The CSR view: `csr` is the vertex's base adjacency (original ids,
+  /// ascending), read through `order`'s id maps, unfiltered.
+  NeighborhoodView(std::span<const VertexId> csr,
+                   const kcore::VertexOrder& order)
+      : hash_(nullptr), csr_(csr), order_(&order) {}
 
+  /// Membership of a relabelled id; a binary search on a CSR view.
   bool contains(VertexId v) const;
+  /// The set's size; a CSR view's is the unfiltered degree.
   std::size_t size() const {
     if (hash_) return hash_->size();
     if (!sorted_.empty()) return sorted_.size();
     if (row_.valid()) return row_.size();
-    return 0;
+    return csr_.size();
   }
   bool is_hashed() const { return hash_ != nullptr; }
   const HopscotchSet* hash_set() const { return hash_; }
   std::span<const VertexId> sorted() const { return sorted_; }
   bool has_bitset() const { return row_.valid(); }
   const BitsetRow& bitset() const { return row_; }
+  bool is_csr() const { return order_ != nullptr; }
+  /// A CSR view's adjacency list, in original ids.
+  std::span<const VertexId> csr() const { return csr_; }
+  /// A CSR view's original -> relabelled id map.
+  const VertexId* orig_to_new() const { return order_->orig_to_new.data(); }
 
  private:
   const HopscotchSet* hash_;  // preferred when present
   std::span<const VertexId> sorted_;
   BitsetRow row_;
+  std::span<const VertexId> csr_;
+  const kcore::VertexOrder* order_ = nullptr;  // set on CSR views only
 };
 
 class LazyGraph {
  public:
-  /// Degree above which the "either representation" accessor builds a hash
-  /// set rather than a sorted array (paper Section IV-A: "degree over 16").
+  /// Degree above which the auto rule considers a bitset row (the paper's
+  /// hash-set threshold, Section IV-A: "degree over 16").
   static constexpr VertexId kHashDegreeThreshold = 16;
 
   /// `incumbent_size` is read (relaxed) every time a neighborhood is
@@ -151,9 +176,11 @@ class LazyGraph {
   void right_neighbors(VertexId v, VertexId bound,
                        std::vector<VertexId>& out) const;
 
-  /// "Either representation" accessor: returns whatever exists (all built
-  /// forms are exposed so the kernel dispatcher can choose); if nothing
-  /// exists, builds one according to the preferred representation.
+  /// "Either representation" accessor: whatever v has built (its bitset
+  /// row first), else what the preferred representation gives (building
+  /// it on first use): a hash set under hash, a sorted array under sorted; a
+  /// row under bitset, and under auto for a vertex the auto rule gives
+  /// one, else the CSR view.
   NeighborhoodView membership(VertexId v);
 
   /// True when the respective representation has been constructed.
@@ -176,7 +203,7 @@ class LazyGraph {
   /// block of min(zone, rest / row bytes) rows.  Call once, before the
   /// graph is used concurrently; a no-op when the zone is empty or the
   /// bookkeeping alone would bust the budget.  A failed reservation
-  /// leaves rows off (hash/sorted sets serve the zone) and counts one
+  /// leaves rows off (CSR views serve the zone) and counts one
   /// Stats::bitset_degraded.
   void enable_bitset_rows(std::size_t budget_bytes);
 
@@ -221,10 +248,12 @@ class LazyGraph {
   NeighborhoodRep preferred_rep() const { return rep_; }
 
   /// Prebuilds neighborhoods according to `policy`; the must-subgraph
-  /// policy builds vertices with coreness >= threshold (paper Section V-C:
-  /// the must subgraph w.r.t. the incumbent found by degree-based
-  /// heuristic search).  The representation follows the preferred-rep
-  /// rule (bitset rows when enabled and cheap).  Runs in parallel.
+  /// policy builds vertices with coreness >= threshold (paper Section V-C;
+  /// mc::lazy_mc passes the incumbent the coreness heuristic leaves).
+  /// The representation follows the preferred rep: hash sets or sorted
+  /// arrays under hash and sorted; only bitset rows under bitset and
+  /// auto (auto: the rows its rule wants), so without rows nothing is
+  /// built.  Runs in parallel.
   void prepopulate(Prepopulate policy, VertexId must_threshold);
 
   /// Instrumentation.
@@ -234,7 +263,7 @@ class LazyGraph {
     std::size_t bitset_built = 0;
     std::size_t bitset_degraded = 0;  // failed row allocations (a row
                                       // build, or the whole block) that
-                                      // fell back to hash/sorted
+                                      // fell back to the next view
     std::size_t rows_prebuilt = 0;    // zone rows adopted from a binary
                                       // store (never built)
     std::size_t bitset_bytes = 0;  // row storage written: built rows x
@@ -258,6 +287,8 @@ class LazyGraph {
   /// Builds the filtered relabelled neighbor list of v (unsorted).
   std::vector<VertexId> filtered_neighbors(VertexId v) const;
 
+  /// Allocates the per-vertex hash-set and sorted-array slots, once.
+  void allocate_sets();
   void build_hash(VertexId v);
   void build_sorted(VertexId v);
   /// Attempts to build v's bitset row (a free slot permitting); the
@@ -289,8 +320,11 @@ class LazyGraph {
 
   std::vector<std::atomic<std::uint8_t>> flags_;
   std::unique_ptr<SpinLock[]> locks_;
-  std::vector<HopscotchSet> hash_;
-  std::vector<std::vector<VertexId>> sorted_;
+  // One slot per vertex, allocated by the first hash or sorted build
+  // (sets_once_): only --rep hash|sorted and direct calls make those.
+  std::once_flag sets_once_;
+  std::unique_ptr<HopscotchSet[]> hash_;
+  std::unique_ptr<std::vector<VertexId>[]> sorted_;
 
   // bitset rows (zone-indexed: entry i is relabelled vertex zone_begin_+i)
   NeighborhoodRep rep_ = NeighborhoodRep::kAuto;

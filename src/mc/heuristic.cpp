@@ -398,9 +398,12 @@ namespace {
 /// Algorithm 6 from one seed: grow greedily through the highest-numbered
 /// candidate, abandoning once the clique cannot beat the incumbent.
 void grow_from_seed(LazyGraph& h, VertexId v, Incumbent& incumbent,
-                    const IntersectPolicy& policy) {
+                    const IntersectPolicy& policy, IdMarks& marks) {
   std::vector<VertexId> candidates;
-  h.right_neighbors(v, h.filter_bound(), candidates);
+  const VertexId bound = h.filter_bound();
+  h.right_neighbors(v, bound, candidates);
+  // Row-less candidates u answer from the CSR: N(u) marked, A filtered.
+  marks.cover(h.first_with_coreness(bound), h.num_vertices());
   std::vector<VertexId> clique{v};
   std::vector<VertexId> next(candidates.size());
 
@@ -418,7 +421,7 @@ void grow_from_seed(LazyGraph& h, VertexId v, Incumbent& incumbent,
         static_cast<std::int64_t>(clique.size());
     NeighborhoodView u_nbrs = h.membership(u);
     int kept = policy.gt(std::span<const VertexId>(candidates), u_nbrs,
-                         next.data(), theta);
+                         next.data(), theta, nullptr, &marks);
     if (kept == kTooSmall) {
       candidates.clear();
       break;
@@ -450,9 +453,10 @@ void coreness_based_heuristic(LazyGraph& h, Incumbent& incumbent,
 
   // Levels are claimed one at a time in that order.  Each participant
   // intersects through its own copy of the policy, counting into its own
-  // tally; the guard flushes the tallies into the policy's counters once
-  // the phase is over.
+  // tally, with its own CSR marks; the guard flushes the tallies into the
+  // policy's counters once the phase is over.
   ThreadPool& pool = thread_pool();
+  std::vector<IdMarks> marks(pool.num_threads());
   std::vector<SearchTally> tallies(pool.num_threads());
   FlushOnExit flush_guard(tallies, nullptr, options.intersect.counters);
   drain_in_order(
@@ -460,7 +464,7 @@ void coreness_based_heuristic(LazyGraph& h, Incumbent& incumbent,
       [&](std::size_t t, std::size_t i) {
         IntersectPolicy policy = options.intersect;
         policy.tally = &tallies[t].kernels;
-        grow_from_seed(h, level_first[i], incumbent, policy);
+        grow_from_seed(h, level_first[i], incumbent, policy, marks[t]);
       },
       [&] {
         std::uint64_t stop_counter = 0;

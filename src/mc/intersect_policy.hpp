@@ -2,19 +2,30 @@
 //
 // Every |A ∩ B| > θ question in the search funnels through IntersectPolicy.
 // The NeighborhoodView methods are the *adaptive dispatcher*: they inspect
-// which representations B actually has (bitset row / hopscotch set /
-// sorted array) and the |A| vs |B| shape, then route to one of six
-// kernels, each one of the scans in intersect/intersect.hpp:
+// which representation B actually has (bitset row / CSR view / hopscotch
+// set / sorted array) and the |A| vs |B| shape, then route to one of
+// seven kernels, each one of the scans in intersect/intersect.hpp:
 //
 //   bitset-word   — word_scan of the caller-provided word form of A
 //                   against the BitsetRow, popcount per occupied word;
 //   bitset-probe  — probe_scan, a bit test per element of A;
+//   csr-scan      — a CSR view against A's marks in the caller's IdMarks:
+//                   csr_scan of B's list against A marked once (the
+//                   caller clears A's marks when it is done with A), or,
+//                   for gt, B marked and probe_scan of A, so the output
+//                   keeps A's order;
 //   hash-batched  — probe_scan through the prefetching ProbeRing
 //                   (|A| >= kBatchMin, so the lookahead pays off);
 //   hash          — probe_scan, serial hopscotch probes (small A);
 //   gallop        — probe_scan, binary search of A's elements in a sorted
-//                   B with |B| >= kGallopRatio * |A|;
+//                   B with |B| >= kGallopRatio * |A|: a sorted array, or
+//                   a CSR view's sorted list (a row-less hub, which exists
+//                   only once the row budget is spent or rows are off;
+//                   also any CSR view when the caller has no marks);
 //   merge         — merge_scan of two sorted arrays otherwise.
+//
+// A built row always wins, so a CSR view is read only where the lazy
+// graph built none.
 //
 // Each decision bumps one count (when wired) so reports can show where
 // intersections actually ran: a plain `++` in the calling worker's
@@ -72,39 +83,30 @@ struct IntersectPolicy {
   // ---- adaptive dispatch over a NeighborhoodView --------------------------
   // `a` must be sorted ascending (candidate sets are).  `a_words` is the
   // optional word-packed form of the same A; when present and B has a
-  // bitset row over the same zone, the word scan runs.
+  // bitset row over the same zone, the word scan runs.  `marks` is the
+  // caller's IdMarks, covering every id of A and otherwise empty or
+  // holding A's marks (A is marked on its first CSR scan; the caller
+  // clears them with marks->clear(a) before A changes).  Without it a
+  // CSR view is galloped.
 
   bool size_gt_bool(std::span<const VertexId> a, const NeighborhoodView& b,
-                    std::int64_t theta,
-                    const SparseWordSet* a_words = nullptr) const {
-    return dispatch<Query::size_gt_bool>(a, b, nullptr, theta, a_words);
+                    std::int64_t theta, const SparseWordSet* a_words = nullptr,
+                    IdMarks* marks = nullptr) const {
+    return query<Query::size_gt_bool>(a, b, nullptr, theta, a_words, marks);
   }
 
   int gt(std::span<const VertexId> a, const NeighborhoodView& b, VertexId* out,
-         std::int64_t theta, const SparseWordSet* a_words = nullptr) const {
-    return dispatch<Query::gt>(a, b, out, theta, a_words);
+         std::int64_t theta, const SparseWordSet* a_words = nullptr,
+         IdMarks* marks = nullptr) const {
+    return query<Query::gt>(a, b, out, theta, a_words, marks);
   }
 
- private:
-  template <Exits E>
-  using ExitsTag = std::integral_constant<Exits, E>;
-
-  /// Runs `scan` with the Exits the toggles select.  Only the boolean
-  /// query has a second exit to switch off.
-  template <Query Q, typename Scan>
-  QueryResult<Q> with_exits(Scan scan) const {
-    if (!early_exits) return scan(ExitsTag<Exits::none>{});
-    if constexpr (Q == Query::size_gt_bool) {
-      if (!second_exit) return scan(ExitsTag<Exits::no_second>{});
-    }
-    return scan(ExitsTag<Exits::all>{});
-  }
-
+  /// Query Q through the dispatcher (the two above, and tests).
   template <Query Q>
-  QueryResult<Q> dispatch(std::span<const VertexId> a,
-                          const NeighborhoodView& b, VertexId* out,
-                          std::int64_t theta,
-                          const SparseWordSet* a_words) const {
+  QueryResult<Q> query(std::span<const VertexId> a, const NeighborhoodView& b,
+                       VertexId* out, std::int64_t theta,
+                       const SparseWordSet* a_words = nullptr,
+                       IdMarks* marks = nullptr) const {
     if (b.has_bitset()) {
       const BitsetRow& row = b.bitset();
       if (a_words && a_words->zone_begin() == row.zone_begin) {
@@ -116,6 +118,7 @@ struct IntersectPolicy {
       bump(Kernel::bitset_probe);
       return probe<Q>(a, row, out, theta);
     }
+    if (b.is_csr()) return csr<Q>(a, b, out, theta, marks);
     if (b.is_hashed()) {
       const HopscotchSet& set = *b.hash_set();
       if (a.size() >= kBatchMin) {
@@ -136,6 +139,46 @@ struct IntersectPolicy {
     return with_exits<Q>([&]<Exits E>(ExitsTag<E>) {
       return merge_scan<Q, E>(a, s, out, theta);
     });
+  }
+
+ private:
+  template <Exits E>
+  using ExitsTag = std::integral_constant<Exits, E>;
+
+  /// Runs `scan` with the Exits the toggles select.  Only the boolean
+  /// query has a second exit to switch off.
+  template <Query Q, typename Scan>
+  QueryResult<Q> with_exits(Scan scan) const {
+    if (!early_exits) return scan(ExitsTag<Exits::none>{});
+    if constexpr (Q == Query::size_gt_bool) {
+      if (!second_exit) return scan(ExitsTag<Exits::no_second>{});
+    }
+    return scan(ExitsTag<Exits::all>{});
+  }
+
+  /// A CSR view B: csr-scan against `marks`, or a gallop for a hub.
+  template <Query Q>
+  QueryResult<Q> csr(std::span<const VertexId> a, const NeighborhoodView& b,
+                     VertexId* out, std::int64_t theta,
+                     IdMarks* marks) const {
+    const std::span<const VertexId> list = b.csr();
+    if (!marks || list.size() >= kGallopRatio * std::max<std::size_t>(
+                                                    1, a.size())) {
+      bump(Kernel::gallop);
+      return probe<Q>(a, b, out, theta);
+    }
+    bump(Kernel::csr_scan);
+    if constexpr (Q == Query::gt) {
+      marks->mark(list, b.orig_to_new());
+      const int r = probe<Q>(a, *marks, out, theta);
+      marks->clear(list, b.orig_to_new());
+      return r;
+    } else {
+      if (marks->empty()) marks->mark(a);
+      return with_exits<Q>([&]<Exits E>(ExitsTag<E>) {
+        return csr_scan<Q, E>(*marks, list, b.orig_to_new(), theta);
+      });
+    }
   }
 
   void bump(Kernel k) const {

@@ -113,7 +113,9 @@ struct LazyMCConfig {
 struct PhaseTimes {
   double degree_heuristic = 0;
   double preprocessing = 0;   // k-core + ordering
-  double must_subgraph = 0;   // prepopulation of the lazy graph
+  double must_subgraph = 0;   // lazy-graph construction, row enabling
+                              // and prepopulation (after the coreness
+                              // heuristic: two laps summed)
   double coreness_heuristic = 0;
   double systematic = 0;
 

@@ -17,22 +17,44 @@ std::uint64_t to_ns(double seconds) {
   return static_cast<std::uint64_t>(seconds * 1e9);
 }
 
-/// The pairwise extraction: each pair i < j is probed once, in member i's
-/// neighborhood, and mirrored.
+/// Calls hit(j) for each member j >= from, j != i, adjacent to member i
+/// in its view.  A CSR view scans its adjacency list against the members
+/// marked in `marks` (local id + 1; marked here on first use, cleared by
+/// the caller), unless it is a hub, whose list is binary-searched per
+/// member like any other view's set.
+template <typename Hit>
+void view_neighbors(const NeighborhoodView& view,
+                    std::span<const VertexId> members, std::size_t i,
+                    std::size_t from, IdMarks& marks, Hit hit) {
+  if (view.is_csr() && view.csr().size() < kGallopRatio * members.size()) {
+    if (marks.empty()) marks.mark(members);
+    const VertexId* map = view.orig_to_new();
+    for (VertexId w : view.csr()) {
+      const std::uint32_t p = marks.position(map[w]);
+      if (p > from && p - 1 != i) hit(p - 1);
+    }
+    return;
+  }
+  for (std::size_t j = from; j < members.size(); ++j) {
+    if (j != i && view.contains(members[j])) hit(j);
+  }
+}
+
+/// The pairwise extraction: each pair i < j is decided once, in member i's
+/// view, and mirrored.
 void probe_pairs(LazyGraph& h, const std::vector<VertexId>& members,
-                 DenseSubgraph& out) {
+                 DenseSubgraph& out, IdMarks& marks) {
   const std::size_t n = members.size();
   EdgeId m = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    NeighborhoodView view = h.membership(members[i]);
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (view.contains(members[j])) {
-        out.adj[i].set(j);
-        out.adj[j].set(i);
-        ++m;
-      }
-    }
+    view_neighbors(h.membership(members[i]), members, i, i + 1, marks,
+                   [&](std::size_t j) {
+                     out.adj[i].set(j);
+                     out.adj[j].set(i);
+                     ++m;
+                   });
   }
+  marks.clear(members);
   out.num_edges = m;
 }
 
@@ -82,6 +104,9 @@ void induce_from_lazy(LazyGraph& h, const std::vector<VertexId>& members,
   const std::size_t n = members.size();
   out.reset_pooled(n);
   out.vertices.assign(members.begin(), members.end());
+  // Members ascend, so this covers them all; a no-op inside a search,
+  // whose marks already cover the ids of coreness >= its bound.
+  if (n > 0) scratch.marks.cover(members.front(), h.num_vertices());
   bool words_ready = h.bitset_enabled() && n >= 2;
   if (words_ready) {
     try {
@@ -95,7 +120,7 @@ void induce_from_lazy(LazyGraph& h, const std::vector<VertexId>& members,
     }
   }
   if (!words_ready) {
-    probe_pairs(h, members, out);
+    probe_pairs(h, members, out, scratch.marks);
     LAZYMC_ASSERT_EXPENSIVE(rows_consistent(out),
                             "extracted subgraph rows are inconsistent");
     return;
@@ -116,10 +141,9 @@ void induce_from_lazy(LazyGraph& h, const std::vector<VertexId>& members,
     DynamicBitset& row = out.adj[i];
     if (!view.has_bitset()) {
       // Every row is filled from its own neighborhood, so a member
-      // without a zone row probes all the others, not only those above.
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j != i && view.contains(members[j])) row.set(j);
-      }
+      // without a zone row finds all the others, not only those above.
+      view_neighbors(view, members, i, 0, scratch.marks,
+                     [&](std::size_t j) { row.set(j); });
       degree_sum += row.count();
       continue;
     }
@@ -130,6 +154,7 @@ void induce_from_lazy(LazyGraph& h, const std::vector<VertexId>& members,
     degree_sum += wordops::compress_or(row.data(), hit, bits.data(),
                                        prefix.data(), cnt);
   }
+  scratch.marks.clear(members);
   // Every row consulted was filtered against at most filter_bound(); the
   // rows can disagree on a pair only once it passed a member's coreness.
   if (h.filter_bound() > min_coreness) {
@@ -212,6 +237,9 @@ void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
       return nullptr;
     }
   };
+  // A candidate without a row answers from the CSR against n_set's
+  // marks; every candidate has coreness >= bound.
+  scratch.marks.cover(h.first_with_coreness(bound), h.num_vertices());
   std::vector<VertexId>& kept = scratch.kept;
   const std::int64_t theta = static_cast<std::int64_t>(bound) - 2;
   const unsigned rounds = std::max(options.degree_filter_rounds, 1u);
@@ -222,10 +250,12 @@ void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
     const SparseWordSet* a_words = build_words(n_span);
     for (VertexId u : n_set) {
       NeighborhoodView u_nbrs = h.membership(u);
-      if (options.intersect.size_gt_bool(n_span, u_nbrs, theta, a_words)) {
+      if (options.intersect.size_gt_bool(n_span, u_nbrs, theta, a_words,
+                                         &scratch.marks)) {
         kept.push_back(u);
       }
     }
+    scratch.marks.clear(n_span);
     const bool fixpoint = kept.size() == n_set.size();
     std::swap(n_set, kept);
     if (n_set.size() < bound) {

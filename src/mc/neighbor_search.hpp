@@ -61,6 +61,9 @@ struct SearchScratch {
   SparseWordSet a_words;          // word form of n_set for bitset kernels
   AlignedWords and_words;   // induce_from_lazy's hit words, one
                                   // per occupied word of a_words
+  IdMarks marks;                  // n_set's marks for CSR views, over the
+                                  // ids of coreness >= the bound; 32-bit,
+                                  // as extraction marks local id + 1
   DenseSubgraph sub;              // pooled induced subgraph
   MCScratch mc;                   // solve_mc_dense frames
   vc::VcScratch vc;               // complement pool for the k-VC route
@@ -140,9 +143,11 @@ namespace detail {
 /// hit word is compressed to local ids by PEXT against A's word, landing at
 /// that word's prefix offset (wordops::compress_or).  The work per member
 /// scales with A's occupied words, not with its edges.  A member without
-/// a row probes every other member into its own row.  Without a word form
-/// (hash/sorted representations, or a failed build) each pair i < j is
-/// probed once, in member i's neighborhood, and mirrored.  The result is
+/// a row fills its own row from its view: a CSR view scans its adjacency
+/// against the members marked in scratch.marks (local id + 1), any other
+/// view (or a hub's CSR view) probes every other member.  Without a word
+/// form (rows off, or a failed build) each pair i < j is decided once, in
+/// member i's view the same way, and mirrored.  The result is
 /// the same either way: rows built at incumbents up to the lowest
 /// member's coreness all hold every member neighbor.  When a concurrent
 /// probe raised the incumbent past that mid-extraction, rows may disagree

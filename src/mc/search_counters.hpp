@@ -39,7 +39,8 @@ namespace lazymc::mc {
   X(bitset_probe)                 \
   X(bitset_word)                  \
   X(array_gallop)                 \
-  X(run_and)
+  X(run_and)                      \
+  X(csr_scan)
 
 /// Systematic-search counters (Table III, Figs. 3 and 6), summed over the
 /// workers' blocks.

@@ -102,7 +102,9 @@ TEST(ConcurrencyStress, RowBuildsStopExactlyAtTheBudget) {
   auto order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
   std::atomic<VertexId> incumbent{0};
   LazyGraph lazy(g, order, core.coreness, &incumbent);
-  lazy.set_preferred_rep(NeighborhoodRep::kBitset);
+  // Rows are built by bitset_row below; the hash rep makes membership()
+  // answer the rest through hash sets.
+  lazy.set_preferred_rep(NeighborhoodRep::kHash);
   // With no incumbent the zone is every vertex.  The budget pays for the
   // per-vertex bookkeeping (a row pointer and a popcount each) plus
   // exactly kRows rows at the 64-byte-aligned stride.
@@ -145,11 +147,9 @@ TEST(ConcurrencyStress, RowBuildsStopExactlyAtTheBudget) {
       EXPECT_EQ(bits, expected) << "row of " << v;
       EXPECT_EQ(view.bitset().size(), expected.size());
     } else {
-      // Past the budget, the vertex answers through a hash or sorted set.
+      // Past the budget, the vertex answers through a hash set.
       EXPECT_FALSE(view.has_bitset()) << v;
-      EXPECT_TRUE(view.is_hashed() || !view.sorted().empty() ||
-                  expected.empty())
-          << v;
+      EXPECT_TRUE(view.is_hashed()) << v;
       EXPECT_EQ(view.size(), expected.size()) << v;
       for (VertexId u : expected) EXPECT_TRUE(view.contains(u)) << v;
     }

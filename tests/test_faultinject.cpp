@@ -190,9 +190,10 @@ TEST_F(FaultInject, RowBlockFaultTurnsRowsOffNotOmega) {
   auto r = mc::lazy_mc(g, stress_config());
   EXPECT_EQ(r.omega, expected);
   EXPECT_TRUE(is_clique(g, r.clique));
-  // The one row block of the solve failed: no rows at all, hash/sorted
-  // sets serve the zone, and the failure is counted once.
+  // The one row block of the solve failed: no rows at all, CSR views
+  // serve the zone, and the failure is counted once.
   EXPECT_EQ(r.lazy_graph.bitset_built, 0u);
+  EXPECT_EQ(r.lazy_graph.hash_built + r.lazy_graph.sorted_built, 0u);
   EXPECT_EQ(r.lazy_graph.zone_size, 0u);
   EXPECT_EQ(r.lazy_graph.bitset_degraded, 1u);
   EXPECT_EQ(sites_by_name().at("slab.alloc").fires, 1u);
@@ -207,8 +208,8 @@ TEST_F(FaultInject, RowBuildFaultsDegradeVerticesNotOmega) {
   auto r = mc::lazy_mc(g, stress_config());
   EXPECT_EQ(r.omega, expected);
   EXPECT_TRUE(is_clique(g, r.clique));
-  // Every second row build failed and fell back per vertex; the others
-  // still built their rows.
+  // Every second row build failed and fell back to the vertex's CSR
+  // view; the others still built their rows.
   const auto fires = sites_by_name().at("bitset.row").fires;
   EXPECT_GE(fires, 1u);
   EXPECT_EQ(r.lazy_graph.bitset_degraded, fires);

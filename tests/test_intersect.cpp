@@ -1,7 +1,7 @@
 // Differential test of the intersection scans (Algorithms 3 and 4):
 // every kernel the dispatcher runs x every query x every exit setting x
 // every θ from -1 to |A|+1, checked against intersect_reference on random
-// and edge-case inputs.
+// and edge-case inputs.  csr-scan reads B through a shuffled id map.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,15 +26,17 @@ TEST(SortedLookup, BinarySearchContains) {
   EXPECT_EQ(look.size(), 4u);
 }
 
-/// The six kernels mc::IntersectPolicy dispatches to.
+/// The seven kernels mc::IntersectPolicy dispatches to.
 enum class Kernel { hash, hash_batched, bitset_probe, bitset_word, gallop,
-                    merge };
+                    merge, csr_scan };
 constexpr Kernel kKernels[] = {Kernel::hash,        Kernel::hash_batched,
                                Kernel::bitset_probe, Kernel::bitset_word,
-                               Kernel::gallop,      Kernel::merge};
+                               Kernel::gallop,      Kernel::merge,
+                               Kernel::csr_scan};
 constexpr const char* kKernelNames[] = {"hash",        "hash-batched",
                                         "bitset-probe", "bitset-word",
-                                        "gallop",      "merge"};
+                                        "gallop",      "merge",
+                                        "csr-scan"};
 constexpr const char* kExitNames[] = {"all", "no-second", "none"};
 
 /// One (A, B) pair, sorted and unique, inside the zone
@@ -52,6 +54,21 @@ class Inputs {
       : a(c.a), b(c.b), hash(make_set(c.b)), look(b),
         row(c.b, c.zone_begin, c.zone_bits) {
     a_words.build(a, c.zone_begin);
+    // B as a CSR row: its ids under a shuffled "original" numbering,
+    // sorted there, so the list is unsorted once mapped back.
+    const VertexId universe = c.zone_begin + c.zone_bits;
+    std::vector<VertexId> new_to_orig(universe);
+    for (VertexId v = 0; v < universe; ++v) new_to_orig[v] = v;
+    Rng rng(universe);
+    for (VertexId v = universe; v > 1; --v) {
+      std::swap(new_to_orig[v - 1],
+                new_to_orig[static_cast<VertexId>(rng.next_below(v))]);
+    }
+    orig_to_new.resize(universe);
+    for (VertexId v = 0; v < universe; ++v) orig_to_new[new_to_orig[v]] = v;
+    for (VertexId x : c.b) csr.push_back(new_to_orig[x]);
+    std::sort(csr.begin(), csr.end());
+    marks.cover(c.zone_begin, universe);
   }
 
   template <Query Q, Exits E>
@@ -70,6 +87,8 @@ class Inputs {
         return probe_scan<Q, E>(a, look, out, theta);
       case Kernel::merge:
         return merge_scan<Q, E>(a, b, out, theta);
+      case Kernel::csr_scan:
+        return run_csr<Q, E>(out, theta);
     }
     return too_small<Q>();
   }
@@ -77,10 +96,30 @@ class Inputs {
   std::span<const VertexId> a, b;
 
  private:
+  /// As mc::IntersectPolicy runs it: A marked and B's list scanned, or
+  /// for gt B marked and A probed.  The marks are empty again after.
+  template <Query Q, Exits E>
+  QueryResult<Q> run_csr(VertexId* out, std::int64_t theta) const {
+    QueryResult<Q> r;
+    if constexpr (Q == Query::gt) {
+      marks.mark(csr, orig_to_new.data());
+      r = probe_scan<Q, E>(a, marks, out, theta);
+      marks.clear(csr, orig_to_new.data());
+    } else {
+      marks.mark(a);
+      r = csr_scan<Q, E>(marks, csr, orig_to_new.data(), theta);
+      marks.clear(a);
+    }
+    EXPECT_TRUE(marks.empty());
+    return r;
+  }
+
   HopscotchSet hash;
   SortedLookup look;
   OwnedRow row;
   SparseWordSet a_words;
+  std::vector<VertexId> csr, orig_to_new;
+  mutable IdMarks marks;
 };
 
 /// Every kernel and query under exit setting E at one θ (no_second only

@@ -12,6 +12,7 @@
 #include "hashset/hopscotch_set.hpp"
 #include "intersect/intersect.hpp"
 #include "intersect_fixtures.hpp"
+#include "kcore/order.hpp"
 #include "lazygraph/lazy_graph.hpp"
 #include "mc/intersect_policy.hpp"
 #include "support/random.hpp"
@@ -113,6 +114,77 @@ TEST(IntersectPolicyDispatch, AllRepresentationsAgree) {
   EXPECT_GT(counters.merge.load() + counters.gallop.load(), 0u);
 }
 
+// A CSR view (an adjacency list in shuffled original ids, read through
+// the order's maps) takes both CSR paths: the mark scan when |B| <
+// kGallopRatio |A|, the hub gallop otherwise (and without marks).  Every
+// query, every exit setting and every θ must match the reference, and
+// the marks must be empty once the caller clears A's.
+TEST(IntersectPolicyDispatch, CsrViewsMatchReference) {
+  Rng rng(445);
+  constexpr VertexId kUniverse = 400;
+  kcore::VertexOrder order;
+  order.new_to_orig.resize(kUniverse);
+  for (VertexId v = 0; v < kUniverse; ++v) order.new_to_orig[v] = v;
+  for (VertexId v = kUniverse; v > 1; --v) {
+    std::swap(order.new_to_orig[v - 1],
+              order.new_to_orig[static_cast<VertexId>(rng.next_below(v))]);
+  }
+  order.orig_to_new.resize(kUniverse);
+  for (VertexId v = 0; v < kUniverse; ++v) {
+    order.orig_to_new[order.new_to_orig[v]] = v;
+  }
+  mc::KernelCounters counters;
+  mc::IntersectPolicy all;
+  mc::IntersectPolicy no_second;
+  no_second.second_exit = false;
+  mc::IntersectPolicy no_exits;
+  no_exits.early_exits = false;
+  no_exits.second_exit = false;
+  IdMarks marks;
+  marks.cover(3, kUniverse);  // A's ids start at 3; B's may lie below
+
+  for (int round = 0; round < 160; ++round) {
+    const bool hub = round % 2 == 1;
+    auto a = random_zone_set(rng, hub ? 6 : 40, 3, kUniverse - 3);
+    auto b = random_zone_set(rng, hub ? 390 : 40, 0, kUniverse);
+    std::vector<VertexId> csr;
+    for (VertexId x : b) csr.push_back(order.new_to_orig[x]);
+    std::sort(csr.begin(), csr.end());
+    const NeighborhoodView view(csr, order);
+    ASSERT_TRUE(view.is_csr());
+    const auto expected = intersect_reference(a, b);
+    const auto truth = static_cast<std::int64_t>(expected.size());
+    std::span<const VertexId> as(a);
+    for (mc::IntersectPolicy* p : {&all, &no_second, &no_exits}) {
+      p->counters = &counters;
+      for (IdMarks* m : {&marks, static_cast<IdMarks*>(nullptr)}) {
+        for (std::int64_t theta = -1;
+             theta <= static_cast<std::int64_t>(a.size()) + 1; ++theta) {
+          EXPECT_EQ(p->size_gt_bool(as, view, theta, nullptr, m),
+                    truth > theta);
+          EXPECT_EQ(p->query<Query::size_gt_val>(as, view, nullptr, theta,
+                                                 nullptr, m),
+                    truth > theta ? static_cast<int>(truth) : kTooSmall);
+          if (m) m->clear(as);
+          ASSERT_TRUE(marks.empty());
+          std::vector<VertexId> out(a.size() + 1);
+          const int g = p->gt(as, view, out.data(), theta, nullptr, m);
+          ASSERT_TRUE(marks.empty());
+          if (truth > theta) {
+            ASSERT_EQ(g, static_cast<int>(truth));
+            EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
+                                   out.begin()));  // A's order
+          } else {
+            EXPECT_EQ(g, kTooSmall);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(counters.csr_scan.load(), 0u);
+  EXPECT_GT(counters.gallop.load(), 0u);
+}
+
 TEST(IntersectPolicyDispatch, ShapeHeuristicsPickExpectedKernels) {
   mc::KernelCounters counters;
   mc::IntersectPolicy policy;
@@ -141,6 +213,27 @@ TEST(IntersectPolicyDispatch, ShapeHeuristicsPickExpectedKernels) {
   std::vector<VertexId> big_a(big_b.begin(), big_b.end());
   policy.size_gt_bool(big_a, hashed, 1);
   EXPECT_EQ(counters.hash_batched.load(), 1u);
+
+  // CSR view (identity order): csr-scan with marks, gallop for a hub
+  // (|B| >= kGallopRatio |A|) or without marks.
+  kcore::VertexOrder order;
+  for (VertexId v = 0; v < 8192; ++v) {
+    order.new_to_orig.push_back(v);
+    order.orig_to_new.push_back(v);
+  }
+  IdMarks marks;
+  marks.cover(0, 8192);
+  NeighborhoodView mid_csr(mid_b, order);
+  policy.size_gt_bool(small_a, mid_csr, 1, nullptr, &marks);
+  marks.clear(small_a);
+  EXPECT_EQ(counters.csr_scan.load(), 1u);
+  policy.size_gt_bool(small_a, mid_csr, 1);
+  EXPECT_EQ(counters.gallop.load(), 2u);
+  NeighborhoodView hub_csr(big_b, order);
+  policy.size_gt_bool(small_a, hub_csr, 1, nullptr, &marks);
+  EXPECT_EQ(counters.gallop.load(), 3u);
+  EXPECT_EQ(counters.csr_scan.load(), 1u);
+  EXPECT_TRUE(marks.empty());
 }
 
 }  // namespace

@@ -87,6 +87,43 @@ TEST(IoDimacs, IsolatedTrailingVerticesSurvive) {
   EXPECT_EQ(g.degree(6), 0u);
 }
 
+// A vertex count is bounded by the text's size, max(2^22, 8 x bytes), so
+// a few bytes cannot make the loader allocate gigabytes.
+TEST(IoVertexLimit, DimacsHeaderOverTheLimitThrows) {
+  const std::string text = "p edge 1500000000 0\n";
+  std::istringstream in(text);
+  try {
+    io::read_dimacs(in);
+    FAIL() << "no error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "lazymc::io: DIMACS header declares 1500000000 vertices, "
+                 "over the limit 4194304 for a 20-byte text "
+                 "(max(2^22, 8 x bytes)) (line 1)");
+  }
+  // At the limit the header loads (isolated vertices).
+  std::istringstream at("p edge 4194304 0\n");
+  EXPECT_EQ(io::read_dimacs(at).num_vertices(), 4194304u);
+}
+
+TEST(IoVertexLimit, EdgeListIdOverTheLimitThrows) {
+  std::istringstream in("0 1\n1 1500000000\n");
+  try {
+    io::read_edge_list(in);
+    FAIL() << "no error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "lazymc::io: edge-list vertex id 1500000000 implies "
+                 "1500000001 vertices, over the limit 4194304 for a "
+                 "17-byte text (max(2^22, 8 x bytes)) (line 2)");
+  }
+  // The limit grows with the text: 8 x bytes past 2^22.
+  std::string big(600000, '#');
+  big += "\n0 4799999\n";
+  std::istringstream in_big(big);
+  EXPECT_EQ(io::read_edge_list(in_big).num_vertices(), 4800000u);
+}
+
 TEST(IoFiles, AutoDetectAndFileRoundTrip) {
   Graph g = graph_from_edges(6, {{0, 5}, {1, 4}, {2, 3}, {0, 1}});
   std::string edge_path = testing::TempDir() + "/lazymc_io_test.edges";

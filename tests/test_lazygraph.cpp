@@ -319,15 +319,36 @@ TEST(LazyGraph, MembershipPrefersHash) {
 }
 
 TEST(LazyGraph, MembershipBuildsByDegreeThreshold) {
-  // Low-degree vertex -> sorted; high-degree -> hashed.
+  // Under auto a vertex of degree over 16 gets a row, a lower-degree one
+  // the CSR view; without rows both get the CSR view.  Nothing builds a
+  // hash set or a sorted array.
   Fixture f(gen::star(40));
-  LazyGraph lazy = f.make();
   VertexId hub = f.order.orig_to_new[0];   // degree 39 > threshold
   VertexId leaf = f.order.orig_to_new[7];  // degree 1
-  NeighborhoodView hub_view = lazy.membership(hub);
-  EXPECT_TRUE(hub_view.is_hashed());
-  NeighborhoodView leaf_view = lazy.membership(leaf);
-  EXPECT_FALSE(leaf_view.is_hashed());
+  {
+    LazyGraph lazy = f.make();
+    lazy.enable_bitset_rows(std::size_t{1} << 20);
+    ASSERT_TRUE(lazy.bitset_enabled());
+    EXPECT_TRUE(lazy.membership(hub).has_bitset());
+    NeighborhoodView leaf_view = lazy.membership(leaf);
+    EXPECT_TRUE(leaf_view.is_csr());
+    EXPECT_EQ(leaf_view.size(), 1u);
+    EXPECT_TRUE(leaf_view.contains(hub));
+    EXPECT_EQ(lazy.stats().bitset_built, 1u);
+  }
+  {
+    LazyGraph lazy = f.make();
+    NeighborhoodView hub_view = lazy.membership(hub);
+    EXPECT_TRUE(hub_view.is_csr());
+    EXPECT_EQ(hub_view.size(), 39u);
+    EXPECT_TRUE(lazy.membership(leaf).is_csr());
+    EXPECT_EQ(lazy.stats().hash_built + lazy.stats().sorted_built, 0u);
+  }
+  // Under hash, the low-degree vertex gets a hash set too.
+  LazyGraph lazy = f.make();
+  lazy.set_preferred_rep(NeighborhoodRep::kHash);
+  EXPECT_TRUE(lazy.membership(hub).is_hashed());
+  EXPECT_TRUE(lazy.membership(leaf).is_hashed());
 }
 
 TEST(LazyGraph, MembershipViewContainsAgreesWithEdges) {
@@ -345,6 +366,7 @@ TEST(LazyGraph, MembershipViewContainsAgreesWithEdges) {
 TEST(LazyGraph, PrepopulateAllBuildsEverything) {
   Fixture f(gen::gnp(60, 0.1, 19));
   LazyGraph lazy = f.make();
+  lazy.set_preferred_rep(NeighborhoodRep::kHash);
   lazy.prepopulate(Prepopulate::kAll, 0);
   EXPECT_EQ(lazy.stats().hash_built, 60u);
   for (VertexId v = 0; v < 60; ++v) EXPECT_TRUE(lazy.has_hashed(v));
@@ -361,9 +383,29 @@ TEST(LazyGraph, PrepopulateMustBuildsOnlyHighCoreness) {
   Graph g = gen::graph_union(gen::complete(6), gen::path(20));
   Fixture f(std::move(g));
   LazyGraph lazy = f.make();
+  lazy.set_preferred_rep(NeighborhoodRep::kHash);
   lazy.prepopulate(Prepopulate::kMustSubgraph, 5);
   // Only the K6 members have coreness >= 5.
   EXPECT_EQ(lazy.stats().hash_built, 6u);
+}
+
+TEST(LazyGraph, AutoPrepopulateBuildsOnlyRows) {
+  // Under auto, prepopulation builds rows where the auto rule wants them
+  // and nothing else: no rows enabled, nothing built at all.
+  Graph g = gen::graph_union(gen::complete(6), gen::path(20));
+  Fixture f(std::move(g));
+  {
+    LazyGraph lazy = f.make();
+    lazy.prepopulate(Prepopulate::kAll, 0);
+    const auto s = lazy.stats();
+    EXPECT_EQ(s.hash_built + s.sorted_built + s.bitset_built, 0u);
+  }
+  LazyGraph lazy = f.make();
+  lazy.enable_bitset_rows(std::size_t{1} << 20);
+  lazy.prepopulate(Prepopulate::kMustSubgraph, 5);
+  const auto s = lazy.stats();
+  EXPECT_EQ(s.hash_built + s.sorted_built, 0u);
+  EXPECT_EQ(s.bitset_built, 6u);  // the K6 members
 }
 
 TEST(LazyGraph, ConcurrentConstructionIsSafe) {

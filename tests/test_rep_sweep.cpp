@@ -1,16 +1,19 @@
 // Suite-wide correctness of the zone rows: omega must be identical with
 // bitset rows forced on, rows forced off, and rows chosen adaptively, at
-// 1, 2 and 8 threads — plus unit coverage of the zone/budget semantics of
-// enable_bitset_rows.
+// 1, 2 and 8 threads; under auto no hash set or sorted array is built on
+// the medium suite, and a rows-off auto solve matches the reference —
+// plus unit coverage of the zone/budget semantics of enable_bitset_rows.
 #include <gtest/gtest.h>
 
 #include <atomic>
 
+#include "baselines/reference.hpp"
 #include "graph/generators.hpp"
 #include "graph/suite.hpp"
 #include "kcore/kcore.hpp"
 #include "kcore/order.hpp"
 #include "mc/lazymc.hpp"
+#include "support/control.hpp"
 #include "support/parallel.hpp"
 
 namespace lazymc {
@@ -62,7 +65,7 @@ INSTANTIATE_TEST_SUITE_P(AllInstances, RepSweepTest,
 
 TEST(RepSweep, TinyBudgetStillCorrect) {
   // A 1 KB budget can hold almost no rows; dispatch must degrade to the
-  // hash/sorted kernels per vertex without changing omega.
+  // CSR kernels per vertex without changing omega.
   auto inst = suite::make_instance("webcc", suite::Scale::kTiny);
   mc::LazyMCConfig base;
   auto expected = mc::lazy_mc(inst.graph, base).omega;
@@ -95,7 +98,7 @@ TEST(RepSweep, BitsetRepReportsWordKernelDispatch) {
 TEST(RepSweep, StarvedBitsetBudgetBuildsPartOfTheZone) {
   // A budget that holds about half of the rows an unconstrained run
   // builds: rows must stop mid-zone within the budget, the rest of the
-  // zone falls back to hash/sorted, and omega must not move.  The random
+  // zone falls back to CSR views, and omega must not move.  The random
   // graph has coreness high everywhere, so the zone covers most of it.
   const Graph g = gen::gnp(4000, 0.008, 4242);
 
@@ -117,6 +120,78 @@ TEST(RepSweep, StarvedBitsetBudgetBuildsPartOfTheZone) {
   EXPECT_LT(r.lazy_graph.bitset_built, full.lazy_graph.bitset_built);
   EXPECT_LE(r.lazy_graph.bitset_bytes, budget - bookkeeping);
   EXPECT_EQ(r.omega, full.omega);
+}
+
+// Under --rep auto nothing builds a hash set or a sorted array: a vertex
+// without a zone row answers from the CSR.  On every medium suite graph,
+// at 1 and 4 threads, none is built and omega matches the reference
+// solver.  The reference gets one second per graph; flickr, WormNet,
+// mouse and human-1 need longer, so there omega must be at least the
+// reference's best clique and agree across thread counts (the
+// golden_counters ctest pins their 1-thread omega).
+TEST(RepSweepMedium, AutoBuildsNoSetsAndMatchesReference) {
+  for (const std::string& name : suite::instance_names()) {
+    const auto inst = suite::make_instance(name, suite::Scale::kMedium);
+    const Graph& g = inst.graph;
+    set_num_threads(1);
+    SolveControl control(1.0);
+    bool ref_timed_out = false;
+    const std::size_t ref =
+        baselines::max_clique_reference(g, &control, &ref_timed_out).size();
+    VertexId omega_t1 = 0;
+    for (std::size_t threads : {1, 4}) {
+      set_num_threads(threads);
+      const auto r = mc::lazy_mc(g);
+      const std::string where = name + " threads=" + std::to_string(threads);
+      EXPECT_EQ(r.lazy_graph.hash_built, 0u) << where;
+      EXPECT_EQ(r.lazy_graph.sorted_built, 0u) << where;
+      EXPECT_TRUE(is_clique(g, r.clique)) << where;
+      if (ref_timed_out) {
+        EXPECT_GE(r.omega, ref) << where;
+      } else {
+        EXPECT_EQ(r.omega, ref) << where;
+      }
+      if (threads == 1) omega_t1 = r.omega;
+      EXPECT_EQ(r.omega, omega_t1) << where;
+    }
+  }
+  set_num_threads(0);
+}
+
+// Rows off (--bitset-budget-mb 0) under auto: every candidate reads the
+// CSR, so the filters, the pairwise extraction and the coreness
+// heuristic run on CSR views alone.  omega must match the reference.
+TEST(RepSweep, RowsOffAutoSolveMatchesReference) {
+  std::uint64_t csr_scans = 0;
+  std::uint64_t extracted = 0;  // heads whose subgraph was extracted
+  std::vector<Graph> graphs;
+  for (const std::string& name : suite::instance_names()) {
+    graphs.push_back(suite::make_instance(name, suite::Scale::kTiny).graph);
+  }
+  for (const char* name : {"webcc", "talk", "sinaweibo"}) {
+    graphs.push_back(suite::make_instance(name, suite::Scale::kSmall).graph);
+  }
+  for (std::uint64_t seed : {11, 12, 13}) {
+    graphs.push_back(gen::gnp(150, 0.25, seed));
+  }
+  for (const Graph& g : graphs) {
+    const std::size_t ref = baselines::max_clique_reference(g).size();
+    for (std::size_t threads : {1, 4}) {
+      set_num_threads(threads);
+      mc::LazyMCConfig cfg;
+      cfg.bitset_budget_bytes = 0;
+      const auto r = mc::lazy_mc(g, cfg);
+      EXPECT_EQ(r.omega, ref) << "threads=" << threads;
+      EXPECT_TRUE(is_clique(g, r.clique));
+      EXPECT_EQ(r.lazy_graph.zone_size, 0u);
+      EXPECT_EQ(r.lazy_graph.hash_built + r.lazy_graph.sorted_built, 0u);
+      csr_scans += r.search.kernel_csr_scan;
+      extracted += r.search.pass_filter3;
+    }
+  }
+  set_num_threads(0);
+  EXPECT_GT(csr_scans, 0u);
+  EXPECT_GT(extracted, 0u);
 }
 
 // ---- LazyGraph zone / budget unit tests -----------------------------------
