@@ -25,7 +25,8 @@ namespace lazymc::io {
 /// are accepted.  Ids beyond VertexId range throw instead of silently
 /// truncating, and so does an id that implies more vertices than
 /// max(2^22, 8 x the text's bytes), since the graph's O(n) arrays would
-/// dwarf the text.
+/// dwarf the text.  That refuses sparse ids too (a small sample of a
+/// large graph that keeps its original ids): renumber them densely.
 Graph read_edge_list(std::istream& in);
 Graph read_edge_list_file(const std::string& path);
 

@@ -101,6 +101,36 @@ class IdMarks {
   std::vector<std::uint32_t> marks_;  // empty until the first mark()
 };
 
+/// The candidate set A of one round of queries with the IdMarks its CSR
+/// scans read: marked() marks A on first use, and the destructor unmarks
+/// it, so the array is all zero again before A changes.  A query that
+/// marks B instead takes the array through unmarked().  One ScopedMarks
+/// per IdMarks at a time.
+class ScopedMarks {
+ public:
+  /// `marks` must cover A's ids and be empty.
+  ScopedMarks(IdMarks& marks, std::span<const VertexId> a)
+      : marks_(marks), a_(a) {}
+  ~ScopedMarks() { marks_.clear(a_); }
+  ScopedMarks(const ScopedMarks&) = delete;
+  ScopedMarks& operator=(const ScopedMarks&) = delete;
+
+  /// A's marks: 1 + each member's position in A.
+  const IdMarks& marked() {
+    if (marks_.empty()) marks_.mark(a_);
+    return marks_;
+  }
+  /// The array with A unmarked; the caller clears what it marks there.
+  IdMarks& unmarked() {
+    marks_.clear(a_);
+    return marks_;
+  }
+
+ private:
+  IdMarks& marks_;
+  std::span<const VertexId> a_;
+};
+
 /// Return code of early-exit intersections when the threshold was not met.
 inline constexpr int kTooSmall = -1;
 

@@ -293,35 +293,34 @@ BitsetRow LazyGraph::bitset_row(VertexId v) {
   return row_view(v);
 }
 
-NeighborhoodView LazyGraph::membership(VertexId v) {
+NeighborhoodView LazyGraph::membership(VertexId v, std::size_t probes) {
   const std::uint8_t f = flags_[v].load(std::memory_order_acquire);
   if (f & kBitsetBuilt) return NeighborhoodView(nullptr, {}, row_view(v));
   if (f & kHashBuilt) return NeighborhoodView(&hash_[v], {});
   if (f & kSortedBuilt) {
     return NeighborhoodView(nullptr, {sorted_[v].data(), sorted_[v].size()});
   }
-  switch (rep_) {
-    case NeighborhoodRep::kHash:
-      return NeighborhoodView(&hashed_neighborhood(v), {});
-    case NeighborhoodRep::kSorted:
-      return NeighborhoodView(nullptr, sorted_neighborhood(v));
-    case NeighborhoodRep::kBitset:
-      if (BitsetRow r = bitset_row(v); r.valid()) {
-        return NeighborhoodView(nullptr, {}, r);
-      }
-      break;
-    case NeighborhoodRep::kAuto: {
-      // A row when it is no dearer to build than the set the paper would
-      // build (degree over 16), else nothing: the CSR answers.
-      const VertexId deg = original_degree(v);
-      if (deg > kHashDegreeThreshold && auto_wants_bitset(v, deg)) {
-        if (BitsetRow r = bitset_row(v); r.valid()) {
-          return NeighborhoodView(nullptr, {}, r);
-        }
-      }
-      break;
+  if (rep_ == NeighborhoodRep::kHash) {
+    return NeighborhoodView(&hashed_neighborhood(v), {});
+  }
+  if (rep_ == NeighborhoodRep::kSorted) {
+    return NeighborhoodView(nullptr, sorted_neighborhood(v));
+  }
+  // Bitset takes a row wherever it can.  Auto takes one when it is no
+  // dearer to build than the set the paper would build (degree over 16),
+  // and for a hub while the budget lasts.
+  const VertexId deg = original_degree(v);
+  const bool hub = probes > 0 && deg > kHashDegreeThreshold &&
+                   deg >= kHubRatio * probes;
+  if (rep_ == NeighborhoodRep::kBitset ||
+      (deg > kHashDegreeThreshold && (hub || auto_wants_bitset(v, deg)))) {
+    if (BitsetRow r = bitset_row(v); r.valid()) {
+      return NeighborhoodView(nullptr, {}, r);
     }
   }
+  // A row-less hub's CSR scans would read kHubRatio times more than
+  // probes of A into a hash set; anything else reads the CSR.
+  if (hub) return NeighborhoodView(&hashed_neighborhood(v), {});
   return NeighborhoodView(base_->neighbors(order_->new_to_orig[v]), *order_);
 }
 

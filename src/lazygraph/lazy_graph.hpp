@@ -22,11 +22,16 @@
 //    mc/intersect_policy.hpp) scans the list against the candidate set's
 //    marks.  The view is unfiltered, which is exact for every query the
 //    search asks: its candidates all have coreness >= the incumbent.
-// --rep bitset takes a row wherever zone and budget allow and the CSR
-// view elsewhere.  The paper's hopscotch hash sets (O(1) probes, ~6
-// bytes/neighbor) and sorted arrays are built only under --rep hash and
-// --rep sorted, the ablation switches, and their per-vertex slots are
-// allocated only on the first such build.
+// The exception is a hub, a vertex whose degree is at least kHubRatio
+// times the candidate set it is asked about: its scans would cost far
+// more than probes, so it gets a row past the auto rule while the budget
+// lasts, else the paper's hopscotch hash set (O(1) probes, ~6
+// bytes/neighbor).  With rows on, the medium suite builds no set.
+// --rep bitset takes a row wherever zone and budget allow, and the CSR
+// view (a hash set for a hub) elsewhere.  Hash sets for every vertex,
+// and sorted arrays, are built only under --rep hash and --rep sorted,
+// the ablation switches.  The per-vertex set slots are allocated only on
+// the first set build.
 //
 // Right-neighborhoods N+(v) are not a representation: right_neighbors()
 // reads them into a caller buffer from v's row if it is built, else from
@@ -122,6 +127,13 @@ class LazyGraph {
   /// Degree above which the auto rule considers a bitset row (the paper's
   /// hash-set threshold, Section IV-A: "degree over 16").
   static constexpr VertexId kHashDegreeThreshold = 16;
+  /// Degree / candidate-set ratio from which a row-less vertex is a hub
+  /// (see membership()).  A CSR scan reads deg(v) ids, two random loads
+  /// each, where a hash set answers |A| probes, and hubs are asked by
+  /// many heads, which repay the set.  With rows off, 4 brings the medium
+  /// graphs that scanning hubs slowed 2-2.5x back to within ~10% of hash
+  /// sets everywhere; 2 builds more sets (yahoo) for no gain.
+  static constexpr std::size_t kHubRatio = 4;
 
   /// `incumbent_size` is read (relaxed) every time a neighborhood is
   /// constructed; it must outlive the LazyGraph and only ever increase.
@@ -178,10 +190,15 @@ class LazyGraph {
 
   /// "Either representation" accessor: whatever v has built (its bitset
   /// row first), else what the preferred representation gives (building
-  /// it on first use): a hash set under hash, a sorted array under sorted; a
-  /// row under bitset, and under auto for a vertex the auto rule gives
-  /// one, else the CSR view.
-  NeighborhoodView membership(VertexId v);
+  /// it on first use): a hash set under hash, a sorted array under sorted;
+  /// under bitset a row, and under auto a row for a vertex the auto rule
+  /// gives one, else the CSR view.  `probes` is the size of the candidate
+  /// set the caller will test against the view (0: unknown).  Under auto
+  /// and bitset, a vertex of degree over kHashDegreeThreshold and at least
+  /// kHubRatio x probes is a hub: auto gives it a row past its rule, and
+  /// a hub left without a row (rows off, budget spent, out of zone) gets
+  /// a hash set instead of the CSR view.
+  NeighborhoodView membership(VertexId v, std::size_t probes = 0);
 
   /// True when the respective representation has been constructed.
   bool has_hashed(VertexId v) const {
@@ -321,7 +338,8 @@ class LazyGraph {
   std::vector<std::atomic<std::uint8_t>> flags_;
   std::unique_ptr<SpinLock[]> locks_;
   // One slot per vertex, allocated by the first hash or sorted build
-  // (sets_once_): only --rep hash|sorted and direct calls make those.
+  // (sets_once_): only --rep hash|sorted, row-less hubs and direct calls
+  // make those.
   std::once_flag sets_once_;
   std::unique_ptr<HopscotchSet[]> hash_;
   std::unique_ptr<std::vector<VertexId>[]> sorted_;

@@ -419,9 +419,13 @@ void grow_from_seed(LazyGraph& h, VertexId v, Incumbent& incumbent,
     std::int64_t theta =
         static_cast<std::int64_t>(incumbent.size()) -
         static_cast<std::int64_t>(clique.size());
-    NeighborhoodView u_nbrs = h.membership(u);
-    int kept = policy.gt(std::span<const VertexId>(candidates), u_nbrs,
-                         next.data(), theta, nullptr, &marks);
+    NeighborhoodView u_nbrs = h.membership(u, candidates.size());
+    int kept;
+    {
+      ScopedMarks a_marks(marks, candidates);
+      kept = policy.gt(std::span<const VertexId>(candidates), u_nbrs,
+                       next.data(), theta, nullptr, &a_marks);
+    }
     if (kept == kTooSmall) {
       candidates.clear();
       break;

@@ -9,23 +9,22 @@
 //   bitset-word   — word_scan of the caller-provided word form of A
 //                   against the BitsetRow, popcount per occupied word;
 //   bitset-probe  — probe_scan, a bit test per element of A;
-//   csr-scan      — a CSR view against A's marks in the caller's IdMarks:
-//                   csr_scan of B's list against A marked once (the
-//                   caller clears A's marks when it is done with A), or,
-//                   for gt, B marked and probe_scan of A, so the output
-//                   keeps A's order;
+//   csr-scan      — a CSR view against the caller's ScopedMarks of A:
+//                   csr_scan of B's list against A, marked once per
+//                   round, or, for gt, B marked and probe_scan of A, so
+//                   the output keeps A's order;
 //   hash-batched  — probe_scan through the prefetching ProbeRing
 //                   (|A| >= kBatchMin, so the lookahead pays off);
 //   hash          — probe_scan, serial hopscotch probes (small A);
 //   gallop        — probe_scan, binary search of A's elements in a sorted
-//                   B with |B| >= kGallopRatio * |A|: a sorted array, or
-//                   a CSR view's sorted list (a row-less hub, which exists
-//                   only once the row budget is spent or rows are off;
-//                   also any CSR view when the caller has no marks);
+//                   B: a sorted array with |B| >= kGallopRatio * |A|, or
+//                   a CSR view's sorted list when the caller has no marks;
 //   merge         — merge_scan of two sorted arrays otherwise.
 //
 // A built row always wins, so a CSR view is read only where the lazy
-// graph built none.
+// graph built none.  Whether a vertex is a hub, too costly to scan, is
+// the lazy graph's call (LazyGraph::membership), made before the view
+// reaches the policy.
 //
 // Each decision bumps one count (when wired) so reports can show where
 // intersections actually ran: a plain `++` in the calling worker's
@@ -83,21 +82,18 @@ struct IntersectPolicy {
   // ---- adaptive dispatch over a NeighborhoodView --------------------------
   // `a` must be sorted ascending (candidate sets are).  `a_words` is the
   // optional word-packed form of the same A; when present and B has a
-  // bitset row over the same zone, the word scan runs.  `marks` is the
-  // caller's IdMarks, covering every id of A and otherwise empty or
-  // holding A's marks (A is marked on its first CSR scan; the caller
-  // clears them with marks->clear(a) before A changes).  Without it a
-  // CSR view is galloped.
+  // bitset row over the same zone, the word scan runs.  `marks` is A's
+  // ScopedMarks for the CSR kernel; without it a CSR view is galloped.
 
   bool size_gt_bool(std::span<const VertexId> a, const NeighborhoodView& b,
                     std::int64_t theta, const SparseWordSet* a_words = nullptr,
-                    IdMarks* marks = nullptr) const {
+                    ScopedMarks* marks = nullptr) const {
     return query<Query::size_gt_bool>(a, b, nullptr, theta, a_words, marks);
   }
 
   int gt(std::span<const VertexId> a, const NeighborhoodView& b, VertexId* out,
          std::int64_t theta, const SparseWordSet* a_words = nullptr,
-         IdMarks* marks = nullptr) const {
+         ScopedMarks* marks = nullptr) const {
     return query<Query::gt>(a, b, out, theta, a_words, marks);
   }
 
@@ -106,7 +102,7 @@ struct IntersectPolicy {
   QueryResult<Q> query(std::span<const VertexId> a, const NeighborhoodView& b,
                        VertexId* out, std::int64_t theta,
                        const SparseWordSet* a_words = nullptr,
-                       IdMarks* marks = nullptr) const {
+                       ScopedMarks* marks = nullptr) const {
     if (b.has_bitset()) {
       const BitsetRow& row = b.bitset();
       if (a_words && a_words->zone_begin() == row.zone_begin) {
@@ -156,27 +152,26 @@ struct IntersectPolicy {
     return scan(ExitsTag<Exits::all>{});
   }
 
-  /// A CSR view B: csr-scan against `marks`, or a gallop for a hub.
+  /// A CSR view B: csr-scan against `marks`, or a gallop without them.
   template <Query Q>
   QueryResult<Q> csr(std::span<const VertexId> a, const NeighborhoodView& b,
                      VertexId* out, std::int64_t theta,
-                     IdMarks* marks) const {
-    const std::span<const VertexId> list = b.csr();
-    if (!marks || list.size() >= kGallopRatio * std::max<std::size_t>(
-                                                    1, a.size())) {
+                     ScopedMarks* marks) const {
+    if (!marks) {
       bump(Kernel::gallop);
       return probe<Q>(a, b, out, theta);
     }
     bump(Kernel::csr_scan);
+    const std::span<const VertexId> list = b.csr();
     if constexpr (Q == Query::gt) {
-      marks->mark(list, b.orig_to_new());
-      const int r = probe<Q>(a, *marks, out, theta);
-      marks->clear(list, b.orig_to_new());
+      IdMarks& b_marks = marks->unmarked();
+      b_marks.mark(list, b.orig_to_new());
+      const int r = probe<Q>(a, b_marks, out, theta);
+      b_marks.clear(list, b.orig_to_new());
       return r;
     } else {
-      if (marks->empty()) marks->mark(a);
       return with_exits<Q>([&]<Exits E>(ExitsTag<E>) {
-        return csr_scan<Q, E>(*marks, list, b.orig_to_new(), theta);
+        return csr_scan<Q, E>(marks->marked(), list, b.orig_to_new(), theta);
       });
     }
   }

@@ -18,19 +18,17 @@ std::uint64_t to_ns(double seconds) {
 }
 
 /// Calls hit(j) for each member j >= from, j != i, adjacent to member i
-/// in its view.  A CSR view scans its adjacency list against the members
-/// marked in `marks` (local id + 1; marked here on first use, cleared by
-/// the caller), unless it is a hub, whose list is binary-searched per
-/// member like any other view's set.
+/// in its view.  A CSR view scans its adjacency list against the members'
+/// marks (local id + 1); any other view is probed once per member.
 template <typename Hit>
 void view_neighbors(const NeighborhoodView& view,
                     std::span<const VertexId> members, std::size_t i,
-                    std::size_t from, IdMarks& marks, Hit hit) {
-  if (view.is_csr() && view.csr().size() < kGallopRatio * members.size()) {
-    if (marks.empty()) marks.mark(members);
+                    std::size_t from, ScopedMarks& marks, Hit hit) {
+  if (view.is_csr()) {
+    const IdMarks& marked = marks.marked();
     const VertexId* map = view.orig_to_new();
     for (VertexId w : view.csr()) {
-      const std::uint32_t p = marks.position(map[w]);
+      const std::uint32_t p = marked.position(map[w]);
       if (p > from && p - 1 != i) hit(p - 1);
     }
     return;
@@ -43,18 +41,17 @@ void view_neighbors(const NeighborhoodView& view,
 /// The pairwise extraction: each pair i < j is decided once, in member i's
 /// view, and mirrored.
 void probe_pairs(LazyGraph& h, const std::vector<VertexId>& members,
-                 DenseSubgraph& out, IdMarks& marks) {
+                 DenseSubgraph& out, ScopedMarks& marks) {
   const std::size_t n = members.size();
   EdgeId m = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    view_neighbors(h.membership(members[i]), members, i, i + 1, marks,
+    view_neighbors(h.membership(members[i], n), members, i, i + 1, marks,
                    [&](std::size_t j) {
                      out.adj[i].set(j);
                      out.adj[j].set(i);
                      ++m;
                    });
   }
-  marks.clear(members);
   out.num_edges = m;
 }
 
@@ -107,6 +104,7 @@ void induce_from_lazy(LazyGraph& h, const std::vector<VertexId>& members,
   // Members ascend, so this covers them all; a no-op inside a search,
   // whose marks already cover the ids of coreness >= its bound.
   if (n > 0) scratch.marks.cover(members.front(), h.num_vertices());
+  ScopedMarks marks(scratch.marks, members);
   bool words_ready = h.bitset_enabled() && n >= 2;
   if (words_ready) {
     try {
@@ -120,7 +118,7 @@ void induce_from_lazy(LazyGraph& h, const std::vector<VertexId>& members,
     }
   }
   if (!words_ready) {
-    probe_pairs(h, members, out, scratch.marks);
+    probe_pairs(h, members, out, marks);
     LAZYMC_ASSERT_EXPENSIVE(rows_consistent(out),
                             "extracted subgraph rows are inconsistent");
     return;
@@ -137,12 +135,12 @@ void induce_from_lazy(LazyGraph& h, const std::vector<VertexId>& members,
   VertexId min_coreness = h.coreness(members[0]);
   for (std::size_t i = 0; i < n; ++i) {
     min_coreness = std::min(min_coreness, h.coreness(members[i]));
-    NeighborhoodView view = h.membership(members[i]);
+    NeighborhoodView view = h.membership(members[i], n);
     DynamicBitset& row = out.adj[i];
     if (!view.has_bitset()) {
       // Every row is filled from its own neighborhood, so a member
       // without a zone row finds all the others, not only those above.
-      view_neighbors(view, members, i, 0, scratch.marks,
+      view_neighbors(view, members, i, 0, marks,
                      [&](std::size_t j) { row.set(j); });
       degree_sum += row.count();
       continue;
@@ -154,7 +152,6 @@ void induce_from_lazy(LazyGraph& h, const std::vector<VertexId>& members,
     degree_sum += wordops::compress_or(row.data(), hit, bits.data(),
                                        prefix.data(), cnt);
   }
-  scratch.marks.clear(members);
   // Every row consulted was filtered against at most filter_bound(); the
   // rows can disagree on a pair only once it passed a member's coreness.
   if (h.filter_bound() > min_coreness) {
@@ -248,14 +245,16 @@ void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
     kept.reserve(n_set.size());
     std::span<const VertexId> n_span(n_set);
     const SparseWordSet* a_words = build_words(n_span);
-    for (VertexId u : n_set) {
-      NeighborhoodView u_nbrs = h.membership(u);
-      if (options.intersect.size_gt_bool(n_span, u_nbrs, theta, a_words,
-                                         &scratch.marks)) {
-        kept.push_back(u);
+    {
+      ScopedMarks marks(scratch.marks, n_span);
+      for (VertexId u : n_set) {
+        NeighborhoodView u_nbrs = h.membership(u, n_span.size());
+        if (options.intersect.size_gt_bool(n_span, u_nbrs, theta, a_words,
+                                           &marks)) {
+          kept.push_back(u);
+        }
       }
     }
-    scratch.marks.clear(n_span);
     const bool fixpoint = kept.size() == n_set.size();
     std::swap(n_set, kept);
     if (n_set.size() < bound) {

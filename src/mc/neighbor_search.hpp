@@ -144,8 +144,9 @@ namespace detail {
 /// that word's prefix offset (wordops::compress_or).  The work per member
 /// scales with A's occupied words, not with its edges.  A member without
 /// a row fills its own row from its view: a CSR view scans its adjacency
-/// against the members marked in scratch.marks (local id + 1), any other
-/// view (or a hub's CSR view) probes every other member.  Without a word
+/// against the members marked in scratch.marks (local id + 1, through a
+/// ScopedMarks), any other view (a hub's hash set) probes every other
+/// member.  Without a word
 /// form (rows off, or a failed build) each pair i < j is decided once, in
 /// member i's view the same way, and mirrored.  The result is
 /// the same either way: rows built at incumbents up to the lowest

@@ -157,6 +157,51 @@ TEST(ConcurrencyStress, RowBuildsStopExactlyAtTheBudget) {
   EXPECT_EQ(built, kRows);
 }
 
+// Under auto, threads asking about the same vertices with different
+// candidate-set sizes race to turn hubs into rows (while a small budget
+// lasts) or hash sets (once it is spent, and with rows off), while other
+// askers read the same vertices' CSR views.  Every view must answer
+// every edge exactly.
+TEST(ConcurrencyStress, HubViewsBuiltConcurrentlyAnswerExactly) {
+  constexpr VertexId kN = 600;
+  Graph g = gen::barabasi_albert(kN, 6, 205);
+  auto core = kcore::coreness(g);
+  auto order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
+  for (const bool rows : {false, true}) {
+    std::atomic<VertexId> incumbent{0};
+    LazyGraph lazy(g, order, core.coreness, &incumbent);
+    if (rows) {
+      // Room for about 20 rows: the zone is every vertex.
+      lazy.enable_bitset_rows(kN * (sizeof(std::uint64_t*) + 4) + 20 * 128);
+      ASSERT_TRUE(lazy.bitset_enabled());
+    }
+    std::atomic<int> errors{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 6; ++t) {
+      threads.emplace_back([&, t] {
+        Rng rng(2000 + t);
+        for (int i = 0; i < 3000; ++i) {
+          const auto v = static_cast<VertexId>(rng.next_below(kN));
+          const auto u = static_cast<VertexId>(rng.next_below(kN));
+          const NeighborhoodView view =
+              lazy.membership(v, 1 + rng.next_below(12));
+          const bool edge =
+              g.has_edge(order.new_to_orig[v], order.new_to_orig[u]);
+          if (view.contains(u) != edge) errors++;
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(errors.load(), 0) << "rows=" << rows;
+    const auto stats = lazy.stats();
+    EXPECT_GT(stats.hash_built, 0u) << "rows=" << rows;
+    EXPECT_EQ(stats.sorted_built, 0u);
+    if (rows) {
+      EXPECT_GT(stats.bitset_built, 0u);
+    }
+  }
+}
+
 TEST(ConcurrencyStress, IncumbentMonotoneUnderContention) {
   Incumbent inc;
   std::atomic<bool> go{false};

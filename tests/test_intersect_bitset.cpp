@@ -115,10 +115,11 @@ TEST(IntersectPolicyDispatch, AllRepresentationsAgree) {
 }
 
 // A CSR view (an adjacency list in shuffled original ids, read through
-// the order's maps) takes both CSR paths: the mark scan when |B| <
-// kGallopRatio |A|, the hub gallop otherwise (and without marks).  Every
-// query, every exit setting and every θ must match the reference, and
-// the marks must be empty once the caller clears A's.
+// the order's maps) takes both CSR paths: the mark scan with the caller's
+// ScopedMarks, the gallop without.  Every other round's B is a hub's
+// (|B| ~ 65 |A|).  Every query, every exit setting and every θ must match
+// the reference; a gt asked while A is marked must still see A's order;
+// and the marks must be empty once the ScopedMarks is gone.
 TEST(IntersectPolicyDispatch, CsrViewsMatchReference) {
   Rng rng(445);
   constexpr VertexId kUniverse = 400;
@@ -157,18 +158,21 @@ TEST(IntersectPolicyDispatch, CsrViewsMatchReference) {
     std::span<const VertexId> as(a);
     for (mc::IntersectPolicy* p : {&all, &no_second, &no_exits}) {
       p->counters = &counters;
-      for (IdMarks* m : {&marks, static_cast<IdMarks*>(nullptr)}) {
+      for (const bool with_marks : {true, false}) {
         for (std::int64_t theta = -1;
              theta <= static_cast<std::int64_t>(a.size()) + 1; ++theta) {
-          EXPECT_EQ(p->size_gt_bool(as, view, theta, nullptr, m),
-                    truth > theta);
-          EXPECT_EQ(p->query<Query::size_gt_val>(as, view, nullptr, theta,
-                                                 nullptr, m),
-                    truth > theta ? static_cast<int>(truth) : kTooSmall);
-          if (m) m->clear(as);
-          ASSERT_TRUE(marks.empty());
           std::vector<VertexId> out(a.size() + 1);
-          const int g = p->gt(as, view, out.data(), theta, nullptr, m);
+          int g = 0;
+          {
+            ScopedMarks scoped(marks, as);
+            ScopedMarks* m = with_marks ? &scoped : nullptr;
+            EXPECT_EQ(p->size_gt_bool(as, view, theta, nullptr, m),
+                      truth > theta);
+            EXPECT_EQ(p->query<Query::size_gt_val>(as, view, nullptr, theta,
+                                                   nullptr, m),
+                      truth > theta ? static_cast<int>(truth) : kTooSmall);
+            g = p->gt(as, view, out.data(), theta, nullptr, m);
+          }
           ASSERT_TRUE(marks.empty());
           if (truth > theta) {
             ASSERT_EQ(g, static_cast<int>(truth));
@@ -214,8 +218,8 @@ TEST(IntersectPolicyDispatch, ShapeHeuristicsPickExpectedKernels) {
   policy.size_gt_bool(big_a, hashed, 1);
   EXPECT_EQ(counters.hash_batched.load(), 1u);
 
-  // CSR view (identity order): csr-scan with marks, gallop for a hub
-  // (|B| >= kGallopRatio |A|) or without marks.
+  // CSR view (identity order): csr-scan with marks, whatever |B| (a hub
+  // is the lazy graph's call), gallop without marks.
   kcore::VertexOrder order;
   for (VertexId v = 0; v < 8192; ++v) {
     order.new_to_orig.push_back(v);
@@ -224,16 +228,18 @@ TEST(IntersectPolicyDispatch, ShapeHeuristicsPickExpectedKernels) {
   IdMarks marks;
   marks.cover(0, 8192);
   NeighborhoodView mid_csr(mid_b, order);
-  policy.size_gt_bool(small_a, mid_csr, 1, nullptr, &marks);
-  marks.clear(small_a);
-  EXPECT_EQ(counters.csr_scan.load(), 1u);
+  NeighborhoodView hub_csr(big_b, order);
+  {
+    ScopedMarks a_marks(marks, small_a);
+    policy.size_gt_bool(small_a, mid_csr, 1, nullptr, &a_marks);
+    EXPECT_EQ(counters.csr_scan.load(), 1u);
+    policy.size_gt_bool(small_a, hub_csr, 1, nullptr, &a_marks);
+    EXPECT_EQ(counters.csr_scan.load(), 2u);
+    EXPECT_FALSE(marks.empty());
+  }
+  EXPECT_TRUE(marks.empty());
   policy.size_gt_bool(small_a, mid_csr, 1);
   EXPECT_EQ(counters.gallop.load(), 2u);
-  NeighborhoodView hub_csr(big_b, order);
-  policy.size_gt_bool(small_a, hub_csr, 1, nullptr, &marks);
-  EXPECT_EQ(counters.gallop.load(), 3u);
-  EXPECT_EQ(counters.csr_scan.load(), 1u);
-  EXPECT_TRUE(marks.empty());
 }
 
 }  // namespace

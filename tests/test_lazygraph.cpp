@@ -351,6 +351,43 @@ TEST(LazyGraph, MembershipBuildsByDegreeThreshold) {
   EXPECT_TRUE(lazy.membership(leaf).is_hashed());
 }
 
+TEST(LazyGraph, RowLessHubsGetARowElseAHashSet) {
+  // A star's centre (degree 39; the path shares edge 0-1) in a zone of
+  // 20,000 vertices: too sparse for the auto rule's row, so it reads the
+  // CSR, unless the caller's candidate set is small enough to make it a
+  // hub (degree >= kHubRatio |A|).  A hub takes a row past the rule, or a
+  // hash set with rows off.
+  Fixture f(gen::graph_union(gen::star(40), gen::path(20000)));
+  const VertexId hub = f.order.orig_to_new[0];
+  const VertexId leaf = f.order.orig_to_new[7];  // degree 3
+  const std::size_t hub_probes = 39 / LazyGraph::kHubRatio;
+  {
+    LazyGraph lazy = f.make();
+    ASSERT_EQ(lazy.original_degree(hub), 39u);
+    lazy.enable_bitset_rows(std::size_t{64} << 20);
+    ASSERT_TRUE(lazy.bitset_enabled());
+    ASSERT_EQ(lazy.zone_size(), 20000u);
+    EXPECT_TRUE(lazy.membership(hub).is_csr());
+    EXPECT_TRUE(lazy.membership(hub, hub_probes + 1).is_csr());
+    EXPECT_TRUE(lazy.membership(hub, hub_probes).has_bitset());
+    EXPECT_TRUE(lazy.membership(hub).has_bitset());  // built rows stay
+    EXPECT_EQ(lazy.stats().bitset_built, 1u);
+    EXPECT_EQ(lazy.stats().hash_built, 0u);
+  }
+  {
+    LazyGraph lazy = f.make();  // rows off
+    EXPECT_TRUE(lazy.membership(hub, hub_probes + 1).is_csr());
+    NeighborhoodView hub_view = lazy.membership(hub, hub_probes);
+    ASSERT_TRUE(hub_view.is_hashed());
+    EXPECT_EQ(hub_view.size(), 39u);
+    EXPECT_TRUE(hub_view.contains(leaf));
+    // Degree 1 is below the hash threshold: never a hub.
+    EXPECT_TRUE(lazy.membership(leaf, 0).is_csr());
+    EXPECT_TRUE(lazy.membership(leaf, 1).is_csr());
+    EXPECT_EQ(lazy.stats().hash_built, 1u);
+  }
+}
+
 TEST(LazyGraph, MembershipViewContainsAgreesWithEdges) {
   Fixture f(gen::gnp(50, 0.2, 17));
   LazyGraph lazy = f.make();

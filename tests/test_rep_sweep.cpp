@@ -159,10 +159,12 @@ TEST(RepSweepMedium, AutoBuildsNoSetsAndMatchesReference) {
 }
 
 // Rows off (--bitset-budget-mb 0) under auto: every candidate reads the
-// CSR, so the filters, the pairwise extraction and the coreness
-// heuristic run on CSR views alone.  omega must match the reference.
+// CSR, or a hash set when it is a hub for its query, so the filters, the
+// pairwise extraction and the coreness heuristic run on those two views
+// alone.  omega must match the reference, and both views must be used.
 TEST(RepSweep, RowsOffAutoSolveMatchesReference) {
   std::uint64_t csr_scans = 0;
+  std::uint64_t hub_sets = 0;   // hash sets of row-less hubs
   std::uint64_t extracted = 0;  // heads whose subgraph was extracted
   std::vector<Graph> graphs;
   for (const std::string& name : suite::instance_names()) {
@@ -184,13 +186,15 @@ TEST(RepSweep, RowsOffAutoSolveMatchesReference) {
       EXPECT_EQ(r.omega, ref) << "threads=" << threads;
       EXPECT_TRUE(is_clique(g, r.clique));
       EXPECT_EQ(r.lazy_graph.zone_size, 0u);
-      EXPECT_EQ(r.lazy_graph.hash_built + r.lazy_graph.sorted_built, 0u);
+      EXPECT_EQ(r.lazy_graph.sorted_built, 0u);
       csr_scans += r.search.kernel_csr_scan;
+      hub_sets += r.lazy_graph.hash_built;
       extracted += r.search.pass_filter3;
     }
   }
   set_num_threads(0);
   EXPECT_GT(csr_scans, 0u);
+  EXPECT_GT(hub_sets, 0u);
   EXPECT_GT(extracted, 0u);
 }
 
