@@ -420,12 +420,11 @@ void grow_from_seed(LazyGraph& h, VertexId v, Incumbent& incumbent,
         static_cast<std::int64_t>(incumbent.size()) -
         static_cast<std::int64_t>(clique.size());
     NeighborhoodView u_nbrs = h.membership(u, candidates.size());
-    int kept;
-    {
+    const int kept = [&] {
       ScopedMarks a_marks(marks, candidates);
-      kept = policy.gt(std::span<const VertexId>(candidates), u_nbrs,
+      return policy.gt(std::span<const VertexId>(candidates), u_nbrs,
                        next.data(), theta, nullptr, &a_marks);
-    }
+    }();
     if (kept == kTooSmall) {
       candidates.clear();
       break;

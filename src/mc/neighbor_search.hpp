@@ -146,13 +146,13 @@ namespace detail {
 /// a row fills its own row from its view: a CSR view scans its adjacency
 /// against the members marked in scratch.marks (local id + 1, through a
 /// ScopedMarks), any other view (a hub's hash set) probes every other
-/// member.  Without a word
-/// form (rows off, or a failed build) each pair i < j is decided once, in
-/// member i's view the same way, and mirrored.  The result is
-/// the same either way: rows built at incumbents up to the lowest
-/// member's coreness all hold every member neighbor.  When a concurrent
-/// probe raised the incumbent past that mid-extraction, rows may disagree
-/// on a pair, and row i decides pair i < j as in the pairwise path.
+/// member.  Without a word form (rows off, or a failed build) each pair
+/// i < j is decided once, in member i's view the same way, and mirrored.
+/// The result is the same either way: rows built at incumbents up to the
+/// lowest member's coreness all hold every member neighbor.  When a
+/// concurrent probe raised the incumbent past that mid-extraction, rows
+/// may disagree on a pair, and row i decides pair i < j as in the
+/// pairwise path.
 void induce_from_lazy(LazyGraph& h, const std::vector<VertexId>& members,
                       DenseSubgraph& out, SearchScratch& scratch,
                       SearchTally& tally);
