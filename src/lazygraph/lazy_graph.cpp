@@ -280,11 +280,6 @@ void LazyGraph::right_neighbors(VertexId v, VertexId bound,
 BitsetRow LazyGraph::bitset_row(VertexId v) {
   if (!bitset_enabled_ || v < zone_begin_) return {};
   if (!(flags_[v].load(std::memory_order_acquire) & kBitsetBuilt)) {
-    // A spent budget answers without the vertex's lock: row-less
-    // vertices ask again on every membership() call.
-    if (next_slot_.load(std::memory_order_relaxed) >= row_capacity_) {
-      return {};
-    }
     build_bitset(v);
     if (!(flags_[v].load(std::memory_order_acquire) & kBitsetBuilt)) {
       return {};  // budget exhausted
