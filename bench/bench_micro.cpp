@@ -1,8 +1,7 @@
 // Microbenchmarks (google-benchmark) for the data-structure substrates:
 // hopscotch set probes vs sorted binary search, intersection kernels with
 // and without early exits, lazy-graph construction costs, and the
-// parallel-runtime schedulers (barriered flat parallel_for vs the ordered
-// drain used by systematic_search).
+// ordered drain used by systematic_search.
 //
 // Beyond the google-benchmark registrations, `--shootout` runs the
 // intersection-kernel shoot-out (serial hash vs prefetched batch hash vs
@@ -154,7 +153,7 @@ BENCHMARK(BM_SizeGtBoolNoSecondExit);
 void BM_LazyGraphConstructOne(benchmark::State& state) {
   Graph g = gen::rmat(12, 8, 0.57, 0.19, 0.19, 11);
   auto core = kcore::coreness(g);
-  auto order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
+  auto order = kcore::order_by_coreness_degree(g, core.coreness);
   std::atomic<VertexId> incumbent{0};
   for (auto _ : state) {
     state.PauseTiming();
@@ -165,16 +164,12 @@ void BM_LazyGraphConstructOne(benchmark::State& state) {
 }
 BENCHMARK(BM_LazyGraphConstructOne);
 
-// --- scheduler shoot-out ---------------------------------------------------
+// --- scheduler ---------------------------------------------------------------
 // Replays the shape of the systematic phase on a medium suite graph: one
 // simulated probe per vertex, cost growing with the vertex's coreness
-// (high-coreness neighborhoods survive more filter rounds).  The baseline
-// issues one barriered parallel_for per coreness level, exactly like the
-// original systematic_search; the contender lists level chunks highest
-// coreness first and drains them in that order with no barriers
-// (drain_in_order, as systematic_search does).  On >= 8 threads the tail
-// of each level leaves most of the barriered pool idle, which is where
-// the ordered drain pulls ahead.
+// (high-coreness neighborhoods survive more filter rounds).  Level chunks
+// are listed highest coreness first and drained in that order with no
+// barriers (drain_in_order, as systematic_search does).
 
 struct SchedWorkload {
   // levels[k] = vertices of coreness k (descending visit priority).
@@ -207,24 +202,6 @@ inline std::uint64_t simulated_probe(VertexId v, std::size_t level) {
   }
   return acc;
 }
-
-void BM_SchedulerBarrieredParfor(benchmark::State& state) {
-  const SchedWorkload& w = sched_workload();
-  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    for (std::size_t k = w.levels.size(); k-- > 0;) {
-      const std::vector<VertexId>& level = w.levels[k];
-      if (level.empty()) continue;
-      pool.parallel_for(0, level.size(), [&](std::size_t i) {
-        benchmark::DoNotOptimize(simulated_probe(level[i], k));
-      }, 1);
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(w.num_vertices));
-}
-BENCHMARK(BM_SchedulerBarrieredParfor)->Arg(1)->Arg(2)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_SchedulerOrderedDrain(benchmark::State& state) {
   const SchedWorkload& w = sched_workload();
@@ -269,7 +246,7 @@ BENCHMARK(BM_SchedulerOrderedDrain)->Arg(1)->Arg(2)->Arg(8)
 void BM_EagerRelabelWholeGraph(benchmark::State& state) {
   Graph g = gen::rmat(12, 8, 0.57, 0.19, 0.19, 11);
   auto core = kcore::coreness(g);
-  auto order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
+  auto order = kcore::order_by_coreness_degree(g, core.coreness);
   for (auto _ : state) {
     benchmark::DoNotOptimize(kcore::relabel(g, order));
   }

@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
     VertexId w_d = deg_inc.size();
 
     kcore::VertexOrder order =
-        kcore::order_by_coreness_degree_parallel(g, core.coreness);
+        kcore::order_by_coreness_degree(g, core.coreness);
     Incumbent core_inc;
     // Start the coreness heuristic from the degree heuristic's incumbent,
     // matching LazyMC's pipeline (Algorithm 1).

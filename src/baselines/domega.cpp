@@ -79,7 +79,7 @@ BaselineResult domega_solve(const Graph& g, DomegaMode mode,
 
   kcore::CoreDecomposition core = kcore::coreness(g);
   kcore::VertexOrder order =
-      kcore::order_by_coreness_degree_parallel(g, core.coreness);
+      kcore::order_by_coreness_degree(g, core.coreness);
   Graph relabelled = kcore::relabel(g, order);
   std::vector<VertexId> coreness_new(n);
   for (VertexId v = 0; v < n; ++v) {

@@ -24,7 +24,7 @@ BaselineResult pmc_solve(const Graph& g, const PmcOptions& options) {
   // up-front cost LazyMC's lazy representation avoids.
   kcore::CoreDecomposition core = kcore::coreness(g);
   kcore::VertexOrder order =
-      kcore::order_by_coreness_degree_parallel(g, core.coreness);
+      kcore::order_by_coreness_degree(g, core.coreness);
   Graph relabelled = kcore::relabel(g, order);
 
   std::vector<VertexId> coreness_new(n);

@@ -204,7 +204,7 @@ int run(int argc, char** argv) {
   // and the sequential peel gives a deterministic order + degeneracy.
   kcore::CoreDecomposition core = kcore::coreness(g);
   kcore::VertexOrder order =
-      kcore::order_by_coreness_degree_parallel(g, core.coreness);
+      kcore::order_by_coreness_degree(g, core.coreness);
 
   store::LmgBuildData data;
   data.order = &order;

@@ -33,8 +33,9 @@ void render_text(const RunReport& r, std::ostream& out) {
   if (!r.has_lazymc) return;
 
   const auto& lz = r.lazymc;
-  // The gap d + 1 - omega only makes sense when the k-core phase ran
-  // (the heuristic can certify optimality first, leaving degeneracy 0).
+  // The gap d + 1 - omega is never negative for a computed degeneracy; a
+  // store's header degeneracy is outside input nothing validates, so a
+  // negative gap is left unprinted.
   const std::int64_t gap = static_cast<std::int64_t>(lz.degeneracy) + 1 -
                            static_cast<std::int64_t>(lz.omega);
   const auto& hd = lz.heuristic_degree;

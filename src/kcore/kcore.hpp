@@ -8,9 +8,11 @@
 // `coreness` is Matula–Beck bucket peeling, O(n + m), sequential; it also
 // yields the peeling (degeneracy) order that `--order peeling` uses.
 //
-// `coreness_lower_bounded` implements KCore(G, lb) from Algorithm 1: only
-// vertices that could matter given an incumbent of size lb participate;
-// the rest are reported with coreness 0 and never touched again.
+// Algorithm 1 computes KCore(G, lb), which first strips the vertices that
+// cannot reach coreness lb.  This code always peels the whole graph: the
+// pre-filter paid only on graphs where lb removes most vertices, and the
+// exact coreness it skips is what the degeneracy and the coreness
+// heuristic's levels need.
 #pragma once
 
 #include <cstdint>
@@ -33,12 +35,11 @@ struct CoreDecomposition {
 /// Sequential Matula–Beck bucket peeling.  O(n + m).
 CoreDecomposition coreness(const Graph& g);
 
-/// KCore(G, lb): coreness restricted to vertices with degree >= lb.
-/// Vertices below the bound get coreness 0 (they cannot belong to a clique
-/// of size > lb, so their exact coreness is irrelevant).  For surviving
-/// vertices the reported value equals their true coreness whenever that
-/// coreness is >= lb, which is the only case the MC search inspects.
-CoreDecomposition coreness_lower_bounded(const Graph& g, VertexId lb);
+/// Former KCore(G, lb) entry point; kept only because lmcbench/main.cpp
+/// calls it.  The full decomposition is exact for every lb.
+inline CoreDecomposition coreness_lower_bounded(const Graph& g, VertexId) {
+  return coreness(g);
+}
 
 /// Upper bound on the maximum clique: degeneracy + 1.
 inline VertexId clique_upper_bound(const CoreDecomposition& core) {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "support/parallel.hpp"
-
 namespace lazymc::kcore {
 namespace {
 
@@ -20,49 +18,6 @@ std::vector<VertexId> counting_sort(const std::vector<VertexId>& items,
   return out;
 }
 
-/// Parallel stable counting sort (SAPCo pattern): the input is split into
-/// per-thread blocks; each thread histograms its block; a serial prefix
-/// sum over (key, block) pairs assigns each (block, key) run a disjoint
-/// output range; threads scatter independently.  Stability follows from
-/// blocks being contiguous and scanned in order.
-std::vector<VertexId> counting_sort_parallel(
-    const std::vector<VertexId>& items, std::size_t num_keys,
-    const std::vector<VertexId>& key) {
-  const std::size_t n = items.size();
-  const std::size_t p = num_threads();
-  if (n < 4096 || p == 1) return counting_sort(items, num_keys, key);
-  const std::size_t block = (n + p - 1) / p;
-
-  // hist[t][k]: occurrences of key k in block t.
-  std::vector<std::vector<std::size_t>> hist(
-      p, std::vector<std::size_t>(num_keys, 0));
-  thread_pool().parallel_invoke_all([&](std::size_t t) {
-    std::size_t lo = t * block, hi = std::min(n, lo + block);
-    for (std::size_t i = lo; i < hi; ++i) ++hist[t][key[items[i]]];
-  });
-
-  // Serial prefix over key-major, block-minor order: output offset of the
-  // first key-k element of block t.
-  std::size_t running = 0;
-  for (std::size_t k = 0; k < num_keys; ++k) {
-    for (std::size_t t = 0; t < p; ++t) {
-      std::size_t c = hist[t][k];
-      hist[t][k] = running;
-      running += c;
-    }
-  }
-
-  std::vector<VertexId> out(n);
-  thread_pool().parallel_invoke_all([&](std::size_t t) {
-    std::size_t lo = t * block, hi = std::min(n, lo + block);
-    std::vector<std::size_t>& cursor = hist[t];
-    for (std::size_t i = lo; i < hi; ++i) {
-      out[cursor[key[items[i]]]++] = items[i];
-    }
-  });
-  return out;
-}
-
 VertexOrder finish_order(std::vector<VertexId> items) {
   VertexOrder order;
   order.new_to_orig = std::move(items);
@@ -75,12 +30,11 @@ VertexOrder finish_order(std::vector<VertexId> items) {
 
 }  // namespace
 
-VertexOrder order_by_coreness_degree_parallel(
-    const Graph& g, const std::vector<VertexId>& coreness) {
+VertexOrder order_by_coreness_degree(const Graph& g,
+                                     const std::vector<VertexId>& coreness) {
   const VertexId n = g.num_vertices();
   if (coreness.size() != n) {
-    throw std::invalid_argument(
-        "order_by_coreness_degree_parallel: size mismatch");
+    throw std::invalid_argument("order_by_coreness_degree: size mismatch");
   }
   std::vector<VertexId> items(n);
   std::vector<VertexId> degree(n);
@@ -94,8 +48,8 @@ VertexOrder order_by_coreness_degree_parallel(
     max_core = std::max(max_core, coreness[v]);
   }
   // Secondary key first (stable sorts compose right-to-left).
-  items = counting_sort_parallel(items, max_deg + 1, degree);
-  items = counting_sort_parallel(items, max_core + 1, coreness);
+  items = counting_sort(items, max_deg + 1, degree);
+  items = counting_sort(items, max_core + 1, coreness);
   return finish_order(std::move(items));
 }
 

@@ -1,12 +1,14 @@
 // Vertex ordering (paper Section IV-F).
 //
 // All parallel-friendly MC algorithms need a degeneracy-flavoured order,
-// but the parallel coreness computation yields no unique peeling order.
+// and a parallel coreness computation yields no unique peeling order.
 // LazyMC therefore sorts by (coreness asc, degree asc), realized with two
-// stable counting sorts: first by degree (the SAPCo-style degree sort),
-// then by coreness.  Right-neighborhoods under this order are small —
-// bounded by coreness for the peeling order, and empirically close for
-// the (coreness, degree) order.
+// stable counting sorts: first by degree, then by coreness.  The paper
+// runs them as SAPCo-style parallel sorts; here they are sequential,
+// because the parallel version was no faster at 4 threads.
+// Right-neighborhoods under this order are small — bounded by coreness
+// for the peeling order, and empirically close for the (coreness, degree)
+// order.
 #pragma once
 
 #include <vector>
@@ -27,16 +29,20 @@ struct VertexOrder {
 };
 
 /// Sorts vertices by (coreness asc, degree asc); both keys via stable
-/// counting sorts, so the result is deterministic.  Each sort runs in
-/// parallel (per-thread histograms + prefix sums, the SAPCo-sort pattern
-/// the paper uses for the degree sort) when there are several threads
-/// and n >= 4096, sequentially otherwise; both give the identical order.
-VertexOrder order_by_coreness_degree_parallel(
-    const Graph& g, const std::vector<VertexId>& coreness);
+/// sequential counting sorts, so the result is deterministic.
+VertexOrder order_by_coreness_degree(const Graph& g,
+                                     const std::vector<VertexId>& coreness);
+
+/// Former name of `order_by_coreness_degree`; kept only because
+/// lmcbench/main.cpp calls it.
+inline VertexOrder order_by_coreness_degree_parallel(
+    const Graph& g, const std::vector<VertexId>& coreness) {
+  return order_by_coreness_degree(g, coreness);
+}
 
 /// Order given directly by a peeling sequence (vertex peeled first gets
 /// new id 0).  Vertices absent from `peel_order` are appended at the end
-/// in original-id order (can happen with lower-bounded coreness).
+/// in original-id order.
 VertexOrder order_from_peel(const Graph& g,
                             const std::vector<VertexId>& peel_order);
 

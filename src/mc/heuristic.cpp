@@ -447,9 +447,12 @@ void coreness_based_heuristic(LazyGraph& h, Incumbent& incumbent,
 
   // Vertices are sorted by ascending coreness, so each coreness level is
   // an id range; its first vertex seeds it.  Walking down from the top
-  // lists high coreness levels first (they host the large cliques).
+  // lists high coreness levels first (they host the large cliques).  A
+  // vertex of coreness c lies in no clique larger than c + 1, so the walk
+  // stops at the first level below the incumbent's size.
+  const VertexId bound = incumbent.size();
   std::vector<VertexId> level_first;
-  for (VertexId end = n; end > 0;) {
+  for (VertexId end = n; end > 0 && h.coreness(end - 1) >= bound;) {
     end = h.first_with_coreness(h.coreness(end - 1));
     level_first.push_back(end);
   }

@@ -77,8 +77,9 @@ DegreeHeuristicStats degree_based_heuristic(
     const Graph& g, Incumbent& incumbent,
     const HeuristicOptions& options = {});
 
-/// Algorithm 6.  Seeds one greedy growth per coreness level of `h`;
-/// offers results to `incumbent` in original ids.
+/// Algorithm 6.  Seeds one greedy growth per coreness level of `h` at or
+/// above the incumbent's size; offers results to `incumbent` in original
+/// ids.
 void coreness_based_heuristic(LazyGraph& h, Incumbent& incumbent,
                               const HeuristicOptions& options = {});
 

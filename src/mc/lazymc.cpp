@@ -48,10 +48,10 @@ LazyMCResult lazy_mc(const Graph& g, const LazyMCConfig& config) {
   result.heuristic_degree_omega = incumbent.size();
   result.phases.degree_heuristic = timer.lap();
 
-  // ---- 2-3. k-core bounded by |C*|, then (coreness, degree) order ------
-  // A binary store ships the exact decomposition and order precomputed;
-  // consuming them is the lb=0 variant of the same pipeline (exact
-  // coreness filters correctly for any incumbent), so the whole phase
+  // ---- 2-3. k-core, then (coreness, degree) order ----------------------
+  // Algorithm 1 peels KCore(G, |C*|); the full peel is exact for every
+  // incumbent and was faster on most graphs.  A binary store ships the
+  // same decomposition and order precomputed, so there the whole phase
   // collapses to two pointer bindings.  Any mismatch — wrong order kind,
   // stale sizes — falls back to computing from scratch.
   const PrebuiltGraph* pre = config.prebuilt;
@@ -68,15 +68,13 @@ LazyMCResult lazy_mc(const Graph& g, const LazyMCConfig& config) {
     order_ref = pre->order;
     coreness_ref = pre->coreness;
     result.degeneracy = pre->degeneracy;
-  } else if (config.vertex_order == VertexOrderKind::kPeeling) {
-    // Sequential full decomposition: yields the Matula–Beck peeling
-    // order directly (the order MC-BRB and friends get "for free").
-    core = kcore::coreness(g);
-    order = kcore::order_from_peel(g, core.peel_order);
-    result.degeneracy = core.degeneracy;
   } else {
-    core = kcore::coreness_lower_bounded(g, incumbent.size());
-    order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
+    // The full decomposition serves both orders; the peeling order is the
+    // Matula–Beck sequence (the order MC-BRB and friends get "for free").
+    core = kcore::coreness(g);
+    order = config.vertex_order == VertexOrderKind::kPeeling
+                ? kcore::order_from_peel(g, core.peel_order)
+                : kcore::order_by_coreness_degree(g, core.coreness);
     result.degeneracy = core.degeneracy;
   }
   result.phases.preprocessing = timer.lap();

@@ -161,7 +161,8 @@ struct LazyMCResult {
   VertexId heuristic_coreness_omega = 0;
   /// What the degree-based heuristic built and regrew.
   DegreeHeuristicStats heuristic_degree;
-  /// Graph degeneracy (of the lower-bounded core decomposition).
+  /// Graph degeneracy d(G): the largest coreness of the full
+  /// decomposition, or the store header's value on the store path.
   VertexId degeneracy = 0;
   bool timed_out = false;
 

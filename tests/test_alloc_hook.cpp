@@ -95,7 +95,7 @@ TEST(AllocHook, SteadyStateNeighborSearchProbesAreAllocationFree) {
   set_num_threads(1);  // probes run on this thread, against this counter
 
   auto core = kcore::coreness(g);
-  auto order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
+  auto order = kcore::order_by_coreness_degree(g, core.coreness);
   Incumbent incumbent;
   incumbent.offer(baselines::max_clique_reference(g));
   ASSERT_GE(incumbent.size(), 14u);
@@ -144,7 +144,7 @@ TEST(AllocHook, SolverReachingProbesAreAllocationFreeOnMcPath) {
   set_num_threads(1);
 
   auto core = kcore::coreness(g);
-  auto order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
+  auto order = kcore::order_by_coreness_degree(g, core.coreness);
   Incumbent incumbent;
   incumbent.offer(baselines::max_clique_reference(g));
 
@@ -184,7 +184,7 @@ TEST(AllocHook, SolverReachingProbesAreAllocationFreeOnVcPath) {
   set_num_threads(1);
 
   auto core = kcore::coreness(g);
-  auto order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
+  auto order = kcore::order_by_coreness_degree(g, core.coreness);
   Incumbent incumbent;
   incumbent.offer(baselines::max_clique_reference(g));
 

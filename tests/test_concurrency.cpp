@@ -39,7 +39,7 @@ TEST(ConcurrencyStress, RepeatedParallelSolvesAreDeterministicInOmega) {
 TEST(ConcurrencyStress, LazyGraphMixedReadersAndBuilders) {
   Graph g = gen::gnp(300, 0.05, 203);
   auto core = kcore::coreness(g);
-  auto order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
+  auto order = kcore::order_by_coreness_degree(g, core.coreness);
   std::atomic<VertexId> incumbent{0};
   LazyGraph lazy(g, order, core.coreness, &incumbent);
   // Rows are built concurrently below, so right_neighbors reads a head's
@@ -99,7 +99,7 @@ TEST(ConcurrencyStress, RowBuildsStopExactlyAtTheBudget) {
   constexpr std::size_t kRows = 100;  // the budget, in rows (< the zone)
   Graph g = gen::gnp(kN, 0.05, 204);
   auto core = kcore::coreness(g);
-  auto order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
+  auto order = kcore::order_by_coreness_degree(g, core.coreness);
   std::atomic<VertexId> incumbent{0};
   LazyGraph lazy(g, order, core.coreness, &incumbent);
   // Rows are built by bitset_row below; the hash rep makes membership()
@@ -166,7 +166,7 @@ TEST(ConcurrencyStress, HubViewsBuiltConcurrentlyAnswerExactly) {
   constexpr VertexId kN = 600;
   Graph g = gen::barabasi_albert(kN, 6, 205);
   auto core = kcore::coreness(g);
-  auto order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
+  auto order = kcore::order_by_coreness_degree(g, core.coreness);
   for (const bool rows : {false, true}) {
     std::atomic<VertexId> incumbent{0};
     LazyGraph lazy(g, order, core.coreness, &incumbent);
@@ -237,7 +237,7 @@ TEST(ConcurrencyStress, SystematicSearchSharedStatsConsistent) {
   Graph g = gen::gnp(200, 0.12, 205);
   set_num_threads(4);
   auto core = kcore::coreness(g);
-  auto order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
+  auto order = kcore::order_by_coreness_degree(g, core.coreness);
   Incumbent incumbent;
   LazyGraph lazy(g, order, core.coreness, &incumbent.size_atomic());
   mc::SearchStats stats;
@@ -318,7 +318,7 @@ TEST(ConcurrencyStress, CancellationDuringParallelSearchUnwinds) {
 struct CountedSearch {
   explicit CountedSearch(const Graph& g)
       : core(kcore::coreness(g)),
-        order(kcore::order_by_coreness_degree_parallel(g, core.coreness)),
+        order(kcore::order_by_coreness_degree(g, core.coreness)),
         lazy(g, order, core.coreness, &incumbent.size_atomic()) {
     lazy.enable_bitset_rows(std::size_t{1} << 24);
     options.intersect.counters = &stats.kernels;

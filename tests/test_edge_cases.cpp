@@ -194,7 +194,7 @@ TEST(EdgeCases, LazyGraphVertexWithNoNeighbors) {
   b.add_edge(0, 1);
   Graph g = b.build();
   auto core = kcore::coreness(g);
-  auto order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
+  auto order = kcore::order_by_coreness_degree(g, core.coreness);
   std::atomic<VertexId> inc{0};
   LazyGraph lazy(g, order, core.coreness, &inc);
   for (VertexId v = 0; v < 5; ++v) {
@@ -207,7 +207,7 @@ TEST(EdgeCases, LazyGraphVertexWithNoNeighbors) {
 TEST(EdgeCases, LazyGraphNullIncumbentPointerFiltersNothing) {
   Graph g = gen::gnp(40, 0.2, 301);
   auto core = kcore::coreness(g);
-  auto order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
+  auto order = kcore::order_by_coreness_degree(g, core.coreness);
   LazyGraph lazy(g, order, core.coreness, nullptr);
   std::size_t total = 0;
   for (VertexId v = 0; v < 40; ++v) total += lazy.sorted_neighborhood(v).size();
@@ -220,13 +220,13 @@ TEST(EdgeCases, OrderOfEmptyAndSingletonGraphs) {
   Graph empty;
   auto core_e = kcore::coreness(empty);
   auto order_e =
-      kcore::order_by_coreness_degree_parallel(empty, core_e.coreness);
+      kcore::order_by_coreness_degree(empty, core_e.coreness);
   EXPECT_EQ(order_e.size(), 0u);
 
   GraphBuilder b(1);
   Graph one = b.build();
   auto core_1 = kcore::coreness(one);
-  auto order_1 = kcore::order_by_coreness_degree_parallel(one, core_1.coreness);
+  auto order_1 = kcore::order_by_coreness_degree(one, core_1.coreness);
   ASSERT_EQ(order_1.size(), 1u);
   EXPECT_EQ(order_1.new_to_orig[0], 0u);
 }
@@ -234,7 +234,7 @@ TEST(EdgeCases, OrderOfEmptyAndSingletonGraphs) {
 TEST(EdgeCases, RelabelRoundTripsThroughInverseOrder) {
   Graph g = gen::gnp(30, 0.3, 303);
   auto core = kcore::coreness(g);
-  auto order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
+  auto order = kcore::order_by_coreness_degree(g, core.coreness);
   Graph h = kcore::relabel(g, order);
   // Relabel back with the inverse permutation: must equal the original.
   kcore::VertexOrder inverse;

@@ -1,13 +1,11 @@
-// Tests for extension features: configurable filter rounds, the parallel
-// (coreness, degree) sort, and the k-VC matching bound.
+// Tests for extension features: configurable filter rounds and the k-VC
+// matching bound.
 #include <gtest/gtest.h>
 
 #include "baselines/reference.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/subgraph.hpp"
-#include "kcore/kcore.hpp"
-#include "kcore/order.hpp"
 #include "mc/lazymc.hpp"
 #include "support/parallel.hpp"
 #include "vc/kvc.hpp"
@@ -53,23 +51,6 @@ TEST(FilterRounds, OneRoundStopsAfterFilter2) {
   EXPECT_EQ(r1.search.pass_filter3, r1.search.pass_filter2);
   EXPECT_GT(r1.search.pass_filter3, r2.search.pass_filter3);
   EXPECT_EQ(r1.omega, r2.omega);
-  set_num_threads(0);
-}
-
-TEST(ParallelOrder, FourThreadsMatchOneThreadExactly) {
-  for (std::uint64_t seed : {1u, 2u, 3u}) {
-    Graph g = gen::rmat(13, 8, 0.5, 0.2, 0.2, seed);
-    // At 4096 vertices and up, several threads run the parallel counting
-    // sort; one thread runs the sequential one.
-    ASSERT_GE(g.num_vertices(), 4096u);
-    auto core = kcore::coreness(g);
-    set_num_threads(1);
-    auto seq = kcore::order_by_coreness_degree_parallel(g, core.coreness);
-    set_num_threads(4);
-    auto par = kcore::order_by_coreness_degree_parallel(g, core.coreness);
-    EXPECT_EQ(par.new_to_orig, seq.new_to_orig) << "seed " << seed;
-    EXPECT_EQ(par.orig_to_new, seq.orig_to_new);
-  }
   set_num_threads(0);
 }
 

@@ -397,7 +397,7 @@ struct LazyFixture {
 
   explicit LazyFixture(Graph graph) : g(std::move(graph)) {
     core = kcore::coreness(g);
-    order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
+    order = kcore::order_by_coreness_degree(g, core.coreness);
     lazy = std::make_unique<LazyGraph>(g, order, core.coreness,
                                        &incumbent.size_atomic());
   }
@@ -444,6 +444,27 @@ TEST(CorenessHeuristic, EmptyGraphNoCrash) {
   LazyFixture f(Graph{});
   mc::coreness_based_heuristic(*f.lazy, f.incumbent);
   EXPECT_EQ(f.incumbent.size(), 0u);
+}
+
+TEST(CorenessHeuristic, SeedsNoLevelBelowTheIncumbent) {
+  // K7's one level has coreness 6, so it holds no clique larger than 7:
+  // with an incumbent of 7 no level is seeded and no kernel runs.  The
+  // lazy graph is built without the incumbent, so its neighborhoods are
+  // unfiltered and only the level cut keeps the seed from growing.
+  LazyFixture f(gen::complete(7));
+  LazyGraph unfiltered(f.g, f.order, f.core.coreness, nullptr);
+  const std::vector<VertexId> all{0, 1, 2, 3, 4, 5, 6};
+  ASSERT_TRUE(f.incumbent.offer(all));
+  mc::KernelCounters counters;
+  mc::HeuristicOptions opt;
+  opt.intersect.counters = &counters;
+  mc::coreness_based_heuristic(unfiltered, f.incumbent, opt);
+  std::uint64_t kernel_calls = 0;
+#define LAZYMC_ADD(name) kernel_calls += counters.name.load();
+  LAZYMC_KERNEL_COUNTERS(LAZYMC_ADD)
+#undef LAZYMC_ADD
+  EXPECT_EQ(kernel_calls, 0u);
+  EXPECT_EQ(f.incumbent.snapshot(), all);
 }
 
 TEST(Heuristics, BothRespectCancelledControl) {

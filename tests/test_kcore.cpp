@@ -1,4 +1,4 @@
-// Tests for k-core decomposition: sequential, parallel and lower-bounded.
+// Tests for k-core decomposition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -111,30 +111,6 @@ TEST(KCore, PeelOrderIsPermutationWithBoundedRightNeighborhoods) {
     for (VertexId u : g.neighbors(v)) right += pos[u] > pos[v] ? 1 : 0;
     EXPECT_LE(right, core.coreness[v]) << "vertex " << v;
   }
-}
-
-TEST(KCore, LowerBoundedMatchesFullAboveBound) {
-  Graph g = gen::plant_clique(gen::gnp(120, 0.05, 13), 10, 14);
-  auto full = kcore::coreness(g);
-  for (VertexId lb : {2u, 5u, 8u}) {
-    auto bounded = kcore::coreness_lower_bounded(g, lb);
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      if (full.coreness[v] >= lb) {
-        EXPECT_EQ(bounded.coreness[v], full.coreness[v])
-            << "v=" << v << " lb=" << lb;
-      } else {
-        EXPECT_LT(bounded.coreness[v], lb);
-      }
-    }
-    EXPECT_EQ(bounded.degeneracy, full.degeneracy);
-  }
-}
-
-TEST(KCore, LowerBoundZeroEqualsFull) {
-  Graph g = gen::gnp(60, 0.1, 17);
-  auto a = kcore::coreness(g);
-  auto b = kcore::coreness_lower_bounded(g, 0);
-  EXPECT_EQ(a.coreness, b.coreness);
 }
 
 TEST(KCore, DegeneracyUpperBoundsClique) {

@@ -23,7 +23,7 @@ struct Fixture {
 
   explicit Fixture(Graph graph) : g(std::move(graph)) {
     core = kcore::coreness(g);
-    order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
+    order = kcore::order_by_coreness_degree(g, core.coreness);
   }
 
   LazyGraph make() {

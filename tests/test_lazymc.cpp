@@ -5,6 +5,7 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/suite.hpp"
+#include "kcore/kcore.hpp"
 #include "mc/lazymc.hpp"
 #include "support/parallel.hpp"
 
@@ -76,10 +77,18 @@ TEST(LazyMC, HeuristicOmegasAreLowerBounds) {
 }
 
 TEST(LazyMC, OmegaBoundedByDegeneracyPlusOne) {
+  std::vector<Graph> inputs;
   for (std::uint64_t seed = 40; seed <= 45; ++seed) {
-    Graph g = gen::gnp(80, 0.15, seed);
+    inputs.push_back(gen::gnp(80, 0.15, seed));
+  }
+  // ω_d = 7 exceeds the degeneracy 6: the reported degeneracy must still
+  // be the graph's, not that of a core filtered at the incumbent.
+  inputs.push_back(gen::complete(7));
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const Graph& g = inputs[i];
     auto r = mc::lazy_mc(g);
-    EXPECT_LE(r.omega, r.degeneracy + 1) << "seed " << seed;
+    EXPECT_LE(r.omega, r.degeneracy + 1) << "input " << i;
+    EXPECT_EQ(r.degeneracy, kcore::coreness(g).degeneracy) << "input " << i;
   }
 }
 

@@ -29,7 +29,7 @@ struct Fixture {
 
   explicit Fixture(Graph graph) : g(std::move(graph)) {
     core = kcore::coreness(g);
-    order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
+    order = kcore::order_by_coreness_degree(g, core.coreness);
     lazy = std::make_unique<LazyGraph>(g, order, core.coreness,
                                        &incumbent.size_atomic());
   }
@@ -232,7 +232,7 @@ struct ExtractFixture {
 
   explicit ExtractFixture(Graph graph) : g(std::move(graph)) {
     core = kcore::coreness(g);
-    order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
+    order = kcore::order_by_coreness_degree(g, core.coreness);
   }
 
   std::unique_ptr<LazyGraph> make(Rep rep) {

@@ -13,7 +13,7 @@ namespace {
 TEST(Order, IsBijective) {
   Graph g = gen::gnp(80, 0.1, 3);
   auto core = kcore::coreness(g);
-  auto order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
+  auto order = kcore::order_by_coreness_degree(g, core.coreness);
   ASSERT_EQ(order.size(), g.num_vertices());
   std::vector<char> seen(g.num_vertices(), 0);
   for (VertexId i = 0; i < order.size(); ++i) {
@@ -27,7 +27,7 @@ TEST(Order, IsBijective) {
 TEST(Order, SortedByCorenessThenDegree) {
   Graph g = gen::plant_clique(gen::gnp(100, 0.05, 5), 9, 6);
   auto core = kcore::coreness(g);
-  auto order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
+  auto order = kcore::order_by_coreness_degree(g, core.coreness);
   for (VertexId i = 0; i + 1 < order.size(); ++i) {
     VertexId a = order.new_to_orig[i];
     VertexId b = order.new_to_orig[i + 1];
@@ -40,15 +40,15 @@ TEST(Order, SortedByCorenessThenDegree) {
 TEST(Order, DeterministicStability) {
   Graph g = gen::gnp(60, 0.1, 7);
   auto core = kcore::coreness(g);
-  auto a = kcore::order_by_coreness_degree_parallel(g, core.coreness);
-  auto b = kcore::order_by_coreness_degree_parallel(g, core.coreness);
+  auto a = kcore::order_by_coreness_degree(g, core.coreness);
+  auto b = kcore::order_by_coreness_degree(g, core.coreness);
   EXPECT_EQ(a.new_to_orig, b.new_to_orig);
 }
 
 TEST(Order, SizeMismatchThrows) {
   Graph g = gen::path(5);
   std::vector<VertexId> wrong(3, 0);
-  EXPECT_THROW(kcore::order_by_coreness_degree_parallel(g, wrong),
+  EXPECT_THROW(kcore::order_by_coreness_degree(g, wrong),
                std::invalid_argument);
 }
 
@@ -77,7 +77,7 @@ TEST(Order, FromPeelAppendsMissingVertices) {
 TEST(Relabel, PreservesStructure) {
   Graph g = gen::gnp(50, 0.15, 9);
   auto core = kcore::coreness(g);
-  auto order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
+  auto order = kcore::order_by_coreness_degree(g, core.coreness);
   Graph h = kcore::relabel(g, order);
   EXPECT_EQ(h.num_vertices(), g.num_vertices());
   EXPECT_EQ(h.num_edges(), g.num_edges());
@@ -91,7 +91,7 @@ TEST(Relabel, PreservesStructure) {
 TEST(Relabel, NeighborListsSorted) {
   Graph g = gen::gnp(40, 0.2, 11);
   auto core = kcore::coreness(g);
-  auto order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
+  auto order = kcore::order_by_coreness_degree(g, core.coreness);
   Graph h = kcore::relabel(g, order);
   for (VertexId v = 0; v < h.num_vertices(); ++v) {
     auto nbrs = h.neighbors(v);

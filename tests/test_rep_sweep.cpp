@@ -208,7 +208,7 @@ struct ZoneFixture {
 
   explicit ZoneFixture(Graph graph) : g(std::move(graph)) {
     core = kcore::coreness(g);
-    order = kcore::order_by_coreness_degree_parallel(g, core.coreness);
+    order = kcore::order_by_coreness_degree(g, core.coreness);
   }
   LazyGraph make() { return LazyGraph(g, order, core.coreness, &incumbent); }
 };

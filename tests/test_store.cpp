@@ -51,7 +51,7 @@ std::string write_store(const Graph& g, const std::string& name,
                         bool with_rows, VertexId rows_omega) {
   kcore::CoreDecomposition core = kcore::coreness(g);
   kcore::VertexOrder order =
-      kcore::order_by_coreness_degree_parallel(g, core.coreness);
+      kcore::order_by_coreness_degree(g, core.coreness);
   store::LmgBuildData data;
   data.order = &order;
   data.coreness = &core.coreness;
@@ -81,7 +81,7 @@ TEST(Store, RoundTripAcrossSuite) {
     const Graph& g = inst.graph;
     kcore::CoreDecomposition core = kcore::coreness(g);
     kcore::VertexOrder order =
-        kcore::order_by_coreness_degree_parallel(g, core.coreness);
+        kcore::order_by_coreness_degree(g, core.coreness);
     const std::string path =
         write_store(g, "rt_" + name + ".lmg", /*with_rows=*/true, 1);
 
@@ -104,7 +104,7 @@ TEST(Store, RowBitsMatchInZoneAdjacency) {
   const Graph& g = inst.graph;
   kcore::CoreDecomposition core = kcore::coreness(g);
   kcore::VertexOrder order =
-      kcore::order_by_coreness_degree_parallel(g, core.coreness);
+      kcore::order_by_coreness_degree(g, core.coreness);
   const std::string path = write_store(g, "rows.lmg", true, 2);
   auto view = store::BinaryGraphView::open(path);
   ASSERT_TRUE(view->has_rows());
