@@ -10,9 +10,8 @@
 //
 // Algorithm 1 computes KCore(G, lb), which first strips the vertices that
 // cannot reach coreness lb.  This code always peels the whole graph: the
-// pre-filter paid only on graphs where lb removes most vertices, and the
-// exact coreness it skips is what the degeneracy and the coreness
-// heuristic's levels need.
+// pre-filter paid only on graphs where lb removes most vertices, and it
+// left the degeneracy unknown whenever lb exceeded it.
 #pragma once
 
 #include <cstdint>
