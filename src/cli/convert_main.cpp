@@ -200,8 +200,8 @@ int run(int argc, char** argv) {
     return kExitOk;
   }
 
-  // Exact decomposition (lower bound 0): valid for any future incumbent,
-  // and the sequential peel gives a deterministic order + degeneracy.
+  // The exact decomposition is valid for any future incumbent, and the
+  // sequential peel gives a deterministic order + degeneracy.
   kcore::CoreDecomposition core = kcore::coreness(g);
   kcore::VertexOrder order =
       kcore::order_by_coreness_degree(g, core.coreness);

@@ -47,8 +47,8 @@ enum class VertexOrderKind {
 /// the mapping behind `rows`) must outlive the solve.
 struct PrebuiltGraph {
   const kcore::VertexOrder* order = nullptr;
-  /// Exact coreness by original vertex id (lower bound 0, so it is valid
-  /// for any incumbent the heuristics produce).
+  /// Exact coreness by original vertex id (valid for any incumbent the
+  /// heuristics produce).
   const std::vector<VertexId>* coreness = nullptr;
   VertexId degeneracy = 0;
   PrebuiltRows rows{};

@@ -46,8 +46,8 @@ namespace lazymc::store {
 /// a compressed one).  Rows are optional.
 struct LmgBuildData {
   const kcore::VertexOrder* order = nullptr;
-  /// Exact coreness by *original* vertex id (lower bound 0 — the stored
-  /// decomposition must stay valid for any future incumbent).
+  /// Exact coreness by *original* vertex id (the stored decomposition
+  /// must stay valid for any future incumbent).
   const std::vector<VertexId>* coreness = nullptr;
   VertexId degeneracy = 0;
   /// When true, pack a bitset row for every relabelled vertex whose

@@ -10,7 +10,6 @@
 #include "baselines/pmc.hpp"
 #include "baselines/reference.hpp"
 #include "graph/suite.hpp"
-#include "kcore/kcore.hpp"
 #include "mc/lazymc.hpp"
 
 namespace lazymc {
@@ -39,13 +38,9 @@ TEST_P(SuiteAgreementTest, AllSolversAgreeOnOmega) {
   EXPECT_EQ(brb.omega, omega) << "mcbrb";
   EXPECT_TRUE(is_clique(g, brb.clique));
 
-  // Zero-gap expectation encoded in the suite matches reality.  (The
-  // true degeneracy must be recomputed: LazyMCResult reports the
-  // lower-bounded decomposition's value, which is 0 when the heuristic
-  // incumbent already exceeds every coreness.)
+  // Zero-gap expectation encoded in the suite matches reality.
   if (inst.zero_gap_expected) {
-    auto core = kcore::coreness(g);
-    EXPECT_EQ(core.degeneracy + 1, lazy.omega) << "expected zero gap";
+    EXPECT_EQ(lazy.degeneracy + 1, lazy.omega) << "expected zero gap";
   }
 }
 
