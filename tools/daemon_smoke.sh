@@ -88,7 +88,7 @@ start_daemon || exit 1
 # shed answer is retried, at most 10 times; the exit code is the last
 # attempt's.
 solve_retrying() {
-  local out=$1 rc=4
+  local out=$1 rc
   shift
   for _ in 1 2 3 4 5 6 7 8 9 10; do
     "$CTL" --socket "$SOCK" solve "$@" > "$out"
