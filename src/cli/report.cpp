@@ -72,6 +72,9 @@ void render_text(const RunReport& r, std::ostream& out) {
   out << "          mc-nodes=" << s.mc_nodes << " vc-nodes=" << s.vc_nodes
       << " filter=" << s.filter_seconds << "s mc=" << s.mc_seconds
       << "s vc=" << s.vc_seconds << "s\n";
+  out << "k-vc:     lp-calls=" << s.vc_lp_calls
+      << " lp-refuted=" << s.vc_lp_refuted
+      << " reductions=" << s.vc_reductions << "\n";
   out << "kernels:  merge=" << s.kernel_merge << " gallop=" << s.kernel_gallop
       << " hash=" << s.kernel_hash
       << " hash-batched=" << s.kernel_hash_batched
@@ -148,6 +151,9 @@ void render_json(const RunReport& r, std::ostream& out) {
     w.field("vc_seconds", s.vc_seconds);
     w.field("mc_nodes", s.mc_nodes);
     w.field("vc_nodes", s.vc_nodes);
+    w.field("vc_lp_calls", s.vc_lp_calls);
+    w.field("vc_lp_refuted", s.vc_lp_refuted);
+    w.field("vc_reductions", s.vc_reductions);
     w.open("kernels");
 #define LAZYMC_FIELD(name) w.field(#name, s.kernel_##name);
     LAZYMC_KERNEL_COUNTERS(LAZYMC_FIELD)

@@ -14,10 +14,12 @@ DenseSubgraph DenseSubgraph::complement() const {
   return c;
 }
 
-void DenseSubgraph::complement_into(DenseSubgraph& out) const {
+void DenseSubgraph::complement_into(DenseSubgraph& out,
+                                    std::vector<VertexId>* degrees) const {
   const std::size_t n = size();
   out.reset_pooled(n);
   out.vertices.assign(vertices.begin(), vertices.end());
+  if (degrees != nullptr) degrees->resize(n);
   // Word-wise NOT of each row, masking the diagonal and the tail bits
   // beyond n; the edge count falls out of popcounts (degree sum / 2).
   std::size_t degree_sum = 0;
@@ -29,7 +31,9 @@ void DenseSubgraph::complement_into(DenseSubgraph& out) const {
     if (n % 64 != 0) {
       row.word(words - 1) &= (~0ULL) >> (64 - n % 64);
     }
-    degree_sum += row.count();
+    const std::size_t degree = row.count();
+    if (degrees != nullptr) (*degrees)[i] = static_cast<VertexId>(degree);
+    degree_sum += degree;
   }
   out.num_edges = static_cast<EdgeId>(degree_sum / 2);
 }

@@ -39,8 +39,10 @@ struct DenseSubgraph {
 
   /// Complement into `out`, reusing out's row storage (scratch-arena
   /// path: no allocation once out's capacity covers this size).  `out`
-  /// must not alias `this`.
-  void complement_into(DenseSubgraph& out) const;
+  /// must not alias `this`.  `degrees`, when given, receives each
+  /// complement row's popcount (the build counts them anyway).
+  void complement_into(DenseSubgraph& out,
+                       std::vector<VertexId>* degrees = nullptr) const;
 
   /// Resets to n vertices with empty rows, reusing existing storage.
   /// `adj` may retain more than n rows; only rows [0, n) are meaningful.

@@ -33,7 +33,6 @@ CoreDecomposition coreness(const Graph& g) {
     }
   }
 
-  std::vector<char> removed(n, 0);
   VertexId degeneracy = 0;
   out.peel_order.reserve(n);
   for (VertexId i = 0; i < n; ++i) {
@@ -41,10 +40,12 @@ CoreDecomposition coreness(const Graph& g) {
     degeneracy = std::max(degeneracy, deg[v]);
     out.coreness[v] = degeneracy;
     out.peel_order.push_back(v);
-    removed[v] = 1;
     for (VertexId u : g.neighbors(v)) {
-      if (removed[u]) continue;
-      if (deg[u] <= deg[v]) continue;  // already at/below the current level
+      // Already at/below the current level.  This also skips every peeled
+      // neighbor: the peel visits degrees in non-decreasing order and
+      // never lowers one below the visiting vertex's, so a peeled u keeps
+      // a degree no larger than deg[v].
+      if (deg[u] <= deg[v]) continue;
       // Swap u to the front of its bucket, then shrink its degree.
       VertexId du = deg[u];
       VertexId pu = pos[u];

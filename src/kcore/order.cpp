@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "support/check.hpp"
+
 namespace lazymc::kcore {
 namespace {
 
@@ -53,22 +55,11 @@ VertexOrder order_by_coreness_degree(const Graph& g,
   return finish_order(std::move(items));
 }
 
-VertexOrder order_from_peel(const Graph& g,
+VertexOrder order_from_peel([[maybe_unused]] const Graph& g,
                             const std::vector<VertexId>& peel_order) {
-  const VertexId n = g.num_vertices();
-  VertexOrder order;
-  order.new_to_orig.reserve(n);
-  std::vector<char> seen(n, 0);
-  for (VertexId v : peel_order) {
-    order.new_to_orig.push_back(v);
-    seen[v] = 1;
-  }
-  for (VertexId v = 0; v < n; ++v) {
-    if (!seen[v]) order.new_to_orig.push_back(v);
-  }
-  order.orig_to_new.assign(n, 0);
-  for (VertexId i = 0; i < n; ++i) order.orig_to_new[order.new_to_orig[i]] = i;
-  return order;
+  LAZYMC_ASSERT(peel_order.size() == g.num_vertices(),
+                "peel order covers every vertex");
+  return finish_order(peel_order);
 }
 
 Graph relabel(const Graph& g, const VertexOrder& order) {

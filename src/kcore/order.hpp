@@ -41,8 +41,8 @@ inline VertexOrder order_by_coreness_degree_parallel(
 }
 
 /// Order given directly by a peeling sequence (vertex peeled first gets
-/// new id 0).  Vertices absent from `peel_order` are appended at the end
-/// in original-id order.
+/// new id 0).  `peel_order` must list every vertex of `g` once, as
+/// kcore::coreness's does (checked-mode assertion).
 VertexOrder order_from_peel(const Graph& g,
                             const std::vector<VertexId>& peel_order);
 

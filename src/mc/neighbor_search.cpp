@@ -288,6 +288,9 @@ void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
         &incumbent.size_atomic(), /*live_bound_offset=*/1);
     tally.vc_ns += to_ns(timer.lap());
     tally.vc_nodes += r.nodes;
+    tally.vc_lp_calls += r.lp_calls;
+    tally.vc_lp_refuted += r.lp_refuted;
+    tally.vc_reductions += r.reductions;
     if (r.budget_exhausted) {
       // Misprediction: fall through to the MC solver below.
       ++tally.vc_fallbacks;

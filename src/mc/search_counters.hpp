@@ -65,7 +65,12 @@ namespace lazymc::mc {
   X(degraded_wordsets)                                                       \
   /* Branch-and-bound and k-VC node counts (Fig. 6). */                      \
   X(mc_nodes)                                                                \
-  X(vc_nodes)
+  X(vc_nodes)                                                                \
+  /* k-VC work per node: LP-bound evaluations, those that refuted their */   \
+  /* node, and Buss, degree-1 and triangle reductions applied. */            \
+  X(vc_lp_calls)                                                             \
+  X(vc_lp_refuted)                                                           \
+  X(vc_reductions)
 
 /// Work split (Fig. 3): X(phase) declares `phase_ns` and the accessor
 /// `phase_seconds()`.

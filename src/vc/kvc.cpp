@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "support/check.hpp"
+
 namespace lazymc::vc {
 namespace {
 
@@ -13,23 +15,25 @@ class Searcher {
   Searcher(const DenseSubgraph& g, const KvcOptions& opt, KvcScratch& scratch)
       : g_(g), opt_(opt), scratch_(scratch) {}
 
-  KvcResult run(std::int64_t k) {
+  KvcResult run(std::span<const VertexId> degrees, std::int64_t k) {
     const std::size_t n = g_.size();
+    LAZYMC_ASSERT(degrees.size() == n, "k-VC root degrees cover the graph");
     // Every branch removes at least one vertex, so depth <= n + 1;
     // pre-sizing keeps the per-depth branch bitsets stable and reused.
     if (scratch_.frames.size() < n + 2) scratch_.frames.resize(n + 2);
+    // The worklist holds at most n seeds plus two pushes per vertex (its
+    // degree reaching 2 and 1), so it never regrows.
+    scratch_.worklist.reserve(3 * n);
+    // Root degrees come from the caller; every branch copies and
+    // decrements from here.
+    std::vector<VertexId>& deg = scratch_.root_deg;
+    deg.assign(degrees.begin(), degrees.end());
     DynamicBitset& alive = scratch_.root;
     alive.reinit(n);
     for (std::size_t v = 0; v < n; ++v) {
-      if (g_.adj[v].any()) alive.set(v);  // degree-0 never matters
-    }
-    // Root degrees: the only full recount of the whole solve; every
-    // branch copies and decrements from here.
-    std::vector<VertexId>& deg = scratch_.root_deg;
-    deg.assign(n, 0);
-    for (std::size_t v = alive.find_first(); v < alive.size();
-         v = alive.find_next(v)) {
-      deg[v] = static_cast<VertexId>(g_.adj[v].count_and(alive));
+      LAZYMC_ASSERT_EXPENSIVE(deg[v] == g_.adj[v].count(),
+                              "k-VC root degree is the row's popcount");
+      if (deg[v] != 0) alive.set(v);  // degree-0 never matters
     }
     KvcResult out;
     std::vector<VertexId>& cover = scratch_.cover;
@@ -38,6 +42,9 @@ class Searcher {
     if (timed_out_ || budget_exhausted_) out.feasible = false;
     if (out.feasible) out.cover.assign(cover.begin(), cover.end());
     out.nodes = nodes_;
+    out.lp_calls = lp_calls_;
+    out.lp_refuted = lp_refuted_;
+    out.reductions = reductions_;
     out.timed_out = timed_out_;
     out.budget_exhausted = budget_exhausted_;
     return out;
@@ -45,15 +52,39 @@ class Searcher {
 
  private:
   /// Removes v from alive and decrements its alive neighbors' degrees.
-  /// The row & alive AND runs word by word into a pooled bitset; only
-  /// the per-neighbor decrement stays bit-serial.
+  /// A neighbor left with degree 2 or less joins the worklist, and one
+  /// left isolated leaves alive at once.  The row & alive AND runs word
+  /// by word into a pooled bitset; only the per-neighbor decrement stays
+  /// bit-serial.
   void remove_vertex(DynamicBitset& alive, std::vector<VertexId>& deg,
                      std::size_t v) const {
     alive.reset(v);
     DynamicBitset& both = scratch_.alive_row;
     both.assign_and(g_.adj[v], alive);
-    both.for_each([&](std::size_t u) { --deg[u]; });
+    both.for_each([&](std::size_t u) {
+      if (--deg[u] == 0) {
+        alive.reset(u);
+      } else if (deg[u] <= 2) {
+        scratch_.worklist.push_back(static_cast<VertexId>(u));
+      }
+    });
     deg[v] = 0;
+  }
+
+  /// Writes v's first `want` alive neighbors, ascending, to `out` and
+  /// returns how many it found (fewer when v has fewer); reads row & alive
+  /// a word at a time.
+  std::size_t alive_neighbors(const DynamicBitset& alive, std::size_t v,
+                              std::size_t* out, std::size_t want) const {
+    const DynamicBitset& row = g_.adj[v];
+    std::size_t found = 0;
+    for (std::size_t w = 0; w < row.num_words() && found < want; ++w) {
+      for (std::uint64_t bits = row.word(w) & alive.word(w);
+           bits != 0 && found < want; bits &= bits - 1) {
+        out[found++] = w * 64 + static_cast<unsigned>(__builtin_ctzll(bits));
+      }
+    }
+    return found;
   }
 
   /// Lower bound on the vertex cover of the alive subgraph, doubled: the
@@ -149,24 +180,27 @@ class Searcher {
   /// `alive`.  Assumes all alive degrees <= 2.
   void solve_degree2_component(DynamicBitset& alive, std::size_t start,
                                std::vector<VertexId>& cover) {
+    const std::size_t none = alive.size();
+    // The alive neighbor of `a` other than `from` (none if there is none).
+    const auto step = [&](std::size_t a, std::size_t from) {
+      std::size_t two[2];
+      const std::size_t found = alive_neighbors(alive, a, two, 2);
+      for (std::size_t i = 0; i < found; ++i) {
+        if (two[i] != from) return two[i];
+      }
+      return none;
+    };
     // Find an endpoint if this is a path (a vertex of degree <= 1).
     std::size_t cur = start;
-    std::size_t prev = alive.size();
+    std::size_t prev = none;
     for (;;) {
-      std::size_t next = alive.size();
-      for (std::size_t u = g_.adj[cur].find_first(); u < g_.adj[cur].size();
-           u = g_.adj[cur].find_next(u)) {
-        if (alive.test(u) && u != prev) {
-          next = u;
-          break;
-        }
-      }
-      if (next == alive.size()) break;  // cur is an endpoint
+      const std::size_t next = step(cur, prev);
+      if (next == none) break;  // cur is an endpoint
       prev = cur;
       cur = next;
       if (cur == start) break;  // walked a full cycle
     }
-    bool is_cycle = (cur == start && prev != alive.size());
+    bool is_cycle = (cur == start && prev != none);
 
     // Walk from the endpoint (or break the cycle at `start` by taking it).
     std::size_t walk = cur;
@@ -174,32 +208,18 @@ class Searcher {
       cover.push_back(static_cast<VertexId>(start));
       alive.reset(start);
       // The remainder is a path; find one of the two loose ends.
-      walk = alive.size();
-      for (std::size_t u = g_.adj[start].find_first();
-           u < g_.adj[start].size(); u = g_.adj[start].find_next(u)) {
-        if (alive.test(u)) {
-          walk = u;
-          break;
-        }
-      }
-      if (walk == alive.size()) return;  // start was a 2-cycle? (impossible)
+      walk = step(start, none);
+      if (walk == none) return;  // start was a 2-cycle? (impossible)
     }
     // Greedy path cover: walk the path; when the edge (a, b) is uncovered,
     // put b (the far endpoint) in the cover.  Optimal for paths.
     std::size_t a = walk;
-    std::size_t before = alive.size();
+    std::size_t before = none;
     bool a_covered = false;
     while (true) {
-      std::size_t b = alive.size();
-      for (std::size_t u = g_.adj[a].find_first(); u < g_.adj[a].size();
-           u = g_.adj[a].find_next(u)) {
-        if (alive.test(u) && u != before) {
-          b = u;
-          break;
-        }
-      }
+      const std::size_t b = step(a, before);
       alive.reset(a);
-      if (b == alive.size()) break;  // end of path
+      if (b == none) break;  // end of path
       if (!a_covered) {
         cover.push_back(static_cast<VertexId>(b));
         a_covered = true;  // b covers edge (a,b); b itself is covered
@@ -226,169 +246,167 @@ class Searcher {
       budget_exhausted_ = true;
       return false;
     }
+    if (k < 0) return false;
     const std::size_t checkpoint = cover.size();
+    const auto fail = [&] {
+      cover.resize(checkpoint);
+      return false;
+    };
 
-    // ---- kernelisation loop -------------------------------------------
-    for (;;) {
-      if (k < 0) {
-        cover.resize(checkpoint);
-        return false;
+    // ---- kernelisation: every reduction, one worklist pass -------------
+    // One scan seeds the worklist with the vertices of degree <= 2 or > k
+    // and sums the degrees; from then on edges2 is kept by subtraction
+    // and remove_vertex pushes each neighbor whose degree falls to 2.
+    // Every vertex of degree > k is in every k-cover, so the scan (and
+    // the node) stops at the (k+1)-th: most refuted nodes end there.
+    std::vector<VertexId>& work = scratch_.worklist;
+    work.clear();
+    std::size_t edges2 = 0;  // 2x edge count among alive
+    std::size_t max_deg = 0, max_v = alive.size();
+    std::size_t above_k = 0;
+    for (std::size_t v = alive.find_first(); v < alive.size();
+         v = alive.find_next(v)) {
+      const std::size_t d = deg[v];
+      edges2 += d;
+      if (d > static_cast<std::size_t>(k)) {
+        if (++above_k > static_cast<std::size_t>(k)) return fail();
+        work.push_back(static_cast<VertexId>(v));
+      } else if (d <= 2) {
+        work.push_back(static_cast<VertexId>(v));
       }
-      std::size_t max_deg = 0, max_v = alive.size();
-      std::size_t edges2 = 0;  // 2x edge count among alive
-      bool changed = false;
-
-      for (std::size_t v = alive.find_first(); v < alive.size();
-           v = alive.find_next(v)) {
-        // Incrementally maintained — no count_and per vertex per round.
-        std::size_t d = deg[v];
-        if (d == 0) {
-          alive.reset(v);
-          continue;
-        }
-        edges2 += d;
+      if (d > max_deg) {
+        max_deg = d;
+        max_v = v;
+      }
+    }
+    const auto take = [&](std::size_t v) {
+      cover.push_back(static_cast<VertexId>(v));
+      edges2 -= 2 * static_cast<std::size_t>(deg[v]);
+      remove_vertex(alive, deg, v);
+    };
+    for (;;) {
+      bool reduced = false;
+      for (std::size_t head = 0; head < work.size(); ++head) {
+        const std::size_t v = work[head];
+        if (!alive.test(v)) continue;
+        const std::size_t d = deg[v];
         if (d > static_cast<std::size_t>(k)) {
           // Buss rule: v must be in every k-cover.
-          cover.push_back(static_cast<VertexId>(v));
-          remove_vertex(alive, deg, v);
-          --k;
-          changed = true;
-          break;
-        }
-        if (d == 1) {
-          // Take the sole neighbor.
-          std::size_t u = alive.size();
-          for (std::size_t w = g_.adj[v].find_first(); w < g_.adj[v].size();
-               w = g_.adj[v].find_next(w)) {
-            if (alive.test(w)) {
-              u = w;
-              break;
-            }
-          }
-          cover.push_back(static_cast<VertexId>(u));
-          remove_vertex(alive, deg, u);
-          remove_vertex(alive, deg, v);
-          --k;
-          changed = true;
-          break;
-        }
-        if (d == 2) {
+          take(v);
+          k -= 1;
+        } else if (d == 1) {
+          // Take the sole neighbor; v is left isolated.
+          std::size_t u = 0;
+          alive_neighbors(alive, v, &u, 1);
+          take(u);
+          k -= 1;
+        } else if (d == 2) {
           // Triangle rule (merge-free degree-2 case): if the two
           // neighbors are adjacent, both are in some minimum cover.
-          std::size_t u1 = alive.size(), u2 = alive.size();
-          for (std::size_t w = g_.adj[v].find_first(); w < g_.adj[v].size();
-               w = g_.adj[v].find_next(w)) {
-            if (!alive.test(w)) continue;
-            if (u1 == alive.size()) {
-              u1 = w;
-            } else {
-              u2 = w;
-              break;
-            }
-          }
-          if (u2 != alive.size() && g_.adj[u1].test(u2)) {
-            cover.push_back(static_cast<VertexId>(u1));
-            cover.push_back(static_cast<VertexId>(u2));
-            remove_vertex(alive, deg, u1);
-            remove_vertex(alive, deg, u2);
-            remove_vertex(alive, deg, v);
-            k -= 2;
-            changed = true;
-            break;
-          }
+          std::size_t two[2];
+          alive_neighbors(alive, v, two, 2);
+          if (!g_.adj[two[0]].test(two[1])) continue;
+          take(two[0]);
+          take(two[1]);
+          k -= 2;
+        } else {
+          continue;
+        }
+        ++reductions_;
+        reduced = true;
+        if (k < 0) return fail();
+      }
+      work.clear();
+      if (!reduced) break;  // the last scan's max_deg still holds
+      // Read max_deg afresh.  A smaller k can make the Buss rule fire on
+      // vertices the last scan passed over; they restart the worklist.
+      max_deg = 0;
+      max_v = alive.size();
+      above_k = 0;
+      for (std::size_t v = alive.find_first(); v < alive.size();
+           v = alive.find_next(v)) {
+        const std::size_t d = deg[v];
+        if (d > static_cast<std::size_t>(k)) {
+          if (++above_k > static_cast<std::size_t>(k)) return fail();
+          work.push_back(static_cast<VertexId>(v));
         }
         if (d > max_deg) {
           max_deg = d;
           max_v = v;
         }
       }
-      if (changed) continue;
-
-      if (edges2 == 0) return true;  // everything covered
-      if (k <= 0) {
-        cover.resize(checkpoint);
-        return false;
-      }
-      // Counting bound: each cover vertex covers at most max_deg edges.
-      if (edges2 / 2 > static_cast<std::size_t>(k) * max_deg) {
-        cover.resize(checkpoint);
-        return false;
-      }
-      // LP bound: the cover needs at least half a double-cover matching.
-      // Decisive for the "prove no better clique exists" probes of
-      // MC-via-VC, where k is large but the complement still has a big
-      // (fractional) matching.
-      const std::size_t twice_k = 2 * static_cast<std::size_t>(k);
-      if (lp_matching(alive, twice_k) > twice_k) {
-        cover.resize(checkpoint);
-        return false;
-      }
-
-      if (max_deg <= 2) {
-        // Paths and cycles: polynomial.
-        std::size_t needed_before = cover.size();
-        DynamicBitset& scratch = scratch_.deg2;
-        scratch = alive;
-        while (scratch.any()) {
-          std::size_t v = scratch.find_first();
-          solve_degree2_component(scratch, v, cover);
-        }
-        std::int64_t used =
-            static_cast<std::int64_t>(cover.size() - needed_before);
-        if (used <= k) return true;
-        cover.resize(checkpoint);
-        return false;
-      }
-
-      // ---- branch on the max-degree vertex ----------------------------
-      // Both branches borrow this depth's pooled bitset + degree array:
-      // branch 1's recursion may mutate them, so branch 2 re-copies from
-      // `alive`/`deg` (which callees never touch) before reusing them.
-      DynamicBitset& next = scratch_.frames[depth].branch;
-      std::vector<VertexId>& next_deg = scratch_.frames[depth].deg;
-      // Branch 1: max_v in the cover.
-      {
-        next = alive;
-        next_deg = deg;
-        remove_vertex(next, next_deg, max_v);
-        cover.push_back(static_cast<VertexId>(max_v));
-        if (search(next, next_deg, k - 1, cover, depth + 1)) return true;
-        cover.pop_back();
-        if (timed_out_ || budget_exhausted_) {
-          cover.resize(checkpoint);
-          return false;
-        }
-      }
-      // Branch 2: N(max_v) in the cover.
-      {
-        next = alive;
-        next_deg = deg;
-        std::size_t taken = 0;
-        std::size_t before = cover.size();
-        for (std::size_t u = g_.adj[max_v].find_first();
-             u < g_.adj[max_v].size(); u = g_.adj[max_v].find_next(u)) {
-          if (!alive.test(u)) continue;
-          cover.push_back(static_cast<VertexId>(u));
-          remove_vertex(next, next_deg, u);
-          ++taken;
-        }
-        next.reset(max_v);  // degree already 0: all neighbors removed
-        next_deg[max_v] = 0;
-        if (search(next, next_deg, k - static_cast<std::int64_t>(taken), cover,
-                   depth + 1)) {
-          return true;
-        }
-        cover.resize(before);
-      }
-      cover.resize(checkpoint);
-      return false;
+      if (work.empty()) break;
     }
+
+    if (edges2 == 0) return true;  // everything covered
+    // Counting bound: each cover vertex covers at most max_deg edges.
+    if (edges2 / 2 > static_cast<std::size_t>(k) * max_deg) return fail();
+    // LP bound: the cover needs at least half a double-cover matching.
+    // Decisive for the "prove no better clique exists" probes of
+    // MC-via-VC, where k is large but the complement still has a big
+    // (fractional) matching.
+    const std::size_t twice_k = 2 * static_cast<std::size_t>(k);
+    ++lp_calls_;
+    if (lp_matching(alive, twice_k) > twice_k) {
+      ++lp_refuted_;
+      return fail();
+    }
+
+    if (max_deg <= 2) {
+      // Paths and cycles: polynomial.
+      const std::size_t needed_before = cover.size();
+      DynamicBitset& scratch = scratch_.deg2;
+      scratch = alive;
+      while (scratch.any()) {
+        solve_degree2_component(scratch, scratch.find_first(), cover);
+      }
+      const std::size_t used = cover.size() - needed_before;
+      if (used <= static_cast<std::size_t>(k)) return true;
+      return fail();
+    }
+
+    // ---- branch on the max-degree vertex ------------------------------
+    // Both branches borrow this depth's pooled bitset + degree array:
+    // branch 1's recursion may mutate them, so branch 2 re-copies from
+    // `alive`/`deg` (which callees never touch) before reusing them.
+    DynamicBitset& next = scratch_.frames[depth].branch;
+    std::vector<VertexId>& next_deg = scratch_.frames[depth].deg;
+    // Branch 1: max_v in the cover.
+    next = alive;
+    next_deg = deg;
+    remove_vertex(next, next_deg, max_v);
+    cover.push_back(static_cast<VertexId>(max_v));
+    if (search(next, next_deg, k - 1, cover, depth + 1)) return true;
+    cover.pop_back();
+    if (timed_out_ || budget_exhausted_) return fail();
+    // Branch 2: its max_deg alive neighbors in the cover; max_v leaves
+    // `next` with the last of them (remove_vertex drops the isolated).
+    next = alive;
+    next_deg = deg;
+    const DynamicBitset& row = g_.adj[max_v];
+    for (std::size_t w = 0; w < row.num_words(); ++w) {
+      for (std::uint64_t bits = row.word(w) & alive.word(w); bits != 0;
+           bits &= bits - 1) {
+        const std::size_t u =
+            w * 64 + static_cast<unsigned>(__builtin_ctzll(bits));
+        cover.push_back(static_cast<VertexId>(u));
+        remove_vertex(next, next_deg, u);
+      }
+    }
+    if (search(next, next_deg, k - static_cast<std::int64_t>(max_deg), cover,
+               depth + 1)) {
+      return true;
+    }
+    return fail();
   }
 
   const DenseSubgraph& g_;
   const KvcOptions& opt_;
   KvcScratch& scratch_;
   std::uint64_t nodes_ = 0;
+  std::uint64_t lp_calls_ = 0;
+  std::uint64_t lp_refuted_ = 0;
+  std::uint64_t reductions_ = 0;
   std::uint64_t stop_counter_ = 0;
   bool timed_out_ = false;
   bool budget_exhausted_ = false;
@@ -396,17 +414,22 @@ class Searcher {
 
 }  // namespace
 
-KvcResult solve_kvc(const DenseSubgraph& g, std::int64_t k,
-                    const KvcOptions& options, KvcScratch& scratch) {
+KvcResult solve_kvc(const DenseSubgraph& g, std::span<const VertexId> degrees,
+                    std::int64_t k, const KvcOptions& options,
+                    KvcScratch& scratch) {
   if (k < 0) return KvcResult{};
   Searcher searcher(g, options, scratch);
-  return searcher.run(k);
+  return searcher.run(degrees, k);
 }
 
 KvcResult solve_kvc(const DenseSubgraph& g, std::int64_t k,
                     const KvcOptions& options) {
+  std::vector<VertexId> degrees(g.size());
+  for (std::size_t v = 0; v < g.size(); ++v) {
+    degrees[v] = static_cast<VertexId>(g.adj[v].count());
+  }
   KvcScratch scratch;
-  return solve_kvc(g, k, options, scratch);
+  return solve_kvc(g, degrees, k, options, scratch);
 }
 
 std::size_t minimum_vertex_cover(const DenseSubgraph& g,

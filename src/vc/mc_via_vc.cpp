@@ -16,7 +16,7 @@ McViaVcResult max_clique_via_vc(const DenseSubgraph& s, VertexId lower_bound,
 
   VcScratch local;
   VcScratch& sc = scratch ? *scratch : local;
-  s.complement_into(sc.comp);
+  s.complement_into(sc.comp, &sc.comp_deg);
   const DenseSubgraph& comp = sc.comp;
   KvcOptions opt;
   opt.control = control;
@@ -51,9 +51,12 @@ McViaVcResult max_clique_via_vc(const DenseSubgraph& s, VertexId lower_bound,
       }
       opt.max_nodes = node_budget - out.nodes;
     }
-    KvcResult r = solve_kvc(comp, static_cast<std::int64_t>(n - c), opt,
-                            sc.kvc);
+    KvcResult r = solve_kvc(comp, sc.comp_deg,
+                            static_cast<std::int64_t>(n - c), opt, sc.kvc);
     out.nodes += r.nodes;
+    out.lp_calls += r.lp_calls;
+    out.lp_refuted += r.lp_refuted;
+    out.reductions += r.reductions;
     if (r.timed_out) {
       out.timed_out = true;
       return out;

@@ -26,7 +26,11 @@ struct McViaVcResult {
   /// true maximum does not exceed the bound.  When non-empty this is a
   /// *maximum* clique of the subgraph.
   std::vector<VertexId> clique;
-  std::uint64_t nodes = 0;  // total k-VC branch nodes over all probes
+  // Totals over all probes of KvcResult's work counts.
+  std::uint64_t nodes = 0;
+  std::uint64_t lp_calls = 0;
+  std::uint64_t lp_refuted = 0;
+  std::uint64_t reductions = 0;
   bool timed_out = false;
   /// True when the node budget was exhausted before an answer; the caller
   /// should fall back to the MC solver (adaptive algorithmic choice —
@@ -35,11 +39,13 @@ struct McViaVcResult {
   bool budget_exhausted = false;
 };
 
-/// Reusable buffers for max_clique_via_vc: the complement subgraph and
-/// the cover-membership marks are recycled across probes when a scratch
-/// is supplied (one instance per thread).
+/// Reusable buffers for max_clique_via_vc: the complement subgraph, its
+/// row degrees (every probe's k-VC root degrees) and the cover-membership
+/// marks are recycled across probes when a scratch is supplied (one
+/// instance per thread).
 struct VcScratch {
   DenseSubgraph comp;
+  std::vector<VertexId> comp_deg;
   std::vector<char> in_cover;
   KvcScratch kvc;
 };

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/builder.hpp"
+#include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "intersect/bitset_row.hpp"
 #include "kcore/order.hpp"
@@ -116,6 +117,15 @@ TEST(CheckedLazyGraphDeathTest, OrderNotAscendingByCorenessAborts) {
   identity.orig_to_new = {0, 1, 2, 3};
   EXPECT_DEATH(LazyGraph(g, identity, coreness, nullptr),
                "ascend by coreness");
+}
+
+TEST(CheckedOrderDeathTest, PartialPeelOrderAborts) {
+  LAZYMC_SKIP_UNLESS_CHECKED();
+  // Every peel covers the whole graph, so a partial order is a caller's
+  // bug, not a case to complete.
+  const Graph g = gen::path(5);
+  const std::vector<VertexId> partial = {4, 2};
+  EXPECT_DEATH(kcore::order_from_peel(g, partial), "covers every vertex");
 }
 
 }  // namespace

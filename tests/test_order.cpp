@@ -61,19 +61,6 @@ TEST(Order, FromPeelRespectsSequence) {
   EXPECT_EQ(order.orig_to_new[0], 3u);
 }
 
-TEST(Order, FromPeelAppendsMissingVertices) {
-  Graph g = gen::path(5);
-  std::vector<VertexId> partial{4, 2};
-  auto order = kcore::order_from_peel(g, partial);
-  ASSERT_EQ(order.size(), 5u);
-  EXPECT_EQ(order.new_to_orig[0], 4u);
-  EXPECT_EQ(order.new_to_orig[1], 2u);
-  // remaining in original-id order
-  EXPECT_EQ(order.new_to_orig[2], 0u);
-  EXPECT_EQ(order.new_to_orig[3], 1u);
-  EXPECT_EQ(order.new_to_orig[4], 3u);
-}
-
 TEST(Relabel, PreservesStructure) {
   Graph g = gen::gnp(50, 0.15, 9);
   auto core = kcore::coreness(g);

@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
+#include "baselines/reference.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/subgraph.hpp"
@@ -223,6 +225,94 @@ TEST(Kvc, BussKernelHighDegreeVertex) {
   ASSERT_EQ(r.cover.size(), 1u);
   EXPECT_EQ(r.cover[0], 0u);  // the hub
   EXPECT_LE(r.nodes, 3u);     // kernelisation, not branching
+}
+
+/// Solves every k from n - omega - 2 to n - omega + 1 on the complement
+/// of `g` through both solve_kvc overloads: feasible exactly when
+/// k >= n - omega (omega from the reference solver), each cover verified,
+/// and the scratch overload (root degrees from complement_into, one
+/// scratch reused across graphs) identical to the convenience one.
+void expect_complement_boundary(const Graph& g, vc::KvcScratch& scratch,
+                                const std::string& what) {
+  const std::int64_t n = g.num_vertices();
+  const std::int64_t omega =
+      static_cast<std::int64_t>(baselines::max_clique_reference(g).size());
+  DenseSubgraph comp;
+  std::vector<VertexId> degrees;
+  induce_all(g).complement_into(comp, &degrees);
+  for (std::int64_t k = n - omega - 2; k <= n - omega + 1; ++k) {
+    const std::string at = what + " k=" + std::to_string(k) +
+                           " n-omega=" + std::to_string(n - omega);
+    const vc::KvcResult r = vc::solve_kvc(comp, k);
+    EXPECT_EQ(r.feasible, k >= n - omega) << at;
+    if (r.feasible) {
+      EXPECT_TRUE(is_cover(comp, r.cover)) << at;
+      EXPECT_LE(static_cast<std::int64_t>(r.cover.size()), k) << at;
+    }
+    const vc::KvcResult pooled = vc::solve_kvc(comp, degrees, k, {}, scratch);
+    EXPECT_EQ(pooled.feasible, r.feasible) << at;
+    EXPECT_EQ(pooled.cover, r.cover) << at;
+    EXPECT_EQ(pooled.nodes, r.nodes) << at;
+    EXPECT_EQ(pooled.reductions, r.reductions) << at;
+  }
+}
+
+TEST(Kvc, DifferentialAcrossWordBoundaries) {
+  // Zone sizes on either side of one and two words, so the kernel's
+  // word-at-a-time neighbor reads and the LP's row scans cross a word
+  // boundary (or end exactly on one).  Graphs above the default density
+  // threshold (0.6), with and without a planted clique, give the sparse
+  // complements MC-via-VC solves.
+  vc::KvcScratch scratch;
+  for (VertexId n : {63u, 64u, 65u, 127u, 128u, 129u}) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      const std::string what =
+          "n=" + std::to_string(n) + " seed " + std::to_string(seed);
+      expect_complement_boundary(gen::gnp(n, 0.7, seed), scratch,
+                                 "gnp " + what);
+      expect_complement_boundary(
+          gen::plant_clique(gen::gnp(n, 0.85, seed), n / 3, seed), scratch,
+          "planted " + what);
+    }
+  }
+}
+
+TEST(Kvc, KernelCascadeSolvesPathAtTheRoot) {
+  // Each degree-1 reduction leaves the next path vertex with degree 1, so
+  // the worklist peels the whole path from both ends without branching.
+  const VertexId n = 300;
+  DenseSubgraph s = induce_all(gen::path(n));
+  const auto r = vc::solve_kvc(s, n / 2);
+  ASSERT_TRUE(r.feasible);
+  EXPECT_TRUE(is_cover(s, r.cover));
+  EXPECT_EQ(r.cover.size(), n / 2);
+  EXPECT_EQ(r.nodes, 1u);
+  EXPECT_EQ(r.reductions, n / 2);
+  EXPECT_EQ(r.lp_calls, 0u);  // nothing is left to bound
+  const auto short_k = vc::solve_kvc(s, n / 2 - 1);
+  EXPECT_FALSE(short_k.feasible);
+  EXPECT_EQ(short_k.nodes, 1u);
+}
+
+TEST(Kvc, KernelCascadeSolvesCaterpillarAtTheRoot) {
+  // A 100-vertex spine with one leaf on each spine vertex: every leaf's
+  // degree-1 reduction takes its spine vertex, so the spine is the cover.
+  const VertexId spine = 100;
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId i = 0; i < spine; ++i) {
+    if (i + 1 < spine) edges.emplace_back(i, i + 1);
+    edges.emplace_back(i, spine + i);
+  }
+  DenseSubgraph s = induce_all(graph_from_edges(2 * spine, edges));
+  const auto r = vc::solve_kvc(s, spine);
+  ASSERT_TRUE(r.feasible);
+  EXPECT_TRUE(is_cover(s, r.cover));
+  EXPECT_EQ(r.cover.size(), spine);
+  EXPECT_EQ(r.nodes, 1u);
+  EXPECT_EQ(r.reductions, spine);
+  const auto short_k = vc::solve_kvc(s, spine - 1);
+  EXPECT_FALSE(short_k.feasible);
+  EXPECT_EQ(short_k.nodes, 1u);
 }
 
 TEST(Kvc, GenerousKStillProducesValidCover) {
